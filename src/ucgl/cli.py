@@ -20,7 +20,7 @@ from .errors import SearchFailureError, UcglError
 from .groupoid import sample_slocal_fiber
 from .involutions import slocal_membership
 from .report import SUITES, run_suite
-from .stokes import build_M, derive_root_sets, root_sets_to_dict
+from .stokes import build_M, derive_root_sets, rand_palindromic_s, root_sets_to_dict
 
 
 def _build_parser():
@@ -37,8 +37,6 @@ def _build_parser():
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--tol", type=float, default=None,
-                   help="override tolerance for every check (use with care)")
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None,
@@ -85,9 +83,6 @@ def cmd_verify(args, argv):
     except SearchFailureError as exc:
         print(f"search failure: {exc}", file=sys.stderr)
         return 3
-    if args.tol is not None:
-        for c in report.checks:
-            c.tol = args.tol
     text = report.to_json() if args.format == "json" else report.to_markdown()
     _emit(text, args.out)
     return 0 if report.all_passed else 1
@@ -98,12 +93,7 @@ def cmd_sample_slocal(args):
     rng = np.random.default_rng(args.seed)
     records = []
     for _ in range(args.count):
-        half = rng.standard_normal((args.n + 1) // 2)
-        s = np.zeros(args.n, dtype=complex)
-        for i in range((args.n + 1) // 2):
-            s[i] = half[i]
-            s[args.n - 1 - i] = half[i]
-        A = build_M(rs, s)
+        A = build_M(rs, rand_palindromic_s(rng, args.n))
         p = sample_slocal_fiber(rs, A, int(rng.integers(0, 2 ** 31)))
         flags = slocal_membership(rs, p, tol=1e-8)
         records.append(

@@ -8,6 +8,7 @@ source and target coincide.  Composition multiplies the B-slots.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import null_space
 
 from .core import determinant, inverse, is_regular
 from .errors import (
@@ -157,6 +158,19 @@ def sample_slocal_fiber(rs, A, seed):
     return make_point(rs, B, A)
 
 
+def _tangent_constraints(p, dM):
+    """The linearized point constraints at p, on row-major flattened matrices.
+
+    Returns (LX, LY, tr): the (N^2, N^2) matrix of X -> [X, A], the (N^2, n)
+    matrix of sdot -> [B, Y(sdot)] with Y(sdot) = sum_d sdot_d dM[d], and the
+    (1, N^2) row of X -> Tr(B^{-1} X).
+    """
+    I = np.eye(p.A.shape[0])
+    LX = np.kron(I, p.A.T) - np.kron(p.A, I)
+    LY = np.stack([(p.B @ Y - Y @ p.B).ravel() for Y in dM], axis=1)
+    return LX, LY, inverse(p.B).T.reshape(1, -1)
+
+
 def tangent_space(rs, p, tol=1e-8):
     """Numerical-kernel basis of the tangent space at p.
 
@@ -169,32 +183,17 @@ def tangent_space(rs, p, tol=1e-8):
     n = rs.n
     N = n + 1
     dM = dM_ds(rs, p.s)
-    Binv = inverse(p.B)
-    cols = []
-    for idx in range(N * N):
-        X = np.zeros((N, N), dtype=complex)
-        X.flat[idx] = 1.0
-        cols.append(
-            np.concatenate([(X @ p.A - p.A @ X).ravel(), [np.trace(Binv @ X)]])
-        )
-    for d in range(n):
-        Y = dM[d]
-        cols.append(np.concatenate([(p.B @ Y - Y @ p.B).ravel(), [0.0]]))
-    L = np.array(cols).T
-    _, sv, Vh = np.linalg.svd(L)
-    rank = int(np.sum(sv > tol * sv[0]))
-    kern = Vh[rank:].conj().T
+    LX, LY, tr = _tangent_constraints(p, dM)
+    kern = null_space(np.block([[LX, LY], [tr, np.zeros((1, n))]]), rcond=tol)
     dim = kern.shape[1]
     if dim != 2 * n:
         raise DegenerateTangentError(f"kernel dimension {dim}, expected {2 * n}")
     vecs = []
-    for j in range(dim):
-        v = kern[:, j]
-        X = v[: N * N].reshape(N, N)
+    for v in kern.T:
         sdot = v[N * N :]
-        Y = sum(sdot[d] * dM[d] for d in range(n))
         kind = "fiber" if np.max(np.abs(sdot)) < 1e-10 else "general"
-        vecs.append(TangentVector(base=p, X=X, Y=np.asarray(Y), kind=kind))
+        Y = np.tensordot(sdot, dM, axes=1)
+        vecs.append(TangentVector(base=p, X=v[: N * N].reshape(N, N), Y=Y, kind=kind))
     return vecs
 
 

@@ -47,8 +47,11 @@ from .stokes import (
     build_Q,
     build_S,
     derive_root_sets,
+    rand_palindromic_s,
+    rand_s,
     root_sets_to_dict,
     section_membership,
+    semisimple_s,
     stokes_params_of,
 )
 from .symplectic import (
@@ -150,40 +153,12 @@ def _neg_control(observed, threshold=1e-3):
     return max(0.0, threshold - observed)
 
 
-def _rand_s(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def _rand_palindromic_s(rng, n):
-    s = np.zeros(n, dtype=complex)
-    half = rng.standard_normal((n + 1) // 2)
-    for i in range((n + 1) // 2):
-        s[i] = half[i]
-        s[n - 1 - i] = half[i]
-    return s
-
-
 def _rand_point(rs, rng):
     """Random point: section base with a random centralizer element."""
-    s = _rand_s(rng, rs.n)
+    s = rand_s(rng, rs.n)
     A = build_M(rs, s)
     B = sample_commuting(A, int(rng.integers(0, 2 ** 31)))
     return make_point(rs, B, A, tol=1e-7)
-
-
-def _semisimple_s(rs, rng, gap=1e-2, tries=50):
-    """Random s whose section element has pairwise eigenvalue gaps above gap."""
-    for _ in range(tries):
-        s = _rand_s(rng, rs.n)
-        lam = np.roots(char_poly(build_M(rs, s))[::-1])
-        ok = True
-        for i in range(len(lam)):
-            for j in range(i + 1, len(lam)):
-                if abs(lam[i] - lam[j]) < gap:
-                    ok = False
-        if ok:
-            return s
-    raise UcglError("could not find a well-separated spectrum")
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +200,7 @@ def suite_stokes(rs, rng, samples=100):
     checks = []
     rt = reg_fail = power = route = 0.0
     for _ in range(samples):
-        s = _rand_s(rng, n)
+        s = rand_s(rng, n)
         M = build_M(rs, s)
         rt = max(rt, float(np.max(np.abs(stokes_params_of(M) - s))))
         if not is_regular(M):
@@ -251,8 +226,8 @@ def suite_stokes(rs, rng, samples=100):
     non = math.inf
     trials = max(10, samples // 5)
     for _ in range(trials):
-        sp = _rand_palindromic_s(rng, n)
-        sg = _rand_s(rng, n)
+        sp = rand_palindromic_s(rng, n)
+        sg = rand_s(rng, n)
         chain_worst = 0.0
         for base_k in (n + 1, n + 2):  # k = 1 and k = 1 + 1/(n+1); k+1 adds n+1
             Qa = build_Q(rs, base_k, sp)
@@ -315,7 +290,7 @@ def suite_involutions(rs, rng, samples=100):
     probes = samples
     for i in range(probes):
         if i % 2 == 0:
-            s = _rand_palindromic_s(rng, n)
+            s = rand_palindromic_s(rng, n)
             p = sample_slocal_fiber(rs, build_M(rs, s), int(rng.integers(0, 2 ** 31)))
         else:
             p = _rand_point(rs, rng)
@@ -327,7 +302,7 @@ def suite_involutions(rs, rng, samples=100):
     )
     # theta-fixed points have B with real characteristic polynomial
     for _ in range(max(5, samples // 10)):
-        s = _rand_palindromic_s(rng, n)
+        s = rand_palindromic_s(rng, n)
         p = sample_slocal_fiber(rs, build_M(rs, s), int(rng.integers(0, 2 ** 31)))
         c = char_poly(p.B)
         char_real = max(char_real, float(np.max(np.abs(c.imag)) / np.max(np.abs(c))))
@@ -343,7 +318,7 @@ def suite_groupoid(rs, rng, samples=100):
     axioms = st_eq = samp = fiber_mem = 0.0
     tangent_dim_err = 0.0
     for _ in range(samples):
-        s = _rand_s(rng, n)
+        s = rand_s(rng, n)
         A = build_M(rs, s)
         seeds = [int(rng.integers(0, 2 ** 31)) for _ in range(3)]
         ps = [make_point(rs, sample_commuting(A, sd), A, tol=1e-7) for sd in seeds]
@@ -369,7 +344,7 @@ def suite_groupoid(rs, rng, samples=100):
     checks.append(Check("groupoid.sampler_membership", samples, samp, 1e-10))
     trials = max(5, samples // 5)
     for _ in range(trials):
-        s = _rand_palindromic_s(rng, n)
+        s = rand_palindromic_s(rng, n)
         p = sample_slocal_fiber(rs, build_M(rs, s), int(rng.integers(0, 2 ** 31)))
         mem = slocal_membership(rs, p, tol=1e-8)
         if not (mem["fixed_route"] and mem["direct_route"]):
@@ -393,18 +368,18 @@ def suite_symplectic(rs, rng, samples=100):
     blocks = eps_zero = 0.0
     configs = 2 * samples
     for _ in range(configs):
-        s = _rand_s(rng, n)
+        s = rand_s(rng, n)
         A = build_M(rs, s)
         u0 = unit(rs, A)
         _, traceless = centralizer_basis(A)
-        cf = _rand_s(rng, n)
-        ce = _rand_s(rng, n)
+        cf = rand_s(rng, n)
+        ce = rand_s(rng, n)
         xi = sum(cf[j] * traceless[j] for j in range(n))
         eta = sum(ce[j] * traceless[j] for j in range(n))
         uF = fiber_vector(u0, xi)
         vF = fiber_vector(u0, eta)
-        uH = horizontal_vector_at_unit(rs, u0, _rand_s(rng, n))
-        vH = horizontal_vector_at_unit(rs, u0, _rand_s(rng, n))
+        uH = horizontal_vector_at_unit(rs, u0, rand_s(rng, n))
+        vH = horizontal_vector_at_unit(rs, u0, rand_s(rng, n))
         for (a, b) in ((uF, vF), (uH, vH), (uF, vH), (uH, vF)):
             blocks = max(blocks, abs(omega_at(u0, a, b) - unit_block_values(A, a, b)))
         eps_zero = max(eps_zero, abs(omega_at(u0, uH, vH)))
@@ -415,15 +390,13 @@ def suite_symplectic(rs, rng, samples=100):
     mult = 0.0
     pairs_n = max(10, samples // 2)
     for _ in range(pairs_n):
-        s = _rand_s(rng, n)
+        s = rand_s(rng, n)
         A = build_M(rs, s)
         p = make_point(rs, sample_commuting(A, int(rng.integers(0, 2 ** 31))), A, tol=1e-7)
         q = make_point(rs, sample_commuting(A, int(rng.integers(0, 2 ** 31))), A, tol=1e-7)
         pair = make_pair(p, q)
         basis = composable_tangent_basis(rs, pair)
-        for upair in basis:
-            for vpair in basis:
-                mult = max(mult, multiplicativity_residual(rs, pair, upair, vpair))
+        mult = max(mult, multiplicativity_residual(rs, pair, basis))
     checks.append(Check("symplectic.multiplicativity", pairs_n, mult, 1e-8))
 
     # closedness by finite differences in charts
@@ -439,7 +412,7 @@ def suite_symplectic(rs, rng, samples=100):
     min_sing = math.inf
     nd_trials = max(5, samples // 10)
     for i in range(nd_trials):
-        s = _semisimple_s(rs, rng)
+        s = semisimple_s(rs, rng)
         A = build_M(rs, s)
         if i % 2 == 0:
             p = unit(rs, A)
@@ -455,7 +428,7 @@ def suite_symplectic(rs, rng, samples=100):
     # involution pullbacks at units and at random points
     pull_unit = pull_rand = 0.0
     for i in range(3):
-        s = _rand_s(rng, n)
+        s = rand_s(rng, n)
         A = build_M(rs, s)
         u0 = unit(rs, A)
         pull_unit = max(
@@ -475,7 +448,7 @@ def suite_symplectic(rs, rng, samples=100):
     # integrable-system structure
     rank_err = poisson = isotropy = t20 = 0.0
     for _ in range(max(5, samples // 10)):
-        s = _semisimple_s(rs, rng)
+        s = semisimple_s(rs, rng)
         cs = character_system(rs, s)
         rank_err = max(rank_err, abs(cs["jacobian_rank"] - n))
         A = build_M(rs, s)
@@ -484,7 +457,7 @@ def suite_symplectic(rs, rng, samples=100):
             for j in range(i + 1, n + 1):
                 poisson = max(poisson, poisson_bracket_residual(rs, i, j, p))
         _, traceless = centralizer_basis(A)
-        cf, ce = _rand_s(rng, n), _rand_s(rng, n)
+        cf, ce = rand_s(rng, n), rand_s(rng, n)
         uF = fiber_vector(p, sum(cf[k] * traceless[k] for k in range(n)))
         vF = fiber_vector(p, sum(ce[k] * traceless[k] for k in range(n)))
         isotropy = max(isotropy, abs(omega_at(p, uF, vF)))
@@ -502,7 +475,7 @@ def suite_symplectic(rs, rng, samples=100):
     dims = []
     rf_trials = 3
     for _ in range(rf_trials):
-        s = _rand_palindromic_s(rng, n)
+        s = rand_palindromic_s(rng, n)
         p = sample_slocal_fiber(rs, build_M(rs, s), int(rng.integers(0, 2 ** 31)))
         rep = real_form_checks(rs, p)
         re_res = max(re_res, rep["re_omega_residual"])
@@ -563,7 +536,7 @@ def suite_bondal(rs, rng, samples=100):
     trials = max(10, samples // 5)
     perms = set()
     for _ in range(trials):
-        s = _rand_palindromic_s(rng, n)
+        s = rand_palindromic_s(rng, n)
         A = build_M(rs, s)
         p = sample_slocal_fiber(rs, A, int(rng.integers(0, 2 ** 31)))
         q = sample_slocal_fiber(rs, A, int(rng.integers(0, 2 ** 31)))
@@ -590,7 +563,7 @@ def suite_slocal_experiment(rs, rng, samples=100):
     n = rs.n
     hits = 0
     for _ in range(samples):
-        s = _rand_palindromic_s(rng, n)
+        s = rand_palindromic_s(rng, n)
         p = sample_slocal_fiber(rs, build_M(rs, s), int(rng.integers(0, 2 ** 31)))
         if np.max(np.abs(p.B @ np.conj(p.B) - np.eye(n + 1))) < 1e-8:
             hits += 1

@@ -20,7 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import char_poly, inverse, structural_matrices
-from .errors import InvalidSectorError, PreconditionError, SearchFailureError
+from .errors import (
+    DegenerateSampleError,
+    InvalidSectorError,
+    PreconditionError,
+    SearchFailureError,
+)
 
 #: per-point tolerance for the random-point identity checks in the search
 SEARCH_TOL = 1e-9
@@ -141,6 +146,27 @@ def stokes_params_of(A):
     return np.array([(-1.0) ** (i + 1) * c[i] for i in range(1, n + 1)])
 
 
+def rand_s(rng, n):
+    """Random complex parameters, standard normal real and imaginary parts."""
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def rand_palindromic_s(rng, n):
+    """Random real palindromic parameters, s_i = s_{n+1-i}."""
+    half = rng.standard_normal((n + 1) // 2)
+    return np.concatenate([half, half[: n // 2][::-1]]).astype(complex)
+
+
+def semisimple_s(rs, rng, gap=1e-2, tries=50):
+    """Random s whose section element has pairwise eigenvalue gaps above gap."""
+    for _ in range(tries):
+        s = rand_s(rng, rs.n)
+        lam = np.roots(char_poly(build_M(rs, s))[::-1])
+        if all(abs(a - b) >= gap for a, b in itertools.combinations(lam, 2)):
+            return s
+    raise DegenerateSampleError("could not find a well-separated spectrum")
+
+
 def section_membership(rs, A, tol=1e-9):
     """Whether A lies on the section, and on its real palindromic slice.
 
@@ -192,7 +218,7 @@ def _candidate_passes(R1, R1p, n, rng, npts, tol=SEARCH_TOL):
     st = structural_matrices(n)
     P = st.PiHat if n % 2 == 1 else st.Pi
     for _ in range(npts):
-        s = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        s = rand_s(rng, n)
         M = build_M(cand, s)
         # (a) characteristic-polynomial identity
         if np.max(np.abs(stokes_params_of(M) - s)) > tol:

@@ -17,7 +17,7 @@ error.
 import itertools
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet, logm
+from scipy.linalg import expm, expm_frechet, logm, null_space
 
 from .core import char_poly, inverse, trace_form
 from .errors import (
@@ -27,9 +27,42 @@ from .errors import (
     NotComposableError,
     ProjectionFailureError,
 )
-from .groupoid import TangentVector
+from .groupoid import TangentVector, _tangent_constraints
 from .involutions import apply_sigma, apply_theta, make_point
 from .stokes import build_M, dM_ds
+
+
+def _stack(vecs):
+    """Tangent vectors as one array U of shape (m, 2, N, N), U[i] = (X_i, Y_i)."""
+    return np.array([(u.X, u.Y) for u in vecs], dtype=complex)
+
+
+def omega_gram(g, a, U, V=None):
+    """The matrix omega(U_i, V_j) at (g, a), by the formula in omega's docstring.
+
+    U and V are stacked tangent vectors as returned by _stack.  g and a are
+    inverted once and each trace term is one einsum over the stacks.  With
+    x = g^{-1} X, omega(u, v) = (K(u, v) - K(v, u)) / 2 where
+      K(u, v) = (Ad_a x_u, x_v) + (x_u, a^{-1} Y_v + Y_v a^{-1}).
+    Without V the Gram of U with itself is (K - K^T) / 2, exactly
+    antisymmetric with a zero diagonal.
+    """
+    gi = inverse(g)
+    ai = inverse(a)
+
+    def slots(W):
+        x = gi @ W[:, 0]
+        return x, a @ x @ ai, ai @ W[:, 1] + W[:, 1] @ ai
+
+    def K(P, Q):
+        return np.einsum("iab,jba->ij", P[1], Q[0]) + np.einsum("iab,jba->ij", P[0], Q[2])
+
+    P = slots(U)
+    if V is None:
+        KU = K(P, P)
+        return 0.5 * (KU - KU.T)
+    Q = slots(V)
+    return 0.5 * (K(P, Q) - K(Q, P).T)
 
 
 def omega(g, a, u, v):
@@ -40,17 +73,7 @@ def omega(g, a, u, v):
                           + (x_u, a^{-1} Y_v + Y_v a^{-1})
                           - (x_v, a^{-1} Y_u + Y_u a^{-1}) ]
     """
-    gi = inverse(g)
-    ai = inverse(a)
-    xu, xv = gi @ u.X, gi @ v.X
-    Ada = lambda X: a @ X @ ai
-    t = (
-        trace_form(Ada(xu), xv)
-        - trace_form(Ada(xv), xu)
-        + trace_form(xu, ai @ v.Y + v.Y @ ai)
-        - trace_form(xv, ai @ u.Y + u.Y @ ai)
-    )
-    return 0.5 * t
+    return omega_gram(g, a, _stack([u]), _stack([v]))[0, 0]
 
 
 def omega_at(p, u, v):
@@ -103,61 +126,38 @@ def composable_tangent_basis(rs, pair, tol=1e-8):
     N = n + 1
     p, q = pair.p, pair.q
     dM = dM_ds(rs, p.s)
-    B1i, B2i = inverse(p.B), inverse(q.B)
-    cols = []
-    dim = 2 * N * N + n
-    for idx in range(dim):
-        X1 = np.zeros((N, N), dtype=complex)
-        X2 = np.zeros((N, N), dtype=complex)
-        sdot = np.zeros(n, dtype=complex)
-        if idx < N * N:
-            X1.flat[idx] = 1.0
-        elif idx < 2 * N * N:
-            X2.flat[idx - N * N] = 1.0
-        else:
-            sdot[idx - 2 * N * N] = 1.0
-        Y = sum(sdot[d] * dM[d] for d in range(n)) if n else np.zeros((N, N))
-        c1 = (X1 @ p.A - p.A @ X1 + p.B @ Y - Y @ p.B).ravel()
-        c2 = (X2 @ q.A - q.A @ X2 + q.B @ Y - Y @ q.B).ravel()
-        cols.append(
-            np.concatenate([c1, c2, [np.trace(B1i @ X1)], [np.trace(B2i @ X2)]])
-        )
-    L = np.array(cols).T
-    _, sv, Vh = np.linalg.svd(L)
-    rank = int(np.sum(sv > tol * sv[0]))
-    kern = Vh[rank:].conj().T
+    LX1, LY1, tr1 = _tangent_constraints(p, dM)
+    LX2, LY2, tr2 = _tangent_constraints(q, dM)
+    Z, z, zs = np.zeros((N * N, N * N)), np.zeros((1, N * N)), np.zeros((1, n))
+    L = np.block([[LX1, Z, LY1], [Z, LX2, LY2], [tr1, z, zs], [z, tr2, zs]])
     out = []
-    for j in range(kern.shape[1]):
-        w = kern[:, j]
-        X1 = w[: N * N].reshape(N, N)
-        X2 = w[N * N : 2 * N * N].reshape(N, N)
-        sdot = w[2 * N * N :]
-        Y = np.asarray(sum(sdot[d] * dM[d] for d in range(n)))
+    for w in null_space(L, rcond=tol).T:
+        Y = np.tensordot(w[2 * N * N :], dM, axes=1)
         out.append(
             (
-                TangentVector(base=p, X=X1, Y=Y),
-                TangentVector(base=q, X=X2, Y=Y),
+                TangentVector(base=p, X=w[: N * N].reshape(N, N), Y=Y),
+                TangentVector(base=q, X=w[N * N : 2 * N * N].reshape(N, N), Y=Y),
             )
         )
     return out
 
 
-def multiplicativity_residual(rs, pair, upair, vpair):
-    """|omega(dm u, dm v) - omega(u1, v1) - omega(u2, v2)| at a composable pair.
+def multiplicativity_residual(rs, pair, basis):
+    """Max |omega(dm u, dm v) - omega(u1, v1) - omega(u2, v2)| over a composable basis.
 
-    The differential of composition is exact: dm(u1, u2) = (X1 B2 + B1 X2, Y).
+    basis is a list of tangent pairs (u1, u2) with equal Y-components, as
+    returned by composable_tangent_basis; u and v run over all of it.  The
+    differential of composition is exact: dm(u1, u2) = (X1 B2 + B1 X2, Y).
     """
     p, q = pair.p, pair.q
-    u1, u2 = upair
-    v1, v2 = vpair
-    if np.max(np.abs(u1.Y - u2.Y)) > 1e-8 or np.max(np.abs(v1.Y - v2.Y)) > 1e-8:
+    U1 = _stack([u1 for u1, _ in basis])
+    U2 = _stack([u2 for _, u2 in basis])
+    if np.max(np.abs(U1[:, 1] - U2[:, 1])) > 1e-8:
         raise NotComposableError("tangent pairs must share the base variation")
-    B12 = p.B @ q.B
-    du = TangentVector(base=p, X=u1.X @ q.B + p.B @ u2.X, Y=u1.Y)
-    dv = TangentVector(base=p, X=v1.X @ q.B + p.B @ v2.X, Y=v1.Y)
-    lhs = omega(B12, p.A, du, dv)
-    rhs = omega_at(p, u1, v1) + omega_at(q, u2, v2)
-    return abs(lhs - rhs)
+    dm = np.stack([U1[:, 0] @ q.B + p.B @ U2[:, 0], U1[:, 1]], axis=1)
+    lhs = omega_gram(p.B @ q.B, p.A, dm)
+    rhs = omega_gram(p.B, p.A, U1) + omega_gram(q.B, q.A, U2)
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -280,33 +280,21 @@ def closedness_residual(rs, p, step=1e-4, max_triples=8):
 
     The exterior derivative is assembled from partial derivatives of the
     coefficient functions f_jk(x) = omega(u_j, u_k) along chart coordinates,
-    by central differences with one Richardson extrapolation step.
+    by central differences with one Richardson extrapolation step.  The
+    frame and its Gram are built once per coordinate and stencil point.
     """
     chart = SectionChart(rs, p)
     x0 = chart.x0()
-    dimR = 4 * rs.n
 
-    def f(jk):
-        j, k = jk
+    def gram(x):
+        base, frame = chart.real_frame(x)
+        return omega_gram(base.B, base.A, _stack(frame))
 
-        def val(x):
-            base, frame = chart.real_frame(x)
-            return omega_at(base, frame[j], frame[k])
-
-        return val
-
-    combos = list(itertools.combinations(range(dimR), 3))
+    combos = list(itertools.combinations(range(4 * rs.n), 3))
     stride = max(1, len(combos) // max_triples)
     triples = combos[::stride][:max_triples]
-    worst = 0.0
-    for (i, j, k) in triples:
-        val = (
-            _richardson(f((j, k)), x0, i, step)
-            - _richardson(f((i, k)), x0, j, step)
-            + _richardson(f((i, j)), x0, k, step)
-        )
-        worst = max(worst, abs(val))
-    return worst
+    D = {i: _richardson(gram, x0, i, step) for i in sorted(set(itertools.chain(*triples)))}
+    return max(float(abs(D[i][j, k] - D[j][i, k] + D[k][i, j])) for (i, j, k) in triples)
 
 
 # ---------------------------------------------------------------------------
@@ -330,23 +318,13 @@ class TwoFormGram:
 def gram_matrix(p, basis):
     """Complex Gram of omega plus the realified minimum singular value.
 
-    The realified form is Re(omega) on the doubled basis (u_j, i u_j); its
-    smallest singular value certifies nondegeneracy of the complex form.
+    The realified form is Re(omega) on the doubled basis (u_j, i u_j); omega
+    is complex bilinear, so its Gram is [[Re G, -Im G], [-Im G, -Re G]] for
+    the complex Gram G.  Its smallest singular value certifies nondegeneracy
+    of the complex form.
     """
-    m = len(basis)
-    G = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            G[a, b] = omega_at(p, basis[a], basis[b])
-    doubled = []
-    for u in basis:
-        doubled.append(u)
-    for u in basis:
-        doubled.append(TangentVector(base=u.base, X=1j * u.X, Y=1j * u.Y, kind=u.kind))
-    GR = np.zeros((2 * m, 2 * m))
-    for a in range(2 * m):
-        for b in range(2 * m):
-            GR[a, b] = omega_at(p, doubled[a], doubled[b]).real
+    G = omega_gram(p.B, p.A, _stack(basis))
+    GR = np.block([[G.real, -G.imag], [-G.imag, -G.real]])
     sv = np.linalg.svd(GR, compute_uv=False)
     return TwoFormGram(base=p, basis=basis, gram=G, min_singular=float(sv[-1]))
 
@@ -382,6 +360,13 @@ def _map_differential(rs, chart, mapfun, x0, k, h):
     return (16 * r2[0] - r1[0]) / 15, (16 * r2[1] - r1[1]) / 15
 
 
+def _map_frame(rs, chart, mapfun, x0, fd_step):
+    """Stacked differentials (dB, dA) of a map along every chart coordinate."""
+    return np.array(
+        [_map_differential(rs, chart, mapfun, x0, k, fd_step) for k in range(len(x0))]
+    )
+
+
 def involution_pullback_residual(kind, rs, p, fd_step=1e-3):
     """Pullback defect of omega under one involution at a point.
 
@@ -393,27 +378,15 @@ def involution_pullback_residual(kind, rs, p, fd_step=1e-3):
         raise ProjectionFailureError(f"unknown involution kind {kind!r}")
     chart = SectionChart(rs, p)
     x0 = chart.x0()
-    dimR = 4 * rs.n
     if kind == "sigma":
         mapfun = lambda q: apply_sigma(rs, q, tol=np.inf)
     else:
         mapfun = lambda q: apply_theta(rs, q, tol=np.inf)
     base, frame = chart.real_frame(x0)
     img = mapfun(base)
-    dframe = []
-    for k in range(dimR):
-        dB, dA = _map_differential(rs, chart, mapfun, x0, k, fd_step)
-        dframe.append(TangentVector(base=img, X=dB, Y=dA))
-    worst = 0.0
-    for j in range(dimR):
-        for k in range(j + 1, dimR):
-            w = omega_at(base, frame[j], frame[k])
-            wi = omega_at(img, dframe[j], dframe[k])
-            if kind == "sigma":
-                worst = max(worst, abs(wi - w))
-            else:
-                worst = max(worst, abs(wi + np.conj(w)))
-    return worst
+    w = omega_gram(base.B, base.A, _stack(frame))
+    wi = omega_gram(img.B, img.A, _map_frame(rs, chart, mapfun, x0, fd_step))
+    return float(np.max(np.abs(wi - w if kind == "sigma" else wi + np.conj(w))))
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +426,7 @@ def poisson_bracket_residual(rs, i, j, p):
     x0 = chart.x0()
     base, frame = chart.complex_frame(x0)
     m = len(frame)
-    G = np.zeros((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(m):
-            G[a, b] = omega_at(base, frame[a], frame[b])
+    G = omega_gram(base.B, base.A, _stack(frame))
     if np.linalg.cond(G) > 1e10:
         raise DegenerateFormError("Gram matrix numerically singular")
 
@@ -482,34 +452,25 @@ def poisson_bracket_residual(rs, i, j, p):
 # real-form checks
 
 
-def _flatten_tangent(u):
-    z = np.concatenate([u.X.ravel(), u.Y.ravel()])
-    return np.concatenate([z.real, z.imag])
+def _flatten(S):
+    """Real coordinates of stacked tangent vectors, one column per vector."""
+    z = S.reshape(len(S), -1)
+    return np.concatenate([z.real, z.imag], axis=1).T
 
 
-def _combine(frame, coeffs):
-    X = sum(c * u.X for c, u in zip(coeffs, frame))
-    Y = sum(c * u.Y for c, u in zip(coeffs, frame))
-    return TangentVector(base=frame[0].base, X=X, Y=Y)
-
-
-def _involution_matrix(rs, chart, mapfun, x0, frame, fd_step=1e-3):
-    """Real matrix of a tangent involution in the chart's real frame."""
-    F = np.array([_flatten_tangent(u) for u in frame]).T
-    cols = []
-    for k in range(len(frame)):
-        dB, dA = _map_differential(rs, chart, mapfun, x0, k, fd_step)
-        cols.append(_flatten_tangent(TangentVector(base=frame[0].base, X=dB, Y=dA)))
-    Timg = np.array(cols).T
-    T, res, rank, _ = np.linalg.lstsq(F, Timg, rcond=None)
-    if rank < len(frame):
+def _involution_matrix(rs, chart, mapfun, x0, F, fd_step=1e-3):
+    """Real matrix of a tangent involution in the chart's real frame F (stacked)."""
+    Timg = _flatten(_map_frame(rs, chart, mapfun, x0, fd_step))
+    T, res, rank, _ = np.linalg.lstsq(_flatten(F), Timg, rcond=None)
+    if rank < len(F):
         raise ProjectionFailureError("chart frame is rank deficient")
     return T
 
 
-def _fixed_subspace(T, cutoff=1e-3):
-    m = T.shape[0]
-    _, sv, Vh = np.linalg.svd(T - np.eye(m))
+def _fixed_subspace(*Ts, cutoff=1e-3):
+    """Orthonormal basis of the joint fixed space of the given real matrices."""
+    m = Ts[0].shape[0]
+    _, sv, Vh = np.linalg.svd(np.vstack([T - np.eye(m) for T in Ts]))
     dim = int(np.sum(sv < cutoff * max(1.0, sv[0])))
     return Vh[m - dim :].T if dim else np.zeros((m, 0))
 
@@ -525,34 +486,24 @@ def real_form_checks(rs, p, fd_step=1e-3):
     chart = SectionChart(rs, p)
     x0 = chart.x0()
     base, frame = chart.real_frame(x0)
+    F = _stack(frame)
     sig = lambda q: apply_sigma(rs, q, tol=np.inf)
     the = lambda q: apply_theta(rs, q, tol=np.inf)
-    Tt = _involution_matrix(rs, chart, the, x0, frame, fd_step)
-    Ts = _involution_matrix(rs, chart, sig, x0, frame, fd_step)
+    Tt = _involution_matrix(rs, chart, the, x0, F, fd_step)
+    Ts = _involution_matrix(rs, chart, sig, x0, F, fd_step)
 
     Vt = _fixed_subspace(Tt)
     if Vt.shape[1] == 0:
         raise ProjectionFailureError("empty theta-fixed tangent subspace")
-    vecs_t = [_combine(frame, Vt[:, a]) for a in range(Vt.shape[1])]
-    re_worst = 0.0
-    for a in range(len(vecs_t)):
-        for b in range(a + 1, len(vecs_t)):
-            re_worst = max(re_worst, abs(omega_at(base, vecs_t[a], vecs_t[b]).real))
+    Gt = omega_gram(base.B, base.A, np.tensordot(Vt.T, F, axes=1))
 
-    m = len(frame)
-    stacked = np.vstack([Ts - np.eye(m), Tt - np.eye(m)])
-    _, sv, Vh = np.linalg.svd(stacked)
-    dim = int(np.sum(sv < 1e-3 * max(1.0, sv[0])))
-    joint = Vh[len(sv) - dim :].T if dim else np.zeros((m, 0))
-    vecs_j = [_combine(frame, joint[:, a]) for a in range(dim)]
-    G2 = np.zeros((dim, dim))
-    for a in range(dim):
-        for b in range(dim):
-            G2[a, b] = omega_at(base, vecs_j[a], vecs_j[b]).imag
+    joint = _fixed_subspace(Ts, Tt)
+    dim = joint.shape[1]
+    G2 = omega_gram(base.B, base.A, np.tensordot(joint.T, F, axes=1)).imag
     min_sing = float(np.linalg.svd(G2, compute_uv=False)[-1]) if dim else 0.0
     return {
-        "theta_fixed_dim": len(vecs_t),
-        "re_omega_residual": re_worst,
+        "theta_fixed_dim": Vt.shape[1],
+        "re_omega_residual": float(np.max(np.abs(Gt.real))),
         "joint_fixed_dim": dim,
         "omega2_min_singular": min_sing,
         "omega2_antisymmetry": float(np.max(np.abs(G2 + G2.T))) if dim else 0.0,

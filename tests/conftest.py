@@ -13,16 +13,3 @@ def roots():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
-
-
-def rand_s(rng, n):
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def rand_palindromic_s(rng, n):
-    s = np.zeros(n, dtype=complex)
-    half = rng.standard_normal((n + 1) // 2)
-    for i in range((n + 1) // 2):
-        s[i] = half[i]
-        s[n - 1 - i] = half[i]
-    return s

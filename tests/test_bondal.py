@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import rand_palindromic_s
 from ucgl import bondal as bd
 from ucgl.core import inverse
 from ucgl.errors import NotComposableError, PreconditionError
 from ucgl.groupoid import groupoid_compose, make_pair, sample_slocal_fiber
-from ucgl.stokes import build_M, build_S
+from ucgl.stokes import build_M, build_S, rand_palindromic_s
 
 
 def rand_orthogonal(rng, N):

@@ -5,7 +5,8 @@ import pytest
 
 from ucgl.cli import main
 from ucgl.errors import UcglError
-from ucgl.report import run_suite
+from ucgl import report
+from ucgl.report import Check, run_suite
 
 
 def test_run_suite_unknown_name():
@@ -33,17 +34,24 @@ def test_report_markdown_format():
     assert "| check |" in md and "stokes.round_trip" in md
 
 
-def test_cli_verify_exit_codes(tmp_path):
+def test_cli_verify_exit_codes(tmp_path, monkeypatch):
     out = tmp_path / "rep.json"
     code = main(["verify", "--n", "1", "--suite", "connection", "--samples", "5",
                  "--out", str(out)])
     assert code == 0
     data = json.loads(out.read_text())
     assert data["all_pass"]
-    # an absurdly tight tolerance forces a check failure
+    # a suite that reports a failing check makes the command exit 1
+    failing = lambda rs, rng, samples=100: [Check("connection.forced", samples, 1.0, 0.5)]
+    monkeypatch.setitem(report._SUITE_FUNCS, "connection", failing)
     code = main(["verify", "--n", "1", "--suite", "connection", "--samples", "5",
-                 "--tol", "1e-300", "--out", str(out)])
+                 "--out", str(out)])
     assert code == 1
+    assert not json.loads(out.read_text())["all_pass"]
+
+
+def test_cli_derive_roots_search_failure_exit_code():
+    assert main(["derive-roots", "--n", "3", "--budget", "0"]) == 3
 
 
 def test_cli_usage_error_exit_code():

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import rand_palindromic_s, rand_s
 from ucgl.core import determinant, structural_matrices
 from ucgl.errors import (
     DegenerateSampleError,
@@ -26,7 +25,7 @@ from ucgl.groupoid import (
     z_membership,
 )
 from ucgl.involutions import make_point, point_distance, slocal_membership
-from ucgl.stokes import build_M, dM_ds
+from ucgl.stokes import build_M, dM_ds, rand_palindromic_s, rand_s
 
 
 def random_point(rs, rng):

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from conftest import rand_palindromic_s, rand_s
 from ucgl.core import char_poly, structural_matrices
 from ucgl.errors import PreconditionError
 from ucgl.groupoid import sample_commuting, sample_slocal_fiber
@@ -14,7 +13,7 @@ from ucgl.involutions import (
     point_distance,
     slocal_membership,
 )
-from ucgl.stokes import build_M, build_S
+from ucgl.stokes import build_M, build_S, rand_palindromic_s, rand_s
 
 TOL = 1e-9
 

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from conftest import rand_palindromic_s, rand_s
 from ucgl.core import determinant, inverse, is_regular, structural_matrices
 from ucgl.errors import InvalidSectorError, PreconditionError
 from ucgl.stokes import (
@@ -11,6 +10,8 @@ from ucgl.stokes import (
     build_Q,
     build_S,
     derive_root_sets,
+    rand_palindromic_s,
+    rand_s,
     section_membership,
     stokes_params_of,
 )

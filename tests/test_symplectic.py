@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import rand_palindromic_s, rand_s
-from ucgl.core import char_poly, structural_matrices
-from ucgl.errors import InvalidTangentKindError
+from ucgl.core import structural_matrices
+from ucgl.errors import InvalidTangentKindError, NotComposableError
 from ucgl.groupoid import (
     TangentVector,
     centralizer_basis,
@@ -16,7 +15,7 @@ from ucgl.groupoid import (
     unit,
 )
 from ucgl.involutions import make_point
-from ucgl.stokes import build_M
+from ucgl.stokes import build_M, rand_palindromic_s, rand_s, semisimple_s
 from ucgl.symplectic import (
     SectionChart,
     character_system,
@@ -26,6 +25,7 @@ from ucgl.symplectic import (
     involution_pullback_residual,
     multiplicativity_residual,
     omega_at,
+    omega_gram,
     poisson_bracket_residual,
     real_form_checks,
     type_20_residual,
@@ -101,6 +101,46 @@ def test_omega_antisymmetry(roots):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_omega_gram_matches_trace_formula(roots, n):
+    rs = roots[n]
+    p = random_point(rs, np.random.default_rng(1800 + n))
+    chart = SectionChart(rs, p)
+    base, frame = chart.real_frame(chart.x0())
+    a, gi, ai = base.A, np.linalg.inv(base.B), np.linalg.inv(base.A)
+
+    def literal(u, v):
+        xu, xv = gi @ u.X, gi @ v.X
+        return 0.5 * (
+            np.trace(a @ xu @ ai @ xv)
+            - np.trace(a @ xv @ ai @ xu)
+            + np.trace(xu @ (ai @ v.Y + v.Y @ ai))
+            - np.trace(xv @ (ai @ u.Y + u.Y @ ai))
+        )
+
+    ref = np.array([[literal(u, v) for v in frame] for u in frame])
+    U = np.array([(u.X, u.Y) for u in frame], dtype=complex)
+    G = omega_gram(base.B, a, U)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs(G - ref)) < 1e-12 * scale
+    assert np.array_equal(G, -G.T)
+    assert not np.any(np.diag(G))
+    # the two-stack form gives the off-diagonal block
+    assert np.max(np.abs(omega_gram(base.B, a, U[:2], U[2:]) - ref[:2, 2:])) < 1e-12 * scale
+
+
+def test_multiplicativity_rejects_unequal_base_variation(roots):
+    rs = roots[2]
+    rng = np.random.default_rng(19)
+    A = build_M(rs, rand_s(rng, 2))
+    pair = make_pair(unit(rs, A), unit(rs, A))
+    basis = composable_tangent_basis(rs, pair)
+    u1, u2 = basis[0]
+    basis[0] = (u1, TangentVector(base=u2.base, X=u2.X, Y=u2.Y + 1.0))
+    with pytest.raises(NotComposableError):
+        multiplicativity_residual(rs, pair, basis)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_multiplicativity(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(1100 + n)
@@ -112,9 +152,7 @@ def test_multiplicativity(roots, n):
         pair = make_pair(p, q)
         basis = composable_tangent_basis(rs, pair)
         assert len(basis) == 3 * n
-        for upair in basis:
-            for vpair in basis:
-                worst = max(worst, multiplicativity_residual(rs, pair, upair, vpair))
+        worst = max(worst, multiplicativity_residual(rs, pair, basis))
     assert worst < 1e-8
 
 
@@ -125,9 +163,7 @@ def test_multiplicativity_with_unit_slot(roots):
     u0 = unit(rs, A)
     pair = make_pair(u0, u0)
     basis = composable_tangent_basis(rs, pair)
-    for upair in basis:
-        for vpair in basis:
-            assert multiplicativity_residual(rs, pair, upair, vpair) < 1e-12
+    assert multiplicativity_residual(rs, pair, basis) < 1e-12
 
 
 @pytest.mark.parametrize("n,tol", [(1, 1e-5), (2, 1e-4), (3, 1e-3)])
@@ -158,14 +194,7 @@ def test_nondegeneracy(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(1300 + n)
     for i in range(6):
-        # keep eigenvalues well separated
-        while True:
-            s = rand_s(rng, n)
-            lam = np.roots(char_poly(build_M(rs, s))[::-1])
-            gaps = [abs(lam[a] - lam[b]) for a in range(len(lam)) for b in range(a + 1, len(lam))]
-            if min(gaps) > 1e-2:
-                break
-        A = build_M(rs, s)
+        A = build_M(rs, semisimple_s(rs, rng))  # keep eigenvalues well separated
         if i % 2 == 0:
             p = unit(rs, A)
         else:
