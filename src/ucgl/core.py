@@ -2,9 +2,11 @@
 
 Everything here is plain numpy on small square complex arrays.  The
 structural matrices (cyclic shifts, roots of unity, flips) are the fixed
-scaffolding that the Stokes-factor and involution modules build on.
+scaffolding that the Stokes-factor and involution modules build on; they are
+built once per rank and shared read-only.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +51,18 @@ class StructuralSet:
 
 
 def structural_matrices(n):
-    """Build the StructuralSet for rank n >= 1."""
+    """The StructuralSet for rank n >= 1.
+
+    Built once per rank and cached; every array in it is read-only, so a
+    caller that needs to modify one must copy it first.
+    """
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidDimensionError(f"rank must be an integer >= 1, got {n!r}")
+    return _structural_set(int(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _structural_set(n):
     N = n + 1
     om = np.exp(2j * np.pi / N)
     Pi = np.zeros((N, N), dtype=complex)
@@ -71,6 +82,8 @@ def structural_matrices(n):
         C[i, N - i] = 1.0
     Ctilde = np.diag([1.0] + [-1.0] * n).astype(complex) @ C
     delta_perm = tuple((i - 1) % N for i in range(N))
+    for arr in (Pi, PiHat, Omega, d, dHalf, Delta, C, Ctilde):
+        arr.flags.writeable = False
     return StructuralSet(
         n=n,
         omega_root=om,
@@ -156,18 +169,21 @@ def char_poly(M):
 
     Uses the trace recursion (no eigenvalue solve): with B_0 = 0,
     B_k = M (B_{k-1} + a_{k-1} I), a_k = -Tr(B_k)/k, the descending
-    coefficients are 1, a_1, ..., a_N.
+    coefficients are 1, a_1, ..., a_N.  M may also be a stack of shape
+    (..., N, N); the coefficients then have shape (..., N+1).
     """
-    A = _as_matrix(M)
-    N = A.shape[0]
-    coeffs_desc = np.zeros(N + 1, dtype=complex)
-    coeffs_desc[0] = 1.0
-    B = np.zeros((N, N), dtype=complex)
+    A = np.asarray(M, dtype=complex)
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
+        raise InvalidDimensionError(f"expected square matrices, got shape {A.shape}")
+    N = A.shape[-1]
+    coeffs_desc = np.zeros(A.shape[:-2] + (N + 1,), dtype=complex)
+    coeffs_desc[..., 0] = 1.0
+    B = np.zeros_like(A)
     I = np.eye(N, dtype=complex)
     for k in range(1, N + 1):
-        B = A @ (B + coeffs_desc[k - 1] * I)
-        coeffs_desc[k] = -np.trace(B) / k
-    return coeffs_desc[::-1].copy()
+        B = A @ (B + coeffs_desc[..., k - 1, None, None] * I)
+        coeffs_desc[..., k] = -np.trace(B, axis1=-2, axis2=-1) / k
+    return coeffs_desc[..., ::-1].copy()
 
 
 def is_regular(M, tol=1e-8):

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import bondal as bd
 from .connection import alpha_symmetry_residual, random_antisymmetric_input, TodaInput, SYMMETRY_KINDS
-from .core import char_poly, determinant, inverse, is_regular, structural_matrices
+from .core import char_poly, determinant, inverse, is_regular
 from .errors import UcglError
 from .groupoid import (
     centralizer_basis,
@@ -50,7 +50,6 @@ from .stokes import (
     rand_palindromic_s,
     rand_s,
     root_sets_to_dict,
-    section_membership,
     semisimple_s,
     stokes_params_of,
 )

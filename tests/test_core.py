@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,9 +63,35 @@ def test_structural_rejects_bad_rank():
         structural_matrices(0)
 
 
+def test_structural_matrices_cached_read_only():
+    st3 = structural_matrices(3)
+    assert structural_matrices(3) is st3
+    assert structural_matrices(np.int64(3)) is st3
+    arrays = [getattr(st3, f.name) for f in dataclasses.fields(st3)
+              if isinstance(getattr(st3, f.name), np.ndarray)]
+    assert len(arrays) == 8
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        st3.C[0, 0] = 2.0
+    for bad in (0, -1, 2.0):
+        with pytest.raises(InvalidDimensionError):
+            structural_matrices(bad)
+
+
 def test_char_poly_known_values():
     assert np.allclose(char_poly(np.eye(2)), [1, -2, 1])
     assert np.allclose(char_poly(np.diag([2.0, 0.5])), [1, -2.5, 1])
+
+
+def test_char_poly_accepts_stacks():
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    coeffs = char_poly(stack)
+    assert coeffs.shape == (2, 3, 5)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(coeffs[idx], char_poly(stack[idx]))
+    with pytest.raises(InvalidDimensionError):
+        char_poly(np.ones((2, 3, 4)))
 
 
 def test_char_poly_against_eigenvalue_oracle():

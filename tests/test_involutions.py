@@ -36,6 +36,8 @@ def test_F_sigma_values(roots):
 def test_F_theta_values(roots):
     st2 = structural_matrices(2)
     assert np.allclose(F_theta(roots[2], np.zeros(2)), st2.C)
+    # at even rank the twist is the shared, read-only structural C itself
+    assert F_theta(roots[2], np.zeros(2)) is st2.C and not st2.C.flags.writeable
     assert np.array_equal(st2.C.real, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
     sig = 0.4 + 0.9j
     Ft = F_theta(roots[1], np.array([sig]))

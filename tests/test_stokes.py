@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,6 +7,10 @@ import pytest
 from ucgl.core import determinant, inverse, is_regular, structural_matrices
 from ucgl.errors import InvalidSectorError, PreconditionError
 from ucgl.stokes import (
+    _candidate_passes,
+    _candidate_sets,
+    _prescreened_candidates,
+    _search,
     build_M,
     build_Q,
     build_S,
@@ -33,6 +38,44 @@ def test_derived_root_sets_match_frozen(roots, n):
     assert rs.survivor_count == 2
     assert len(rs.R1) + len(rs.R1p) == n
     assert not (rs.R1 & rs.R1p)
+
+
+def _exhaustive_candidates(n):
+    """Every pair of disjoint sets of ordered index pairs with total size n."""
+    N = n + 1
+    pairs = [(i, j) for i in range(N) for j in range(N) if i != j]
+    for a in range(n + 1):
+        for R1 in itertools.combinations(pairs, a):
+            rest = [p for p in pairs if p not in R1]
+            for R1p in itertools.combinations(rest, n - a):
+                yield frozenset(R1), frozenset(R1p)
+
+
+def _carries_each_index_once(cand, n):
+    return sorted((j - i) % (n + 1) for (i, j) in cand[0] | cand[1]) == list(range(1, n + 1))
+
+
+@pytest.mark.parametrize("n, count", [(1, 4), (2, 36), (3, 512), (4, 10000)])
+def test_prescreen_is_the_index_permutation_subset(n, count):
+    screened = [_candidate_sets(*row)
+                for row in zip(*_prescreened_candidates(n, 0, (n + 1) ** n << n))]
+    assert len(screened) == len(set(screened)) == count
+    assert set(screened) == {
+        c for c in _exhaustive_candidates(n) if _carries_each_index_once(c, n)
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pruned_search_matches_exhaustive(n):
+    # the unpruned search: every candidate, one-point screen, then confirmation
+    rng = np.random.default_rng(12345)
+    exhaustive = {
+        c for c in _exhaustive_candidates(n)
+        if _candidate_passes(*c, n, rng, 1) and _candidate_passes(*c, n, rng, 2 * (n + 2))
+    }
+    pruned = _search(n, time_budget=60.0)
+    assert len(pruned) == 2
+    assert set(pruned) == exhaustive
 
 
 def test_rank1_hand_values(roots):
@@ -76,6 +119,17 @@ def test_round_trip_and_regularity(roots, n):
         assert np.max(np.abs(stokes_params_of(M) - s)) < 1e-10
         assert abs(determinant(M) - 1) < 1e-10
         assert is_regular(M)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_params_of_a_stack(roots, n):
+    rng = np.random.default_rng(40 + n)
+    s = [rand_s(rng, n) for _ in range(5)]
+    params = stokes_params_of(np.array([build_M(roots[n], x) for x in s]))
+    assert params.shape == (5, n)
+    for x, p in zip(s, params):
+        assert np.array_equal(p, stokes_params_of(build_M(roots[n], x)))
+        assert np.max(np.abs(p - x)) < 1e-10
 
 
 def test_params_are_conjugation_invariant(roots):
