@@ -137,24 +137,6 @@ def inverse(M, det_eps=DET_EPS):
     return np.linalg.solve(A, np.eye(A.shape[0], dtype=complex))
 
 
-def ad(g, X):
-    """Conjugation g X g^{-1}."""
-    g = _as_matrix(g)
-    X = _as_matrix(X)
-    if g.shape != X.shape:
-        raise InvalidDimensionError("conjugation needs matching shapes")
-    return g @ X @ inverse(g)
-
-
-def commutator(X, Y):
-    """Matrix commutator XY - YX."""
-    X = _as_matrix(X)
-    Y = _as_matrix(Y)
-    if X.shape != Y.shape:
-        raise InvalidDimensionError("commutator needs matching shapes")
-    return X @ Y - Y @ X
-
-
 def trace_form(X, Y):
     """The invariant pairing Tr(XY)."""
     X = _as_matrix(X)

@@ -8,6 +8,11 @@ B commuting with A, det B = 1.  The involutions act by
 
 where s is always read off the base of the *input* point.  Their joint fixed
 set is the monodromy-data locus probed by slocal_membership.
+
+sigma_differential and theta_differential push stacked tangents forward
+exactly, by d(F Z F^{-1}) = F dZ F^{-1} + [dF F^{-1}, F Z F^{-1}].  The
+twist moves with s in two cases only: F_sigma = S_1(s)^T at even rank and
+F_theta = Ctilde conj(Q_n(s)) at odd rank; everywhere else dF = 0.
 """
 
 from dataclasses import dataclass
@@ -16,7 +21,7 @@ import numpy as np
 
 from .core import determinant, inverse, structural_matrices
 from .errors import PreconditionError
-from .stokes import build_Q, build_S, section_membership
+from .stokes import build_Q, build_S, factor_product_derivative, section_membership
 
 #: default tolerance for the point invariants (commutation, det, section)
 POINT_TOL = 1e-9
@@ -90,6 +95,39 @@ def apply_theta(rs, p, tol=POINT_TOL):
     B2 = G @ np.conj(p.B) @ Gi
     A2 = G @ inverse(np.conj(p.A)) @ Gi
     return make_point(rs, B2, A2, tol)
+
+
+def _twisted_differential(F, dF, W, dW):
+    """d(F W F^{-1}) = F dW F^{-1} + [dF F^{-1}, F W F^{-1}] over stacked dW and dF."""
+    Fi = inverse(F)
+    K, Z = (dF @ Fi)[:, None], F @ W @ Fi
+    return F @ dW @ Fi + K @ Z - Z @ K
+
+
+def sigma_differential(rs, p, U, sdot):
+    """Image tangents at apply_sigma(p) of tangents U at p with base velocities sdot.
+
+    U is stacked (m, 2, N, N), U[i] = (dB, dA), sdot is (m, n); d(Z^{-T}) =
+    -Z^{-T} dZ^T Z^{-T}, and F = S_1(s)^T moves with s at even rank only.
+    """
+    N = rs.n + 1
+    W = np.stack([inverse(p.B), inverse(p.A)]).transpose(0, 2, 1)
+    dF = np.zeros_like(U[:, 0])
+    if rs.n % 2 == 0:
+        dF = factor_product_derivative(rs, range(N, 2 * N), p.s, sdot).transpose(0, 2, 1)
+    return _twisted_differential(F_sigma(rs, p.s), dF, W, -W @ U.transpose(0, 1, 3, 2) @ W)
+
+
+def theta_differential(rs, p, U, sdot):
+    """As sigma_differential, for apply_theta; G = Ctilde conj(Q_n(s)) moves at odd rank only."""
+    Ai = inverse(np.conj(p.A))
+    dW = np.conj(U)
+    dW[:, 1] = -Ai @ dW[:, 1] @ Ai
+    dF = np.zeros_like(U[:, 0])
+    if rs.n % 2 == 1:
+        dQ = factor_product_derivative(rs, (rs.n,), p.s, sdot)
+        dF = structural_matrices(rs.n).Ctilde @ np.conj(dQ)
+    return _twisted_differential(F_theta(rs, p.s), dF, np.stack([np.conj(p.B), Ai]), dW)
 
 
 def point_distance(p, q):

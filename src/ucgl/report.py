@@ -403,7 +403,7 @@ def suite_symplectic(rs, rng, samples=100):
     closed = 0.0
     for _ in range(pts):
         p = _rand_point(rs, rng)
-        closed = max(closed, closedness_residual(rs, p, step=1e-4))
+        closed = max(closed, closedness_residual(rs, p))
     closed_tol = 1e-4 if n <= 2 else 1e-3
     checks.append(Check("symplectic.closedness", pts, closed, closed_tol))
 

@@ -16,6 +16,7 @@ Sector indices live on the lattice 1 + (1/(n+1))Z and are carried around as
 integer numerators k_num = k*(n+1).
 """
 
+import functools
 import itertools
 import json
 import os
@@ -192,6 +193,23 @@ def section_membership(rs, A, tol=1e-9):
     return {"in_section": in_section, "in_local": in_local, "s": s}
 
 
+def factor_product_derivative(rs, factors, s, sdots):
+    """Derivatives, along each row of sdots, of a product of factors at s.
+
+    A factor is a sector numerator k, standing for Q_k(s), or a constant
+    matrix.  Q_k is affine in s, with derivative Q_k(sdot) - I along sdot.
+    """
+    I = np.eye(rs.n + 1, dtype=complex)
+    moving = [i for i, f in enumerate(factors) if np.isscalar(f)]
+    Q = [build_Q(rs, f, s) if i in moving else f for i, f in enumerate(factors)]
+    out = []
+    for sdot in sdots:
+        terms = [Q[:i] + [build_Q(rs, factors[i], sdot) - I] + Q[i + 1 :] for i in moving]
+        terms = [functools.reduce(np.matmul, term) for term in terms]
+        out.append(sum(terms[1:], terms[0]))
+    return np.array(out)
+
+
 def dM_ds(rs, s):
     """Analytic partial derivatives of build_M with respect to each s_d.
 
@@ -202,17 +220,7 @@ def dM_ds(rs, s):
     N = n + 1
     st = structural_matrices(n)
     P = st.PiHat if n % 2 == 1 else st.Pi
-    Q1 = build_Q(rs, N, s)
-    Q2 = build_Q(rs, N + 1, s)
-    out = []
-    I = np.eye(N, dtype=complex)
-    for d in range(1, n + 1):
-        e = np.zeros(n, dtype=complex)
-        e[d - 1] = 1.0
-        D1 = build_Q(rs, N, e) - I
-        D2 = build_Q(rs, N + 1, e) - I
-        out.append(D1 @ Q2 @ P + Q1 @ D2 @ P)
-    return out
+    return factor_product_derivative(rs, (N, N + 1, P), s, np.eye(n, dtype=complex))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ numerically on top of it.
 Local holomorphic charts (s-parameters times centralizer coefficients) are
 built through any point via a matrix logarithm of the B-slot decomposed in
 powers of the base; chart tangent frames are analytic (Frechet derivative
-of expm), so only the maps being differentiated contribute finite-difference
-error.
+of expm), and the involutions act on them by their exact differentials.
+Finite differences remain only in closedness (derivatives of the Gram
+along chart coordinates) and in the character gradients.
 """
 
 import itertools
@@ -28,8 +29,21 @@ from .errors import (
     ProjectionFailureError,
 )
 from .groupoid import TangentVector, _tangent_constraints
-from .involutions import apply_sigma, apply_theta, make_point
+from .involutions import (
+    apply_sigma,
+    apply_theta,
+    make_point,
+    sigma_differential,
+    theta_differential,
+)
 from .stokes import build_M, dM_ds
+
+#: finite-difference steps and sizes, and relative singular-value cutoffs
+CLOSEDNESS_STEP = 1e-4  # chart-coordinate step of closedness_residual
+CLOSEDNESS_TRIPLES = 8  # coordinate triples that closedness_residual checks
+CHARACTER_STEP = 1e-6  # central-difference step of the character gradients
+CHARACTER_RANK_TOL = 1e-6  # Jacobian rank cutoff of character_system
+FIXED_CUTOFF = 1e-3  # below it a direction counts as involution-fixed
 
 
 def _stack(vecs):
@@ -197,11 +211,8 @@ class SectionChart:
 
     # coordinates: x in R^{4n} packed as [Re s, Im s, Re c, Im c]
 
-    def pack(self, s, c):
-        return np.concatenate([s.real, s.imag, np.asarray(c).real, np.asarray(c).imag])
-
     def x0(self):
-        return self.pack(self.s0, np.zeros(self.n, dtype=complex))
+        return np.concatenate([self.s0.real, self.s0.imag, np.zeros(2 * self.n)])
 
     def unpack(self, x):
         n = self.n
@@ -248,17 +259,13 @@ class SectionChart:
     def real_frame(self, x):
         """Tangent vectors along the 4n real coordinates (holomorphy gives i*u)."""
         base, frame = self.complex_frame(x)
+        i_frame = [TangentVector(base=base, X=1j * u.X, Y=1j * u.Y) for u in frame]
         n = self.n
-        out = [None] * (4 * n)
-        for m, u in enumerate(frame):
-            iu = TangentVector(base=base, X=1j * u.X, Y=1j * u.Y)
-            if m < n:  # s coordinate m
-                out[m] = u
-                out[n + m] = iu
-            else:  # c coordinate m - n
-                out[n + m] = u
-                out[2 * n + m] = iu
-        return base, out
+        return base, frame[:n] + i_frame[:n] + frame[n:] + i_frame[n:]
+
+    def real_frame_sdot(self):
+        """Velocity of the base parameters s along each real_frame vector, shape (4n, n)."""
+        return np.array([self.unpack(e)[0] for e in np.eye(4 * self.n)])
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +282,7 @@ def _richardson(fun, x, k, h):
     return (4 * _central(fun, x, k, h / 2) - _central(fun, x, k, h)) / 3
 
 
-def closedness_residual(rs, p, step=1e-4, max_triples=8):
+def closedness_residual(rs, p):
     """Max |d omega| over a fixed set of chart coordinate triples.
 
     The exterior derivative is assembled from partial derivatives of the
@@ -291,9 +298,10 @@ def closedness_residual(rs, p, step=1e-4, max_triples=8):
         return omega_gram(base.B, base.A, _stack(frame))
 
     combos = list(itertools.combinations(range(4 * rs.n), 3))
-    stride = max(1, len(combos) // max_triples)
-    triples = combos[::stride][:max_triples]
-    D = {i: _richardson(gram, x0, i, step) for i in sorted(set(itertools.chain(*triples)))}
+    stride = max(1, len(combos) // CLOSEDNESS_TRIPLES)
+    triples = combos[::stride][:CLOSEDNESS_TRIPLES]
+    coords = sorted(set(itertools.chain(*triples)))
+    D = {i: _richardson(gram, x0, i, CLOSEDNESS_STEP) for i in coords}
     return max(float(abs(D[i][j, k] - D[j][i, k] + D[k][i, j])) for (i, j, k) in triples)
 
 
@@ -333,59 +341,24 @@ def gram_matrix(p, basis):
 # involution pullbacks
 
 
-def _map_differential(rs, chart, mapfun, x0, k, h):
-    """Central-difference (with Richardson) differential of an involution.
-
-    mapfun takes a point and returns the image point; the derivative is taken
-    along chart coordinate k.
-    """
-
-    def comp(x):
-        img = mapfun(chart.point(x))
-        return img.B, img.A
-
-    def dd(hh):
-        e = np.zeros_like(x0)
-        e[k] = hh
-        Bp, Ap = comp(x0 + e)
-        Bm, Am = comp(x0 - e)
-        return (Bp - Bm) / (2 * hh), (Ap - Am) / (2 * hh)
-
-    # two Richardson levels: truncation error O(h^6)
-    d1 = dd(h)
-    d2 = dd(h / 2)
-    d4 = dd(h / 4)
-    r1 = ((4 * d2[0] - d1[0]) / 3, (4 * d2[1] - d1[1]) / 3)
-    r2 = ((4 * d4[0] - d2[0]) / 3, (4 * d4[1] - d2[1]) / 3)
-    return (16 * r2[0] - r1[0]) / 15, (16 * r2[1] - r1[1]) / 15
-
-
-def _map_frame(rs, chart, mapfun, x0, fd_step):
-    """Stacked differentials (dB, dA) of a map along every chart coordinate."""
-    return np.array(
-        [_map_differential(rs, chart, mapfun, x0, k, fd_step) for k in range(len(x0))]
-    )
-
-
-def involution_pullback_residual(kind, rs, p, fd_step=1e-3):
+def involution_pullback_residual(kind, rs, p):
     """Pullback defect of omega under one involution at a point.
 
     sigma: max |omega(ds u, ds v) - omega(u, v)|;
     theta: max |omega(dt u, dt v) + conj(omega(u, v))|, both over all pairs
-    from the chart's real tangent frame.
+    from the chart's real tangent frame, mapped by the exact differential.
     """
     if kind not in ("sigma", "theta"):
         raise ProjectionFailureError(f"unknown involution kind {kind!r}")
+    apply, differential = {
+        "sigma": (apply_sigma, sigma_differential), "theta": (apply_theta, theta_differential)
+    }[kind]
     chart = SectionChart(rs, p)
-    x0 = chart.x0()
-    if kind == "sigma":
-        mapfun = lambda q: apply_sigma(rs, q, tol=np.inf)
-    else:
-        mapfun = lambda q: apply_theta(rs, q, tol=np.inf)
-    base, frame = chart.real_frame(x0)
-    img = mapfun(base)
-    w = omega_gram(base.B, base.A, _stack(frame))
-    wi = omega_gram(img.B, img.A, _map_frame(rs, chart, mapfun, x0, fd_step))
+    base, frame = chart.real_frame(chart.x0())
+    U = _stack(frame)
+    img = apply(rs, base, tol=np.inf)
+    w = omega_gram(base.B, base.A, U)
+    wi = omega_gram(img.B, img.A, differential(rs, base, U, chart.real_frame_sdot()))
     return float(np.max(np.abs(wi - w if kind == "sigma" else wi + np.conj(w))))
 
 
@@ -393,7 +366,7 @@ def involution_pullback_residual(kind, rs, p, fd_step=1e-3):
 # integrable-system structure
 
 
-def character_system(rs, s, fd_step=1e-6, rank_tol=1e-6):
+def character_system(rs, s):
     """Values and Jacobian rank of the fundamental characters at s.
 
     chi_i is the i-th elementary symmetric function of the eigenvalues of
@@ -411,10 +384,10 @@ def character_system(rs, s, fd_step=1e-6, rank_tol=1e-6):
     J = np.zeros((n, n), dtype=complex)
     for d in range(n):
         e = np.zeros(n, dtype=complex)
-        e[d] = fd_step
-        J[:, d] = (chi(s + e) - chi(s - e)) / (2 * fd_step)
+        e[d] = CHARACTER_STEP
+        J[:, d] = (chi(s + e) - chi(s - e)) / (2 * CHARACTER_STEP)
     sv_ = np.linalg.svd(J, compute_uv=False)
-    rank = int(np.sum(sv_ > rank_tol * sv_[0]))
+    rank = int(np.sum(sv_ > CHARACTER_RANK_TOL * sv_[0]))
     return {"values": chi(s), "jacobian_rank": rank}
 
 
@@ -435,14 +408,13 @@ def poisson_bracket_residual(rs, i, j, p):
         c = char_poly(q.A)
         return np.array([(-1.0) ** k * c[N - k] for k in range(1, N)])
 
-    h = 1e-6
     grads = np.zeros((n, m), dtype=complex)
     for a in range(m):
         e = np.zeros_like(x0)
         # real step along the a-th complex coordinate
         idx = a if a < n else n + a  # position of Re-part in the real packing
-        e[idx] = h
-        grads[:, a] = (chi(x0 + e) - chi(x0 - e)) / (2 * h)
+        e[idx] = CHARACTER_STEP
+        grads[:, a] = (chi(x0 + e) - chi(x0 - e)) / (2 * CHARACTER_STEP)
     ai = np.linalg.solve(G, grads[i - 1])
     bj = np.linalg.solve(G, grads[j - 1])
     return abs(ai @ G @ bj)
@@ -458,24 +430,23 @@ def _flatten(S):
     return np.concatenate([z.real, z.imag], axis=1).T
 
 
-def _involution_matrix(rs, chart, mapfun, x0, F, fd_step=1e-3):
-    """Real matrix of a tangent involution in the chart's real frame F (stacked)."""
-    Timg = _flatten(_map_frame(rs, chart, mapfun, x0, fd_step))
-    T, res, rank, _ = np.linalg.lstsq(_flatten(F), Timg, rcond=None)
+def _involution_matrix(F, Fimg):
+    """Real matrix of a tangent involution in the stacked frame F, given F's images Fimg."""
+    T, res, rank, _ = np.linalg.lstsq(_flatten(F), _flatten(Fimg), rcond=None)
     if rank < len(F):
         raise ProjectionFailureError("chart frame is rank deficient")
     return T
 
 
-def _fixed_subspace(*Ts, cutoff=1e-3):
+def _fixed_subspace(*Ts):
     """Orthonormal basis of the joint fixed space of the given real matrices."""
     m = Ts[0].shape[0]
     _, sv, Vh = np.linalg.svd(np.vstack([T - np.eye(m) for T in Ts]))
-    dim = int(np.sum(sv < cutoff * max(1.0, sv[0])))
+    dim = int(np.sum(sv < FIXED_CUTOFF * max(1.0, sv[0])))
     return Vh[m - dim :].T if dim else np.zeros((m, 0))
 
 
-def real_form_checks(rs, p, fd_step=1e-3):
+def real_form_checks(rs, p):
     """Behaviour of omega on involution-fixed tangent subspaces at p.
 
     p should be a theta-fixed point (for the joint checks, a point of the
@@ -484,13 +455,11 @@ def real_form_checks(rs, p, fd_step=1e-3):
     Im omega with its minimum singular value and the real dimension.
     """
     chart = SectionChart(rs, p)
-    x0 = chart.x0()
-    base, frame = chart.real_frame(x0)
+    base, frame = chart.real_frame(chart.x0())
     F = _stack(frame)
-    sig = lambda q: apply_sigma(rs, q, tol=np.inf)
-    the = lambda q: apply_theta(rs, q, tol=np.inf)
-    Tt = _involution_matrix(rs, chart, the, x0, F, fd_step)
-    Ts = _involution_matrix(rs, chart, sig, x0, F, fd_step)
+    sdot = chart.real_frame_sdot()
+    Tt = _involution_matrix(F, theta_differential(rs, base, F, sdot))
+    Ts = _involution_matrix(F, sigma_differential(rs, base, F, sdot))
 
     Vt = _fixed_subspace(Tt)
     if Vt.shape[1] == 0:

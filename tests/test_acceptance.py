@@ -256,7 +256,7 @@ def test_criterion_09_closedness(roots):
         worst = 0.0
         for _ in range(20):
             p = _rand_point(rs, rng)
-            worst = max(worst, closedness_residual(rs, p, step=1e-4))
+            worst = max(worst, closedness_residual(rs, p))
         results[n] = worst
     ok = results[1] < 1e-4 and results[2] < 1e-4 and results[3] < 1e-3
     msg = _line(9, "closedness (finite differences)", ok,

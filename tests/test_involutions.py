@@ -3,7 +3,7 @@ import pytest
 
 from ucgl.core import char_poly, structural_matrices
 from ucgl.errors import PreconditionError
-from ucgl.groupoid import sample_commuting, sample_slocal_fiber
+from ucgl.groupoid import sample_commuting, sample_slocal_fiber, unit
 from ucgl.involutions import (
     F_sigma,
     F_theta,
@@ -11,9 +11,12 @@ from ucgl.involutions import (
     apply_theta,
     make_point,
     point_distance,
+    sigma_differential,
     slocal_membership,
+    theta_differential,
 )
-from ucgl.stokes import build_M, build_S, rand_palindromic_s, rand_s
+from ucgl.stokes import build_M, build_S, dM_ds, rand_palindromic_s, rand_s
+from ucgl.symplectic import SectionChart
 
 TOL = 1e-9
 
@@ -142,3 +145,60 @@ def test_make_point_validates(roots):
         make_point(rs, 2 * np.eye(2), A)  # det != 1
     with pytest.raises(PreconditionError):
         make_point(rs, np.eye(2), np.diag([2.0, 0.5]))  # off the section
+
+
+def richardson_map_frame(rs, chart, apply, x0, h=1e-3):
+    """Reference differential of apply o chart.point along every chart coordinate.
+
+    Central differences with two Richardson levels (truncation error O(h^6)),
+    stacked as (4n, 2, N, N) like the exact differentials.
+    """
+
+    def image(x):
+        q = apply(rs, chart.point(x), tol=np.inf)
+        return np.array([q.B, q.A])
+
+    def central(k, hh):
+        e = np.zeros_like(x0)
+        e[k] = hh
+        return (image(x0 + e) - image(x0 - e)) / (2 * hh)
+
+    out = []
+    for k in range(len(x0)):
+        d1, d2, d4 = central(k, h), central(k, h / 2), central(k, h / 4)
+        r1, r2 = (4 * d2 - d1) / 3, (4 * d4 - d2) / 3
+        out.append((16 * r2 - r1) / 15)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_involution_differentials_exact(roots, n):
+    """Exact differentials against finite differences and against dM_ds.
+
+    n = 1..4 covers both moving twists: F_sigma at even rank, F_theta at odd.
+    """
+    rs = roots[n]
+    rng = np.random.default_rng(600 + n)
+    points = [
+        random_point(rs, rng),
+        unit(rs, build_M(rs, rand_s(rng, n))),
+        sample_slocal_fiber(rs, build_M(rs, rand_palindromic_s(rng, n)),
+                            int(rng.integers(0, 2 ** 31))),
+    ]
+    maps = (
+        (apply_sigma, sigma_differential, lambda s: s[..., ::-1]),
+        (apply_theta, theta_differential, lambda s: np.conj(s[..., ::-1])),
+    )
+    for p in points:
+        chart = SectionChart(rs, p)
+        x0 = chart.x0()
+        base, frame = chart.real_frame(x0)
+        U = np.array([(u.X, u.Y) for u in frame])
+        sdot = chart.real_frame_sdot()
+        for apply, differential, image_s in maps:
+            dU = differential(rs, base, U, sdot)
+            ref = richardson_map_frame(rs, chart, apply, x0)
+            assert np.max(np.abs(dU - ref)) < 1e-8 * np.max(np.abs(ref))
+            # the image A-slot moves along the section at the image parameters
+            dA = np.tensordot(image_s(sdot), dM_ds(rs, image_s(base.s)), axes=1)
+            assert np.max(np.abs(dU[:, 1] - dA)) < 1e-12 * np.max(np.abs(dA))

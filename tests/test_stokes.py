@@ -14,6 +14,7 @@ from ucgl.stokes import (
     build_M,
     build_Q,
     build_S,
+    dM_ds,
     derive_root_sets,
     rand_palindromic_s,
     rand_s,
@@ -163,6 +164,27 @@ def test_factor_routes_agree(roots, n):
         direct = build_Q(rs, k_num, s)
         shifted = build_Q(rs, k_num, s, route="shift")
         assert np.max(np.abs(direct - shifted)) < 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dM_ds_matches_two_factor_formula(roots, n):
+    """The product-rule helper reproduces the explicit two-factor formula bit for bit."""
+    rs = roots[n]
+    N = n + 1
+    st = structural_matrices(n)
+    P = st.PiHat if n % 2 == 1 else st.Pi
+    I = np.eye(N, dtype=complex)
+    rng = np.random.default_rng(80 + n)
+    for _ in range(20):
+        s = rand_s(rng, n)
+        Q1, Q2 = build_Q(rs, N, s), build_Q(rs, N + 1, s)
+        ref = []
+        for d in range(n):
+            e = np.zeros(n, dtype=complex)
+            e[d] = 1.0
+            D1, D2 = build_Q(rs, N, e) - I, build_Q(rs, N + 1, e) - I
+            ref.append(D1 @ Q2 @ P + Q1 @ D2 @ P)
+        assert np.asarray(dM_ds(rs, s)).tobytes() == np.array(ref).tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
