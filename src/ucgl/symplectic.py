@@ -9,16 +9,20 @@ numerically on top of it.
 
 Local holomorphic charts (s-parameters times centralizer coefficients) are
 built through any point via a matrix logarithm of the B-slot decomposed in
-powers of the base; chart tangent frames are analytic (Frechet derivative
-of expm), and the involutions act on them by their exact differentials.
-Finite differences remain only in closedness (derivatives of the Gram
-along chart coordinates) and in the character gradients.
+powers of the base.  Chart tangent frames are analytic: every Frechet
+derivative of expm along the chart directions is the upper-right block of
+one batched expm of the block matrices [[N, dN], [0, N]] (Higham, Functions
+of Matrices, 2008, sec. 3.2), and the involutions act on them by their exact
+differentials.  Frames and composable bases are stacked arrays, the format
+omega_gram takes.  Finite differences remain only in closedness (derivatives
+of the Gram along chart coordinates) and in the character Jacobian.
 """
 
 import itertools
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet, logm, null_space
+# expm_frechet is unused here; bench/tracer.py looks it up by name to count its calls
+from scipy.linalg import expm, expm_frechet, logm, null_space  # noqa: F401
 
 from .core import char_poly, inverse, trace_form
 from .errors import (
@@ -133,8 +137,9 @@ def composable_tangent_basis(rs, pair, tol=1e-8):
     """Kernel basis of the tangent space to the set of composable pairs.
 
     Unknowns (X1, X2, sdot) with the shared base variation Y(sdot); the
-    kernel has complex dimension 3n at regular points.  Returns a list of
-    (u1, u2) with equal Y-components.
+    kernel has complex dimension 3n at regular points.  Returns an array of
+    shape (3n, 2, 2, N, N) whose entry i is the pair (u1, u2), each a stacked
+    tangent (X, Y), with equal Y-components.
     """
     n = rs.n
     N = n + 1
@@ -144,28 +149,22 @@ def composable_tangent_basis(rs, pair, tol=1e-8):
     LX2, LY2, tr2 = _tangent_constraints(q, dM)
     Z, z, zs = np.zeros((N * N, N * N)), np.zeros((1, N * N)), np.zeros((1, n))
     L = np.block([[LX1, Z, LY1], [Z, LX2, LY2], [tr1, z, zs], [z, tr2, zs]])
-    out = []
-    for w in null_space(L, rcond=tol).T:
-        Y = np.tensordot(w[2 * N * N :], dM, axes=1)
-        out.append(
-            (
-                TangentVector(base=p, X=w[: N * N].reshape(N, N), Y=Y),
-                TangentVector(base=q, X=w[N * N : 2 * N * N].reshape(N, N), Y=Y),
-            )
-        )
-    return out
+    W = null_space(L, rcond=tol).T
+    Y = np.tensordot(W[:, 2 * N * N :], dM, axes=1)
+    X1 = W[:, : N * N].reshape(-1, N, N)
+    X2 = W[:, N * N : 2 * N * N].reshape(-1, N, N)
+    return np.stack([np.stack([X1, Y], axis=1), np.stack([X2, Y], axis=1)], axis=1)
 
 
 def multiplicativity_residual(rs, pair, basis):
     """Max |omega(dm u, dm v) - omega(u1, v1) - omega(u2, v2)| over a composable basis.
 
-    basis is a list of tangent pairs (u1, u2) with equal Y-components, as
-    returned by composable_tangent_basis; u and v run over all of it.  The
+    basis stacks tangent pairs (u1, u2) with equal Y-components, as returned
+    by composable_tangent_basis; u and v run over all of it.  The
     differential of composition is exact: dm(u1, u2) = (X1 B2 + B1 X2, Y).
     """
     p, q = pair.p, pair.q
-    U1 = _stack([u1 for u1, _ in basis])
-    U2 = _stack([u2 for _, u2 in basis])
+    U1, U2 = basis[:, 0], basis[:, 1]
     if np.max(np.abs(U1[:, 1] - U2[:, 1])) > 1e-8:
         raise NotComposableError("tangent pairs must share the base variation")
     dm = np.stack([U1[:, 0] @ q.B + p.B @ U2[:, 0], U1[:, 1]], axis=1)
@@ -235,33 +234,36 @@ class SectionChart:
         return make_point(self.rs, expm(Nm), A, tol=1e-6)
 
     def complex_frame(self, x):
-        """Analytic tangent vectors along the 2n complex coordinates."""
+        """Analytic tangent vectors along the 2n complex coordinates.
+
+        Returns (base, U) with U of shape (2n, 2, N, N): U[k] = (dB, dA) along
+        s_1..s_n, then c_1..c_n.  With B = expm(Nm), each dB is the upper-right
+        block of expm([[Nm, dN], [0, Nm]]), all 2n of them from one batched expm.
+        """
         s, c = self.unpack(x)
         A, powers, Nm = self._nilpotent(s, c)
+        N = self.N
         dA = dM_ds(self.rs, s)
-        I = np.eye(self.N, dtype=complex)
+        dPow = [np.zeros_like(dA)]  # derivatives of A^j along every s-direction
+        for j in range(1, N):
+            dPow.append(dPow[-1] @ A + powers[j - 1] @ dA)
+        dN_s = sum((self.beta[j] + c[j - 1]) * dPow[j] for j in range(1, N))
+        dN = np.concatenate([dN_s, powers[1:]])
+        dN = dN - np.trace(dN, axis1=1, axis2=2)[:, None, None] / N * np.eye(N)
+        Ns = np.broadcast_to(Nm, dN.shape)
+        dB = expm(np.block([[Ns, dN], [np.zeros_like(dN), Ns]]))[:, :N, N:]
         base = make_point(self.rs, expm(Nm), A, tol=1e-6)
-        frame = []
-        for d in range(self.n):  # s-coordinates
-            dPow = [np.zeros((self.N, self.N), dtype=complex)]
-            for j in range(1, self.N):
-                dPow.append(dPow[-1] @ A + powers[j - 1] @ dA[d])
-            dN = sum((self.beta[j] + c[j - 1]) * dPow[j] for j in range(1, self.N))
-            dN = dN - np.trace(dN) / self.N * I
-            _, dB = expm_frechet(Nm, dN)
-            frame.append(TangentVector(base=base, X=dB, Y=dA[d]))
-        for j in range(1, self.N):  # c-coordinates
-            dN = powers[j] - np.trace(powers[j]) / self.N * I
-            _, dB = expm_frechet(Nm, dN)
-            frame.append(TangentVector(base=base, X=dB, Y=np.zeros((self.N, self.N))))
-        return base, frame
+        return base, np.stack([dB, np.concatenate([dA, np.zeros_like(dA)])], axis=1)
 
     def real_frame(self, x):
-        """Tangent vectors along the 4n real coordinates (holomorphy gives i*u)."""
-        base, frame = self.complex_frame(x)
-        i_frame = [TangentVector(base=base, X=1j * u.X, Y=1j * u.Y) for u in frame]
+        """Tangent vectors along the 4n real coordinates (holomorphy gives i*u).
+
+        Returns (base, U) with U of shape (4n, 2, N, N), ordered like the
+        packing [Re s, Im s, Re c, Im c].
+        """
+        base, U = self.complex_frame(x)
         n = self.n
-        return base, frame[:n] + i_frame[:n] + frame[n:] + i_frame[n:]
+        return base, np.concatenate([U[:n], 1j * U[:n], U[n:], 1j * U[n:]])
 
     def real_frame_sdot(self):
         """Velocity of the base parameters s along each real_frame vector, shape (4n, n)."""
@@ -294,8 +296,8 @@ def closedness_residual(rs, p):
     x0 = chart.x0()
 
     def gram(x):
-        base, frame = chart.real_frame(x)
-        return omega_gram(base.B, base.A, _stack(frame))
+        base, U = chart.real_frame(x)
+        return omega_gram(base.B, base.A, U)
 
     combos = list(itertools.combinations(range(4 * rs.n), 3))
     stride = max(1, len(combos) // CLOSEDNESS_TRIPLES)
@@ -354,8 +356,7 @@ def involution_pullback_residual(kind, rs, p):
         "sigma": (apply_sigma, sigma_differential), "theta": (apply_theta, theta_differential)
     }[kind]
     chart = SectionChart(rs, p)
-    base, frame = chart.real_frame(chart.x0())
-    U = _stack(frame)
+    base, U = chart.real_frame(chart.x0())
     img = apply(rs, base, tol=np.inf)
     w = omega_gram(base.B, base.A, U)
     wi = omega_gram(img.B, img.A, differential(rs, base, U, chart.real_frame_sdot()))
@@ -366,55 +367,49 @@ def involution_pullback_residual(kind, rs, p):
 # integrable-system structure
 
 
-def character_system(rs, s):
-    """Values and Jacobian rank of the fundamental characters at s.
+def _characters(rs, s):
+    """The fundamental characters chi_1..chi_n at s.
 
     chi_i is the i-th elementary symmetric function of the eigenvalues of
     the section element, read off the characteristic polynomial (no
     eigenvalue solve).
     """
-    s = np.asarray(s, dtype=complex)
+    N = rs.n + 1
+    c = char_poly(build_M(rs, s))  # ascending
+    return np.array([(-1.0) ** i * c[N - i] for i in range(1, N)])
+
+
+def _character_jacobian(rs, s):
+    """d chi_i / d s_d at s by central differences, shape (n, n)."""
     n = rs.n
-    N = n + 1
-
-    def chi(sv):
-        c = char_poly(build_M(rs, sv))  # ascending
-        return np.array([(-1.0) ** i * c[N - i] for i in range(1, N)])
-
     J = np.zeros((n, n), dtype=complex)
     for d in range(n):
         e = np.zeros(n, dtype=complex)
         e[d] = CHARACTER_STEP
-        J[:, d] = (chi(s + e) - chi(s - e)) / (2 * CHARACTER_STEP)
-    sv_ = np.linalg.svd(J, compute_uv=False)
+        J[:, d] = (_characters(rs, s + e) - _characters(rs, s - e)) / (2 * CHARACTER_STEP)
+    return J
+
+
+def character_system(rs, s):
+    """Values and Jacobian rank of the fundamental characters at s."""
+    s = np.asarray(s, dtype=complex)
+    sv_ = np.linalg.svd(_character_jacobian(rs, s), compute_uv=False)
     rank = int(np.sum(sv_ > CHARACTER_RANK_TOL * sv_[0]))
-    return {"values": chi(s), "jacobian_rank": rank}
+    return {"values": _characters(rs, s), "jacobian_rank": rank}
 
 
 def poisson_bracket_residual(rs, i, j, p):
-    """|{chi_i, chi_j}| at a point, via chart gradients and the inverse Gram."""
-    n = rs.n
-    N = n + 1
+    """|{chi_i, chi_j}| at a point, via chart gradients and the inverse Gram.
+
+    The characters depend on s alone, so their gradients along the complex
+    chart coordinates (s, c) are the character Jacobian followed by zeros.
+    """
     chart = SectionChart(rs, p)
-    x0 = chart.x0()
-    base, frame = chart.complex_frame(x0)
-    m = len(frame)
-    G = omega_gram(base.B, base.A, _stack(frame))
+    base, U = chart.complex_frame(chart.x0())
+    G = omega_gram(base.B, base.A, U)
     if np.linalg.cond(G) > 1e10:
         raise DegenerateFormError("Gram matrix numerically singular")
-
-    def chi(x):
-        q = chart.point(x)
-        c = char_poly(q.A)
-        return np.array([(-1.0) ** k * c[N - k] for k in range(1, N)])
-
-    grads = np.zeros((n, m), dtype=complex)
-    for a in range(m):
-        e = np.zeros_like(x0)
-        # real step along the a-th complex coordinate
-        idx = a if a < n else n + a  # position of Re-part in the real packing
-        e[idx] = CHARACTER_STEP
-        grads[:, a] = (chi(x0 + e) - chi(x0 - e)) / (2 * CHARACTER_STEP)
+    grads = np.hstack([_character_jacobian(rs, chart.s0), np.zeros((rs.n, rs.n))])
     ai = np.linalg.solve(G, grads[i - 1])
     bj = np.linalg.solve(G, grads[j - 1])
     return abs(ai @ G @ bj)
@@ -455,8 +450,7 @@ def real_form_checks(rs, p):
     Im omega with its minimum singular value and the real dimension.
     """
     chart = SectionChart(rs, p)
-    base, frame = chart.real_frame(chart.x0())
-    F = _stack(frame)
+    base, F = chart.real_frame(chart.x0())
     sdot = chart.real_frame_sdot()
     Tt = _involution_matrix(F, theta_differential(rs, base, F, sdot))
     Ts = _involution_matrix(F, sigma_differential(rs, base, F, sdot))

@@ -192,8 +192,7 @@ def test_involution_differentials_exact(roots, n):
     for p in points:
         chart = SectionChart(rs, p)
         x0 = chart.x0()
-        base, frame = chart.real_frame(x0)
-        U = np.array([(u.X, u.Y) for u in frame])
+        base, U = chart.real_frame(x0)
         sdot = chart.real_frame_sdot()
         for apply, differential, image_s in maps:
             dU = differential(rs, base, U, sdot)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm_frechet
 
-from ucgl.core import structural_matrices
+from ucgl.core import char_poly, structural_matrices
 from ucgl.errors import InvalidTangentKindError, NotComposableError
 from ucgl.groupoid import (
     TangentVector,
@@ -15,9 +16,11 @@ from ucgl.groupoid import (
     unit,
 )
 from ucgl.involutions import make_point
-from ucgl.stokes import build_M, rand_palindromic_s, rand_s, semisimple_s
+from ucgl.stokes import build_M, dM_ds, rand_palindromic_s, rand_s, semisimple_s
 from ucgl.symplectic import (
+    CHARACTER_STEP,
     SectionChart,
+    _character_jacobian,
     character_system,
     closedness_residual,
     composable_tangent_basis,
@@ -105,20 +108,20 @@ def test_omega_gram_matches_trace_formula(roots, n):
     rs = roots[n]
     p = random_point(rs, np.random.default_rng(1800 + n))
     chart = SectionChart(rs, p)
-    base, frame = chart.real_frame(chart.x0())
+    base, U = chart.real_frame(chart.x0())
     a, gi, ai = base.A, np.linalg.inv(base.B), np.linalg.inv(base.A)
 
     def literal(u, v):
-        xu, xv = gi @ u.X, gi @ v.X
+        (Xu, Yu), (Xv, Yv) = u, v
+        xu, xv = gi @ Xu, gi @ Xv
         return 0.5 * (
             np.trace(a @ xu @ ai @ xv)
             - np.trace(a @ xv @ ai @ xu)
-            + np.trace(xu @ (ai @ v.Y + v.Y @ ai))
-            - np.trace(xv @ (ai @ u.Y + u.Y @ ai))
+            + np.trace(xu @ (ai @ Yv + Yv @ ai))
+            - np.trace(xv @ (ai @ Yu + Yu @ ai))
         )
 
-    ref = np.array([[literal(u, v) for v in frame] for u in frame])
-    U = np.array([(u.X, u.Y) for u in frame], dtype=complex)
+    ref = np.array([[literal(u, v) for v in U] for u in U])
     G = omega_gram(base.B, a, U)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(G - ref)) < 1e-12 * scale
@@ -134,8 +137,7 @@ def test_multiplicativity_rejects_unequal_base_variation(roots):
     A = build_M(rs, rand_s(rng, 2))
     pair = make_pair(unit(rs, A), unit(rs, A))
     basis = composable_tangent_basis(rs, pair)
-    u1, u2 = basis[0]
-    basis[0] = (u1, TangentVector(base=u2.base, X=u2.X, Y=u2.Y + 1.0))
+    basis[0, 1, 1] += 1.0  # the Y-component of u2 in the first pair
     with pytest.raises(NotComposableError):
         multiplicativity_residual(rs, pair, basis)
 
@@ -260,21 +262,86 @@ def test_chart_hits_anchor(roots):
     assert np.max(np.abs(q.A - p.A)) < 1e-12
 
 
-def test_chart_frame_matches_finite_differences(roots):
-    rs = roots[2]
-    rng = np.random.default_rng(18)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chart_frame_matches_finite_differences(roots, n):
+    rs = roots[n]
+    rng = np.random.default_rng(16 + n)
     p = random_point(rs, rng)
     chart = SectionChart(rs, p)
     x0 = chart.x0()
-    _, frame = chart.real_frame(x0)
+    _, U = chart.real_frame(x0)
     h = 1e-6
     for k in range(len(x0)):
         e = np.zeros_like(x0)
         e[k] = h
         Bp, Ap = chart.point(x0 + e).B, chart.point(x0 + e).A
         Bm, Am = chart.point(x0 - e).B, chart.point(x0 - e).A
-        assert np.max(np.abs((Bp - Bm) / (2 * h) - frame[k].X)) < 1e-6
-        assert np.max(np.abs((Ap - Am) / (2 * h) - frame[k].Y)) < 1e-6
+        assert np.max(np.abs((Bp - Bm) / (2 * h) - U[k, 0])) < 1e-6
+        assert np.max(np.abs((Ap - Am) / (2 * h) - U[k, 1])) < 1e-6
+
+
+def _three_points(rs, rng):
+    """A random point, a unit and a fixed-locus point of rank rs.n."""
+    n = rs.n
+    return [
+        random_point(rs, rng),
+        unit(rs, build_M(rs, rand_s(rng, n))),
+        sample_slocal_fiber(rs, build_M(rs, rand_palindromic_s(rng, n)),
+                            int(rng.integers(0, 2 ** 31))),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_exponential_frame_matches_expm_frechet(roots, n):
+    """complex_frame against one scipy expm_frechet call per chart direction."""
+    rs = roots[n]
+    N = n + 1
+    I = np.eye(N)
+    rng = np.random.default_rng(1900 + n)
+    for p in _three_points(rs, rng):
+        chart = SectionChart(rs, p)
+        x = chart.x0() + 1e-2 * rng.standard_normal(4 * n)  # nonzero c as well
+        _, U = chart.complex_frame(x)
+        assert U.shape == (2 * n, 2, N, N)
+        s, c = chart.unpack(x)
+        A, powers, Nm = chart._nilpotent(s, c)
+        dA = dM_ds(rs, s)
+        dNs = []
+        for d in range(n):
+            dPow = [np.zeros((N, N), dtype=complex)]
+            for j in range(1, N):
+                dPow.append(dPow[-1] @ A + powers[j - 1] @ dA[d])
+            dNs.append(sum((chart.beta[j] + c[j - 1]) * dPow[j] for j in range(1, N)))
+        dNs += [powers[j] for j in range(1, N)]
+        for k, dN in enumerate(dNs):
+            _, dB = expm_frechet(Nm, dN - np.trace(dN) / N * I)
+            assert np.max(np.abs(U[k, 0] - dB)) < 1e-12 * np.max(np.abs(dB))
+            assert np.array_equal(U[k, 1], dA[k] if k < n else np.zeros((N, N)))
+        _, R = chart.real_frame(x)
+        assert np.array_equal(R, np.concatenate([U[:n], 1j * U[:n], U[n:], 1j * U[n:]]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_poisson_gradients_match_chart_differences(roots, n):
+    """Character gradients through chart points equal the character Jacobian."""
+    rs = roots[n]
+    N = n + 1
+    rng = np.random.default_rng(2000 + n)
+    for p in _three_points(rs, rng):
+        chart = SectionChart(rs, p)
+        x0 = chart.x0()
+
+        def chi(x):
+            c = char_poly(chart.point(x).A)
+            return np.array([(-1.0) ** k * c[N - k] for k in range(1, N)])
+
+        ref = np.zeros((n, 2 * n), dtype=complex)
+        for a, idx in enumerate(np.r_[:n, 2 * n : 3 * n]):  # Re s, Re c in the packing
+            e = np.zeros_like(x0)
+            e[idx] = CHARACTER_STEP
+            ref[:, a] = (chi(x0 + e) - chi(x0 - e)) / (2 * CHARACTER_STEP)
+        assert not np.any(ref[:, n:])
+        assert np.array_equal(ref[:, :n], _character_jacobian(rs, chart.s0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
