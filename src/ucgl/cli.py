@@ -5,8 +5,8 @@ Subcommands:
   verify        run a verification suite, write a JSON/Markdown report
   sample-slocal draw deterministic samples of the monodromy locus
 
-Exit codes: 0 all checks pass, 1 check failure, 2 usage error, 3 root-set
-search failure.
+Exit codes: 0 all checks pass, 1 a check failed or a suite raised (the
+report is still written), 2 usage error, 3 root-set search failure.
 """
 
 import argparse
@@ -17,10 +17,10 @@ import numpy as np
 
 from .core import encode_matrix
 from .errors import SearchFailureError, UcglError
-from .groupoid import sample_slocal_fiber
+from .groupoid import random_slocal_point
 from .involutions import slocal_membership
 from .report import SUITES, run_suite
-from .stokes import build_M, derive_root_sets, rand_palindromic_s, root_sets_to_dict
+from .stokes import derive_root_sets, root_sets_to_dict
 
 
 def _build_parser():
@@ -68,11 +68,20 @@ def cmd_derive_roots(args):
     return 0
 
 
+def _load_config(path):
+    """The JSON object in a config file; anything else is a usage error."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise UcglError(f"cannot read config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise UcglError(f"config {path} is not a JSON object")
+    return config
+
+
 def cmd_verify(args, argv):
-    config = {}
-    if args.config:
-        with open(args.config) as fh:
-            config.update(json.load(fh))
+    config = _load_config(args.config) if args.config else {}
     # explicit flags override the config file
     explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key in ("n", "suite", "seed", "samples"):
@@ -83,6 +92,9 @@ def cmd_verify(args, argv):
     except SearchFailureError as exc:
         print(f"search failure: {exc}", file=sys.stderr)
         return 3
+    for c in report.checks:
+        if c.name.endswith(".error"):
+            print(f"error: {c.details['message']}", file=sys.stderr)
     text = report.to_json() if args.format == "json" else report.to_markdown()
     _emit(text, args.out)
     return 0 if report.all_passed else 1
@@ -93,8 +105,7 @@ def cmd_sample_slocal(args):
     rng = np.random.default_rng(args.seed)
     records = []
     for _ in range(args.count):
-        A = build_M(rs, rand_palindromic_s(rng, args.n))
-        p = sample_slocal_fiber(rs, A, int(rng.integers(0, 2 ** 31)))
+        p = random_slocal_point(rs, rng)
         flags = slocal_membership(rs, p, tol=1e-8)
         records.append(
             {

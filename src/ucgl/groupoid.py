@@ -19,7 +19,7 @@ from .errors import (
     PreconditionError,
 )
 from .involutions import F_sigma, F_theta, GroupoidPoint, make_point
-from .stokes import dM_ds, section_membership
+from .stokes import build_M, dM_ds, rand_palindromic_s, rand_s, section_membership
 
 #: base-equality tolerance for composability
 BASE_TOL = 1e-10
@@ -156,6 +156,24 @@ def sample_slocal_fiber(rs, A, seed):
     D = C @ (F @ inverse(C).T @ Fi)
     B = D @ (G @ np.conj(D) @ Gi)
     return make_point(rs, B, A)
+
+
+def random_point(rs, rng, A=None):
+    """A random point over A, by default over build_M of random complex s.
+
+    Draws s (when A is None), then the sample_commuting seed, from rng.
+    """
+    if A is None:
+        A = build_M(rs, rand_s(rng, rs.n))
+    return make_point(rs, sample_commuting(A, int(rng.integers(0, 2 ** 31))), A, tol=1e-7)
+
+
+def random_slocal_point(rs, rng, A=None):
+    """A random fixed-locus point over A, by default over build_M of random
+    real palindromic s; draws from rng as random_point does."""
+    if A is None:
+        A = build_M(rs, rand_palindromic_s(rng, rs.n))
+    return sample_slocal_fiber(rs, A, int(rng.integers(0, 2 ** 31)))
 
 
 def _tangent_constraints(p, dM):

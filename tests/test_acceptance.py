@@ -23,12 +23,12 @@ from ucgl.groupoid import (
     groupoid_inverse,
     horizontal_vector_at_unit,
     make_pair,
-    sample_commuting,
-    sample_slocal_fiber,
+    random_point,
+    random_slocal_point,
     tangent_space,
     unit,
 )
-from ucgl.involutions import apply_sigma, apply_theta, make_point, point_distance
+from ucgl.involutions import apply_sigma, apply_theta, point_distance
 from ucgl.stokes import (
     build_M,
     build_Q,
@@ -66,13 +66,6 @@ def _rel_distance(p, q):
     """point_distance scaled by the magnitude of the reference point."""
     scale = max(1.0, float(np.max(np.abs(p.B))), float(np.max(np.abs(p.A))))
     return point_distance(p, q) / scale
-
-
-def _rand_point(rs, rng, s=None):
-    if s is None:
-        s = rand_s(rng, rs.n)
-    A = build_M(rs, s)
-    return make_point(rs, sample_commuting(A, int(rng.integers(0, 2 ** 31))), A, tol=1e-7)
 
 
 def test_criterion_01_root_set_derivation(roots):
@@ -137,7 +130,7 @@ def test_criterion_04_base_actions_and_palindromes(roots):
     for n in NS:
         rs = roots[n]
         for _ in range(25):
-            p = _rand_point(rs, rng)
+            p = random_point(rs, rng)
             rev = max(rev, float(np.max(np.abs(apply_sigma(rs, p, tol=1e-7).s - p.s[::-1]))))
             rev = max(rev, float(np.max(np.abs(apply_theta(rs, p, tol=1e-7).s - np.conj(p.s[::-1])))))
             sp = rand_palindromic_s(rng, n)
@@ -164,7 +157,7 @@ def test_criterion_05_involutions(roots):
     for n in NS:
         rs = roots[n]
         for _ in range(100):
-            p = _rand_point(rs, rng)
+            p = random_point(rs, rng)
             sg = lambda q: apply_sigma(rs, q, tol=1e-7)
             th = lambda q: apply_theta(rs, q, tol=1e-7)
             worst = max(worst, _rel_distance(p, sg(sg(p))))
@@ -183,7 +176,7 @@ def test_criterion_06_groupoid_axioms_and_morphisms(roots):
         for _ in range(100):
             s = rand_s(rng, n)
             A = build_M(rs, s)
-            p1, p2, p3 = (_rand_point(rs, rng, s=s) for _ in range(3))
+            p1, p2, p3 = (random_point(rs, rng, A) for _ in range(3))
             lhs = groupoid_compose(rs, make_pair(groupoid_compose(rs, make_pair(p1, p2)), p3))
             rhs = groupoid_compose(rs, make_pair(p1, groupoid_compose(rs, make_pair(p2, p3))))
             worst = max(worst, _rel_distance(lhs, rhs))
@@ -234,9 +227,9 @@ def test_criterion_08_multiplicativity(roots):
     for n in (1, 2, 3):
         rs = roots[n]
         for _ in range(50):
-            s = rand_s(rng, n)
-            p = _rand_point(rs, rng, s=s)
-            q = _rand_point(rs, rng, s=s)
+            A = build_M(rs, rand_s(rng, n))
+            p = random_point(rs, rng, A)
+            q = random_point(rs, rng, A)
             pair = make_pair(p, q)
             basis = composable_tangent_basis(rs, pair)
             assert len(basis) == 3 * n
@@ -255,7 +248,7 @@ def test_criterion_09_closedness(roots):
         rs = roots[n]
         worst = 0.0
         for _ in range(20):
-            p = _rand_point(rs, rng)
+            p = random_point(rs, rng)
             worst = max(worst, closedness_residual(rs, p))
         results[n] = worst
     ok = results[1] < 1e-4 and results[2] < 1e-4 and results[3] < 1e-3
@@ -273,7 +266,7 @@ def test_criterion_10_nondegeneracy(roots):
         for i in range(10):
             s = semisimple_s(rs, rng)
             A = build_M(rs, s)
-            p = unit(rs, A) if i % 2 == 0 else _rand_point(rs, rng, s=s)
+            p = unit(rs, A) if i % 2 == 0 else random_point(rs, rng, A)
             min_sing = min(min_sing, gram_matrix(p, tangent_space(rs, p)).min_singular)
     ok = min_sing > 1e-6
     msg = _line(10, "nondegeneracy", ok, f"min Gram singular value {min_sing:.2e} (> 1e-6)")
@@ -287,7 +280,7 @@ def test_criterion_11_involution_pullbacks(roots):
         rs = roots[n]
         for _ in range(2):
             u0 = unit(rs, build_M(rs, rand_s(rng, n)))
-            p = _rand_point(rs, rng)
+            p = random_point(rs, rng)
             for kind in ("sigma", "theta"):
                 at_units = max(at_units, involution_pullback_residual(kind, rs, u0))
                 at_random = max(at_random, involution_pullback_residual(kind, rs, p))
@@ -307,8 +300,7 @@ def test_criterion_12_real_subform(roots):
         rs = roots[n]
         got = []
         for _ in range(3):
-            s = rand_palindromic_s(rng, n)
-            p = sample_slocal_fiber(rs, build_M(rs, s), int(rng.integers(0, 2 ** 31)))
+            p = random_slocal_point(rs, rng)
             rep = real_form_checks(rs, p)
             re_res = max(re_res, rep["re_omega_residual"])
             min_s2 = min(min_s2, rep["omega2_min_singular"])
@@ -333,7 +325,7 @@ def test_criterion_13_integrable_system(roots):
         for _ in range(5):
             s = semisimple_s(rs, rng)
             rank_ok = rank_ok and character_system(rs, s)["jacobian_rank"] == n
-            p = _rand_point(rs, rng, s=s)
+            p = random_point(rs, rng, build_M(rs, s))
             dim_ok = dim_ok and len(tangent_space(rs, p)) == 2 * n
             _, traceless = centralizer_basis(p.A)
             cf, ce = rand_s(rng, n), rand_s(rng, n)
@@ -380,8 +372,7 @@ def test_criterion_15_reality_experiment(roots):
         rs = roots[n]
         hits = 0
         for _ in range(100):
-            s = rand_palindromic_s(rng, n)
-            p = sample_slocal_fiber(rs, build_M(rs, s), int(rng.integers(0, 2 ** 31)))
+            p = random_slocal_point(rs, rng)
             if np.max(np.abs(p.B @ np.conj(p.B) - np.eye(n + 1))) < 1e-8:
                 hits += 1
         fractions[n] = hits / 100

@@ -1,12 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from ucgl.cli import main
-from ucgl.errors import UcglError
+from ucgl.errors import PreconditionError, SearchFailureError, UcglError
 from ucgl import report
 from ucgl.report import Check, run_suite
+from ucgl.stokes import derive_root_sets
 
 
 def test_run_suite_unknown_name():
@@ -105,3 +107,72 @@ def test_cli_sample_slocal(tmp_path):
         assert rec["flags"]["fixed_route"] and rec["flags"]["direct_route"]
         B = np.array([[complex(re, im) for re, im in row] for row in rec["B"]])
         assert B.shape == (2, 2)
+
+
+def _raise_precondition(rs, rng, samples=100):
+    raise PreconditionError("det B differs from 1 beyond tolerance")
+
+
+def test_raising_suite_becomes_error_record(monkeypatch):
+    monkeypatch.setitem(report._SUITE_FUNCS, "stokes", _raise_precondition)
+    rep = run_suite({"n": 1, "suite": "all", "samples": 5, "seed": 3})
+    errors = [c for c in rep.checks if c.name.endswith(".error")]
+    assert [c.name for c in errors] == ["stokes.error"]
+    (err,) = errors
+    assert err.samples == 0 and math.isfinite(err.max_residual) and not err.passed
+    assert err.details == {"type": "PreconditionError",
+                           "message": "det B differs from 1 beyond tolerance"}
+    # the suites after the raising one still ran
+    names = {c.name for c in rep.checks}
+    assert {"connection.symmetry_anti", "involutions.involutivity", "bondal.axioms"} <= names
+    assert not rep.all_passed
+    json.loads(rep.to_json())  # the record serializes as strict JSON
+
+
+def test_cli_verify_writes_report_when_a_suite_raises(tmp_path, monkeypatch, capsys):
+    monkeypatch.setitem(report._SUITE_FUNCS, "connection", _raise_precondition)
+    out = tmp_path / "rep.json"
+    code = main(["verify", "--n", "1", "--suite", "connection", "--samples", "5",
+                 "--out", str(out)])
+    assert code == 1
+    assert "error: det B differs from 1" in capsys.readouterr().err
+    data = json.loads(out.read_text())
+    assert [c["name"] for c in data["checks"]] == ["connection.error"]
+    assert not data["all_pass"]
+
+
+def test_cli_verify_search_failure_still_exits_3(monkeypatch):
+    def no_survivor(n, time_budget=60.0):
+        raise SearchFailureError("budget exhausted")
+
+    monkeypatch.setattr(report, "derive_root_sets", no_survivor)
+    assert main(["verify", "--n", "1", "--suite", "connection", "--samples", "5"]) == 3
+
+
+def test_nan_residual_fails_checks_and_controls(monkeypatch):
+    monkeypatch.setattr(report, "alpha_symmetry_residual", lambda *a, **k: math.nan)
+    rs = derive_root_sets(1)
+    checks = {c.name: c for c in report.suite_connection(rs, np.random.default_rng(3), samples=5)}
+    assert all(math.isnan(c.max_residual) for c in checks.values())
+    assert not checks["connection.symmetry_anti"].passed
+    assert not checks["connection.negative_control"].passed
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_samples_below_one_is_a_usage_error(tmp_path, samples):
+    with pytest.raises(UcglError):
+        run_suite({"n": 1, "suite": "connection", "samples": samples})
+    assert main(["verify", "--n", "1", "--suite", "connection", "--samples", str(samples)]) == 2
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"samples": samples}))
+    assert main(["verify", "--n", "1", "--suite", "connection", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("content", [None, "[1, 2]", "{not json"])
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg.json"
+    if content is not None:
+        cfg.write_text(content)
+    assert main(["verify", "--n", "1", "--suite", "connection", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -16,6 +16,8 @@ from ucgl.groupoid import (
     groupoid_inverse,
     horizontal_vector_at_unit,
     make_pair,
+    random_point,
+    random_slocal_point,
     sample_commuting,
     sample_slocal_fiber,
     source,
@@ -26,12 +28,6 @@ from ucgl.groupoid import (
 )
 from ucgl.involutions import make_point, point_distance, slocal_membership
 from ucgl.stokes import build_M, dM_ds, rand_palindromic_s, rand_s
-
-
-def random_point(rs, rng):
-    s = rand_s(rng, rs.n)
-    A = build_M(rs, s)
-    return make_point(rs, sample_commuting(A, int(rng.integers(0, 2 ** 31))), A, tol=1e-7)
 
 
 def test_z_membership_examples(roots):
@@ -53,11 +49,7 @@ def test_structure_maps_and_axioms(roots):
         for _ in range(20):
             s = rand_s(rng, n)
             A = build_M(rs, s)
-            ps = [
-                make_point(rs, sample_commuting(A, int(rng.integers(0, 2 ** 31))), A, tol=1e-7)
-                for _ in range(3)
-            ]
-            p1, p2, p3 = ps
+            p1, p2, p3 = (random_point(rs, rng, A) for _ in range(3))
             assert np.array_equal(source(p1), target(p1))
             lhs = groupoid_compose(rs, make_pair(groupoid_compose(rs, make_pair(p1, p2)), p3))
             rhs = groupoid_compose(rs, make_pair(p1, groupoid_compose(rs, make_pair(p2, p3))))
@@ -139,6 +131,25 @@ def test_slocal_fiber_sampling(roots):
         assert mem["fixed_route"] and mem["direct_route"]
     with pytest.raises(PreconditionError):
         sample_slocal_fiber(roots[1], build_M(roots[1], np.array([1j])), seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_seeded_samplers_draw_in_documented_order(roots, n):
+    """random_point draws s then the sampler seed; given A, only the seed."""
+    rs = roots[n]
+    rng, twin = np.random.default_rng(1000 + n), np.random.default_rng(1000 + n)
+    A = build_M(rs, rand_s(twin, n))
+    B = sample_commuting(A, int(twin.integers(0, 2 ** 31)))
+    p = random_point(rs, rng)
+    assert np.array_equal(p.B, B) and np.array_equal(p.A, A)
+    q = random_point(rs, rng, p.A)
+    assert np.array_equal(q.B, sample_commuting(A, int(twin.integers(0, 2 ** 31))))
+    A = build_M(rs, rand_palindromic_s(twin, n))
+    f = random_slocal_point(rs, rng)
+    assert np.array_equal(f.B, sample_slocal_fiber(rs, A, int(twin.integers(0, 2 ** 31))).B)
+    g = random_slocal_point(rs, rng, f.A)
+    assert np.array_equal(g.B, sample_slocal_fiber(rs, A, int(twin.integers(0, 2 ** 31))).B)
+    assert rng.random() == twin.random()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -3,7 +3,7 @@ import pytest
 
 from ucgl.core import char_poly, structural_matrices
 from ucgl.errors import PreconditionError
-from ucgl.groupoid import sample_commuting, sample_slocal_fiber, unit
+from ucgl.groupoid import random_point, random_slocal_point, sample_slocal_fiber, unit
 from ucgl.involutions import (
     F_sigma,
     F_theta,
@@ -15,17 +15,10 @@ from ucgl.involutions import (
     slocal_membership,
     theta_differential,
 )
-from ucgl.stokes import build_M, build_S, dM_ds, rand_palindromic_s, rand_s
+from ucgl.stokes import build_M, build_S, dM_ds, rand_s
 from ucgl.symplectic import SectionChart
 
 TOL = 1e-9
-
-
-def random_point(rs, rng):
-    s = rand_s(rng, rs.n)
-    A = build_M(rs, s)
-    B = sample_commuting(A, int(rng.integers(0, 2 ** 31)))
-    return make_point(rs, B, A, tol=1e-7)
 
 
 def test_F_sigma_values(roots):
@@ -115,11 +108,7 @@ def test_route_equivalence_on_mixed_probes(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(400 + n)
     for i in range(50):
-        if i % 2 == 0:
-            s = rand_palindromic_s(rng, n)
-            p = sample_slocal_fiber(rs, build_M(rs, s), int(rng.integers(0, 2 ** 31)))
-        else:
-            p = random_point(rs, rng)
+        p = random_slocal_point(rs, rng) if i % 2 == 0 else random_point(rs, rng)
         mem = slocal_membership(rs, p, tol=1e-7)
         assert mem["fixed_route"] == mem["direct_route"]
 
@@ -129,9 +118,7 @@ def test_theta_fixed_points_have_real_char_poly(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(500 + n)
     for _ in range(10):
-        s = rand_palindromic_s(rng, n)
-        p = sample_slocal_fiber(rs, build_M(rs, s), int(rng.integers(0, 2 ** 31)))
-        c = char_poly(p.B)
+        c = char_poly(random_slocal_point(rs, rng).B)
         # relative: the coefficients themselves grow like 1e3 at n = 4
         assert np.max(np.abs(c.imag)) / np.max(np.abs(c)) < 1e-10
 
@@ -182,8 +169,7 @@ def test_involution_differentials_exact(roots, n):
     points = [
         random_point(rs, rng),
         unit(rs, build_M(rs, rand_s(rng, n))),
-        sample_slocal_fiber(rs, build_M(rs, rand_palindromic_s(rng, n)),
-                            int(rng.integers(0, 2 ** 31))),
+        random_slocal_point(rs, rng),
     ]
     maps = (
         (apply_sigma, sigma_differential, lambda s: s[..., ::-1]),

@@ -10,12 +10,11 @@ from ucgl.groupoid import (
     fiber_vector,
     horizontal_vector_at_unit,
     make_pair,
-    sample_commuting,
-    sample_slocal_fiber,
+    random_point,
+    random_slocal_point,
     tangent_space,
     unit,
 )
-from ucgl.involutions import make_point
 from ucgl.stokes import build_M, dM_ds, rand_palindromic_s, rand_s, semisimple_s
 from ucgl.symplectic import (
     CHARACTER_STEP,
@@ -34,12 +33,6 @@ from ucgl.symplectic import (
     type_20_residual,
     unit_block_values,
 )
-
-
-def random_point(rs, rng):
-    s = rand_s(rng, rs.n)
-    A = build_M(rs, s)
-    return make_point(rs, sample_commuting(A, int(rng.integers(0, 2 ** 31))), A, tol=1e-7)
 
 
 def random_unit_tangents(rs, rng, u0):
@@ -149,9 +142,7 @@ def test_multiplicativity(roots, n):
     worst = 0.0
     for _ in range(10):
         A = build_M(rs, rand_s(rng, n))
-        p = make_point(rs, sample_commuting(A, int(rng.integers(0, 2 ** 31))), A, tol=1e-7)
-        q = make_point(rs, sample_commuting(A, int(rng.integers(0, 2 ** 31))), A, tol=1e-7)
-        pair = make_pair(p, q)
+        pair = make_pair(random_point(rs, rng, A), random_point(rs, rng, A))
         basis = composable_tangent_basis(rs, pair)
         assert len(basis) == 3 * n
         worst = max(worst, multiplicativity_residual(rs, pair, basis))
@@ -197,10 +188,7 @@ def test_nondegeneracy(roots, n):
     rng = np.random.default_rng(1300 + n)
     for i in range(6):
         A = build_M(rs, semisimple_s(rs, rng))  # keep eigenvalues well separated
-        if i % 2 == 0:
-            p = unit(rs, A)
-        else:
-            p = make_point(rs, sample_commuting(A, int(rng.integers(0, 2 ** 31))), A, tol=1e-7)
+        p = unit(rs, A) if i % 2 == 0 else random_point(rs, rng, A)
         basis = tangent_space(rs, p)
         assert gram_matrix(p, basis).min_singular > 1e-6
 
@@ -286,8 +274,7 @@ def _three_points(rs, rng):
     return [
         random_point(rs, rng),
         unit(rs, build_M(rs, rand_s(rng, n))),
-        sample_slocal_fiber(rs, build_M(rs, rand_palindromic_s(rng, n)),
-                            int(rng.integers(0, 2 ** 31))),
+        random_slocal_point(rs, rng),
     ]
 
 
@@ -348,9 +335,7 @@ def test_poisson_gradients_match_chart_differences(roots, n):
 def test_real_form_checks(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(1700 + n)
-    s = rand_palindromic_s(rng, n)
-    p = sample_slocal_fiber(rs, build_M(rs, s), int(rng.integers(0, 2 ** 31)))
-    rep = real_form_checks(rs, p)
+    rep = real_form_checks(rs, random_slocal_point(rs, rng))
     assert rep["re_omega_residual"] < 1e-8
     assert rep["joint_fixed_dim"] % 2 == 0
     assert rep["joint_fixed_dim"] == 2 * ((n + 1) // 2)
