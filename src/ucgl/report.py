@@ -468,6 +468,15 @@ _SUITE_FUNCS = {
 SUITES = tuple(_SUITE_FUNCS)
 
 
+def _setting(config, key, kind, default=None):
+    """config[key], or default when it is absent, converted by kind."""
+    value = config.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise UcglError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
+
+
 def run_suite(config):
     """Run one suite (or 'all') and assemble a VerificationReport.
 
@@ -477,16 +486,17 @@ def run_suite(config):
     check '<suite>.error' (samples 0, the exception's type and message in
     details) and the remaining suites still run.
     """
-    n = int(config["n"])
+    n = _setting(config, "n", int)
     suite = config.get("suite", "all")
-    seed = int(config.get("seed", 42))
-    samples = int(config.get("samples", 100))
+    seed = _setting(config, "seed", int, 42)
+    samples = _setting(config, "samples", int, 100)
+    time_budget = _setting(config, "time_budget", float, 60.0)
     if suite != "all" and suite not in _SUITE_FUNCS:
         raise UcglError(f"unknown suite {suite!r}")
     if samples < 1:
         raise UcglError(f"samples must be at least 1, got {samples}")
     t0 = time.monotonic()
-    rs = derive_root_sets(n, time_budget=float(config.get("time_budget", 60.0)))
+    rs = derive_root_sets(n, time_budget=time_budget)
     rng = np.random.default_rng(seed)
     names = list(_SUITE_FUNCS) if suite == "all" else [suite]
     checks = []

@@ -168,7 +168,8 @@ def test_samples_below_one_is_a_usage_error(tmp_path, samples):
     assert main(["verify", "--n", "1", "--suite", "connection", "--config", str(cfg)]) == 2
 
 
-@pytest.mark.parametrize("content", [None, "[1, 2]", "{not json"])
+@pytest.mark.parametrize("content", [None, "[1, 2]", "{not json", '{"seed": "abc"}',
+                                     '{"samples": null}', '{"time_budget": "x"}'])
 def test_bad_config_file_is_a_usage_error(tmp_path, capsys, content):
     cfg = tmp_path / "cfg.json"
     if content is not None:

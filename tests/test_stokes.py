@@ -7,10 +7,13 @@ import pytest
 from ucgl.core import determinant, inverse, is_regular, structural_matrices
 from ucgl.errors import InvalidSectorError, PreconditionError
 from ucgl.stokes import (
+    RootSetData,
     _candidate_passes,
     _candidate_sets,
     _prescreened_candidates,
+    _screen_chunk,
     _search,
+    _stacked_Q,
     build_M,
     build_Q,
     build_S,
@@ -29,6 +32,7 @@ EXPECTED_ROOTS = {
     2: ({(1, 0)}, {(1, 2)}),
     3: ({(1, 0), (2, 3)}, {(1, 3)}),
     4: ({(2, 0), (3, 4)}, {(1, 0), (2, 4)}),
+    5: ({(2, 0), (3, 5)}, {(1, 0), (2, 5), (3, 4)}),
 }
 
 
@@ -39,6 +43,36 @@ def test_derived_root_sets_match_frozen(roots, n):
     assert rs.survivor_count == 2
     assert len(rs.R1) + len(rs.R1p) == n
     assert not (rs.R1 & rs.R1p)
+
+
+def test_rank5_derives_within_the_default_budget():
+    rs = derive_root_sets(5, force=True)
+    assert (set(rs.R1), set(rs.R1p)) == EXPECTED_ROOTS[5]
+    assert rs.survivor_count == 2
+
+
+def _transpose(cand):
+    return tuple(frozenset((j, i) for (i, j) in part) for part in cand)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_stacked_factors_match_build_Q(n):
+    N = n + 1
+    i, j, in_R1 = _prescreened_candidates(n, 0, N ** n << n)
+    s = rand_s(np.random.default_rng(30 + n), n)
+    parity = "odd" if n % 2 == 1 else "even"
+    cands = [RootSetData(n, parity, *_candidate_sets(*row), 0) for row in zip(i, j, in_R1)]
+    for k_num in range(n, 2 * N + 2):
+        stacked = _stacked_Q(i, j, in_R1, k_num, s)
+        assert np.array_equal(stacked, [build_Q(rs, k_num, s) for rs in cands])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_screen_forwards_only_the_two_survivors(n):
+    s = rand_s(np.random.default_rng(12345), n)
+    forwarded = {_candidate_sets(*row) for row in zip(*_screen_chunk(0, (n + 1) ** n << n, s))}
+    expected = tuple(frozenset(part) for part in EXPECTED_ROOTS[n])
+    assert forwarded == {expected, _transpose(expected)}
 
 
 def _exhaustive_candidates(n):
