@@ -14,8 +14,13 @@ derivative of expm along the chart directions is the upper-right block of
 one batched expm of the block matrices [[N, dN], [0, N]] (Higham, Functions
 of Matrices, 2008, sec. 3.2), and the involutions act on them by their exact
 differentials.  Frames and composable bases are stacked arrays, the format
-omega_gram takes.  Finite differences remain only in closedness (derivatives
-of the Gram along chart coordinates) and in the character Jacobian.
+omega_gram takes.
+
+No finite difference is left.  Closedness is exact: d commutes with pullback,
+so d omega on the chart's coordinate frame needs only the first-order frame
+and the derivative of omega along it with the frame held fixed, by the
+product rule through the same trace formula.  The character Jacobian is a
+constant signed reversal, read off the section's parametrisation.
 """
 
 import itertools
@@ -42,10 +47,7 @@ from .involutions import (
 )
 from .stokes import build_M, dM_ds
 
-#: finite-difference steps and sizes, and relative singular-value cutoffs
-CLOSEDNESS_STEP = 1e-4  # chart-coordinate step of closedness_residual
-CLOSEDNESS_TRIPLES = 8  # coordinate triples that closedness_residual checks
-CHARACTER_STEP = 1e-6  # central-difference step of the character gradients
+#: relative singular-value cutoffs
 CHARACTER_RANK_TOL = 1e-6  # Jacobian rank cutoff of character_system
 FIXED_CUTOFF = 1e-3  # below it a direction counts as involution-fixed
 
@@ -55,32 +57,43 @@ def _stack(vecs):
     return np.array([(u.X, u.Y) for u in vecs], dtype=complex)
 
 
+def _slots(gi, a, ai, W):
+    """The trace slots (x, Ad_a x, a^{-1} Y + Y a^{-1}) of stacked tangents W.
+
+    Here x = g^{-1} X, and gi, ai are the inverses of g and a.
+    """
+    x = gi @ W[:, 0]
+    return x, a @ x @ ai, ai @ W[:, 1] + W[:, 1] @ ai
+
+
+def _K(P, Q):
+    """K(u, v) = (Ad_a x_u, x_v) + (x_u, a^{-1} Y_v + Y_v a^{-1}) over slot stacks P, Q.
+
+    Leading axes of either side broadcast: slot derivatives of shape
+    (m, m', N, N) give an (m, m', m'') array.
+    """
+    return np.einsum("...iab,...jba->...ij", P[1], Q[0]) + np.einsum(
+        "...iab,...jba->...ij", P[0], Q[2]
+    )
+
+
 def omega_gram(g, a, U, V=None):
     """The matrix omega(U_i, V_j) at (g, a), by the formula in omega's docstring.
 
     U and V are stacked tangent vectors as returned by _stack.  g and a are
     inverted once and each trace term is one einsum over the stacks.  With
-    x = g^{-1} X, omega(u, v) = (K(u, v) - K(v, u)) / 2 where
-      K(u, v) = (Ad_a x_u, x_v) + (x_u, a^{-1} Y_v + Y_v a^{-1}).
-    Without V the Gram of U with itself is (K - K^T) / 2, exactly
-    antisymmetric with a zero diagonal.
+    x = g^{-1} X, omega(u, v) = (K(u, v) - K(v, u)) / 2 (see _K).  Without V
+    the Gram of U with itself is (K - K^T) / 2, exactly antisymmetric with a
+    zero diagonal.
     """
     gi = inverse(g)
     ai = inverse(a)
-
-    def slots(W):
-        x = gi @ W[:, 0]
-        return x, a @ x @ ai, ai @ W[:, 1] + W[:, 1] @ ai
-
-    def K(P, Q):
-        return np.einsum("iab,jba->ij", P[1], Q[0]) + np.einsum("iab,jba->ij", P[0], Q[2])
-
-    P = slots(U)
+    P = _slots(gi, a, ai, U)
     if V is None:
-        KU = K(P, P)
+        KU = _K(P, P)
         return 0.5 * (KU - KU.T)
-    Q = slots(V)
-    return 0.5 * (K(P, Q) - K(Q, P).T)
+    Q = _slots(gi, a, ai, V)
+    return 0.5 * (_K(P, Q) - _K(Q, P).T)
 
 
 def omega(g, a, u, v):
@@ -271,40 +284,48 @@ class SectionChart:
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# closedness
 
 
-def _central(fun, x, k, h):
-    e = np.zeros_like(x)
-    e[k] = h
-    return (fun(x + e) - fun(x - e)) / (2 * h)
+def _omega_derivative(g, a, U):
+    """D[w, u, v]: the derivative of omega_(g,a)(U_u, U_v) along U_w, frame held fixed.
 
-
-def _richardson(fun, x, k, h):
-    return (4 * _central(fun, x, k, h / 2) - _central(fun, x, k, h)) / 3
+    By the product rule through the bilinear _K, with the slot derivatives
+    along w = (X_w, Y_w) (dots; x = g^{-1} X)
+      x_v'        = -x_w x_v
+      (Ad_a x_v)' = Y_w x_v a^{-1} + a x_v' a^{-1} - (Ad_a x_v) Y_w a^{-1}
+      z_v'        = -a^{-1} Y_w a^{-1} Y_v - Y_v a^{-1} Y_w a^{-1},
+    K'[w] = K(slots'_w, slots) + K(slots, slots'_w) and D = (K' - K'^T) / 2.
+    """
+    gi = inverse(g)
+    ai = inverse(a)
+    P = _slots(gi, a, ai, U)
+    x, Ad, Y = P[0], P[1], U[:, 1]
+    aY, Ya = ai @ Y, Y @ ai
+    w = np.s_[:, None]  # broadcasts a stack along the w axis of (w, v) products
+    xd = -(x[w] @ x)
+    Adv = (Y[w] @ x + a @ xd - Ad @ Y[w]) @ ai
+    zd = -(aY[w] @ aY) - Ya @ Ya[w]
+    Pd = (xd, Adv, zd)
+    Kd = _K(Pd, P) + _K(P, Pd)
+    return 0.5 * (Kd - Kd.transpose(0, 2, 1))
 
 
 def closedness_residual(rs, p):
-    """Max |d omega| over a fixed set of chart coordinate triples.
+    """Max |d omega| over all triples of real chart coordinates at p.
 
-    The exterior derivative is assembled from partial derivatives of the
-    coefficient functions f_jk(x) = omega(u_j, u_k) along chart coordinates,
-    by central differences with one Richardson extrapolation step.  The
-    frame and its Gram are built once per coordinate and stencil point.
+    d commutes with pullback, so on the chart frame U (coordinate fields,
+    which commute) d omega(U_i, U_j, U_k) = D[i, j, k] - D[j, i, k] + D[k, i, j]
+    with D from _omega_derivative: only the first-order frame enters, since
+    the terms omega(d_i d_j phi, d_k phi) cancel in pairs (mixed partials are
+    symmetric, omega is antisymmetric).  One real frame per call.
     """
     chart = SectionChart(rs, p)
-    x0 = chart.x0()
-
-    def gram(x):
-        base, U = chart.real_frame(x)
-        return omega_gram(base.B, base.A, U)
-
-    combos = list(itertools.combinations(range(4 * rs.n), 3))
-    stride = max(1, len(combos) // CLOSEDNESS_TRIPLES)
-    triples = combos[::stride][:CLOSEDNESS_TRIPLES]
-    coords = sorted(set(itertools.chain(*triples)))
-    D = {i: _richardson(gram, x0, i, CLOSEDNESS_STEP) for i in coords}
-    return max(float(abs(D[i][j, k] - D[j][i, k] + D[k][i, j])) for (i, j, k) in triples)
+    base, U = chart.real_frame(chart.x0())
+    D = _omega_derivative(base.B, base.A, U)
+    dw = D - D.transpose(1, 0, 2) + D.transpose(1, 2, 0)
+    i, j, k = np.array(list(itertools.combinations(range(len(U)), 3))).T
+    return float(np.max(np.abs(dw[i, j, k])))
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +401,19 @@ def _characters(rs, s):
 
 
 def _character_jacobian(rs, s):
-    """d chi_i / d s_d at s by central differences, shape (n, n)."""
+    """d chi_i / d s_d, shape (n, n): the signed reversal J[i-1, n-i] = (-1)^{i n}.
+
+    The section identity stokes_params_of(build_M(s)) = s and its sign rule
+    (s_k = c_k at odd n, (-1)^{k+1} c_k at even n, with c the ascending
+    characteristic polynomial of build_M(s)) give c_k = s_k at odd n and
+    c_k = (-1)^{k+1} s_k at even n.  So chi_i = (-1)^i c_{N-i} is linear in
+    s_{N-i} alone, with slope (-1)^i at odd n and (-1)^i (-1)^{N-i+1} = 1 at
+    even n: in both cases (-1)^{i n}, independent of s.
+    """
     n = rs.n
+    i = np.arange(1, n + 1)
     J = np.zeros((n, n), dtype=complex)
-    for d in range(n):
-        e = np.zeros(n, dtype=complex)
-        e[d] = CHARACTER_STEP
-        J[:, d] = (_characters(rs, s + e) - _characters(rs, s - e)) / (2 * CHARACTER_STEP)
+    J[i - 1, n - i] = (-1.0) ** (i * n)
     return J
 
 

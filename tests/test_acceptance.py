@@ -252,7 +252,7 @@ def test_criterion_09_closedness(roots):
             worst = max(worst, closedness_residual(rs, p))
         results[n] = worst
     ok = results[1] < 1e-4 and results[2] < 1e-4 and results[3] < 1e-3
-    msg = _line(9, "closedness (finite differences)", ok,
+    msg = _line(9, "closedness (exact, all coordinate triples)", ok,
                 f"residuals { {k: f'{v:.2e}' for k, v in results.items()} } "
                 "(tol 1e-4 at ranks 1-2, 1e-3 at rank 3)")
     assert ok, msg

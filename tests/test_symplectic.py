@@ -17,9 +17,9 @@ from ucgl.groupoid import (
 )
 from ucgl.stokes import build_M, dM_ds, rand_palindromic_s, rand_s, semisimple_s
 from ucgl.symplectic import (
-    CHARACTER_STEP,
     SectionChart,
     _character_jacobian,
+    _omega_derivative,
     character_system,
     closedness_residual,
     composable_tangent_basis,
@@ -159,13 +159,56 @@ def test_multiplicativity_with_unit_slot(roots):
     assert multiplicativity_residual(rs, pair, basis) < 1e-12
 
 
-@pytest.mark.parametrize("n,tol", [(1, 1e-5), (2, 1e-4), (3, 1e-3)])
+@pytest.mark.parametrize("n,tol", [(1, 1e-5), (2, 1e-4), (3, 1e-3), (4, 1e-3)])
 def test_closedness(roots, n, tol):
     rs = roots[n]
     rng = np.random.default_rng(1200 + n)
     for _ in range(3):
         p = random_point(rs, rng)
         assert closedness_residual(rs, p) < tol
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closedness_detects_non_tangent_frame(roots, monkeypatch, n):
+    """Negative control: a frame pushed off the tangent spaces is not closed."""
+    rs = roots[n]
+    rng = np.random.default_rng(2200 + n)
+    p = random_point(rs, rng)
+    real_frame = SectionChart.real_frame
+
+    def perturbed(self, x):
+        base, U = real_frame(self, x)
+        return base, U + 0.1 * rng.standard_normal(U.shape)
+
+    monkeypatch.setattr(SectionChart, "real_frame", perturbed)
+    assert closedness_residual(rs, p) > (1e-4 if n <= 2 else 1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_omega_derivative_matches_gram_differences(roots, n):
+    """D[w] against a central difference of omega_gram along frame vector w.
+
+    The product rule holds for any ambient stack, so a random one is checked
+    too: on chart frames some slot terms cancel and would hide a wrong sign.
+    """
+    rs = roots[n]
+    rng = np.random.default_rng(2100 + n)
+    h = 1e-6
+    for p in _three_points(rs, rng):
+        chart = SectionChart(rs, p)
+        base, U = chart.real_frame(chart.x0())
+        g, a = base.B, base.A
+        for W in (U, rng.standard_normal(U.shape) + 1j * rng.standard_normal(U.shape)):
+            D = _omega_derivative(g, a, W)
+            ref = np.array([
+                (omega_gram(g + h * X, a + h * Y, W) - omega_gram(g - h * X, a - h * Y, W))
+                / (2 * h)
+                for X, Y in W
+            ])
+            # the difference's round-off scales with the Gram; D vanishes at n = 1 units
+            scale = max(np.max(np.abs(D)), np.max(np.abs(omega_gram(g, a, W))))
+            assert np.max(np.abs(D - ref)) < 1e-7 * scale
+            assert np.array_equal(D, -D.transpose(0, 2, 1))
 
 
 def test_gram_unit_example(roots):
@@ -322,13 +365,14 @@ def test_poisson_gradients_match_chart_differences(roots, n):
             c = char_poly(chart.point(x).A)
             return np.array([(-1.0) ** k * c[N - k] for k in range(1, N)])
 
+        h = 1e-6
         ref = np.zeros((n, 2 * n), dtype=complex)
         for a, idx in enumerate(np.r_[:n, 2 * n : 3 * n]):  # Re s, Re c in the packing
             e = np.zeros_like(x0)
-            e[idx] = CHARACTER_STEP
-            ref[:, a] = (chi(x0 + e) - chi(x0 - e)) / (2 * CHARACTER_STEP)
+            e[idx] = h
+            ref[:, a] = (chi(x0 + e) - chi(x0 - e)) / (2 * h)
         assert not np.any(ref[:, n:])
-        assert np.array_equal(ref[:, :n], _character_jacobian(rs, chart.s0))
+        assert np.max(np.abs(ref[:, :n] - _character_jacobian(rs, chart.s0))) <= 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
