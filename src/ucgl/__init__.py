@@ -43,7 +43,7 @@ from .groupoid import (
     unit,
     z_membership,
 )
-from .symplectic import omega, omega_at, unit_block_values
+from .symplectic import omega, unit_block_values
 from .report import run_suite
 
 __all__ = [
@@ -72,7 +72,6 @@ __all__ = [
     "unit",
     "z_membership",
     "omega",
-    "omega_at",
     "unit_block_values",
     "run_suite",
 ]

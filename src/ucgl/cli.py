@@ -101,6 +101,8 @@ def cmd_verify(args, argv):
 
 
 def cmd_sample_slocal(args):
+    if args.count < 1:
+        raise UcglError(f"count must be at least 1, got {args.count}")
     rs = derive_root_sets(args.n)
     rng = np.random.default_rng(args.seed)
     records = []

@@ -49,9 +49,5 @@ class DegenerateFormError(UcglError):
     """A Gram matrix required to be invertible is numerically singular."""
 
 
-class InvalidTangentKindError(UcglError):
-    """A tangent vector does not carry the tag an operation requires."""
-
-
 class ProjectionFailureError(UcglError):
     """Extraction of an invariant tangent subspace failed."""

@@ -39,20 +39,6 @@ def make_pair(p, q, tol=BASE_TOL):
     return ComposablePair(p=p, q=q)
 
 
-@dataclass(frozen=True)
-class TangentVector:
-    """A tangent pair (X, Y) at a point: X varies B, Y varies A.
-
-    kind is one of 'fiber' (Y = 0), 'horizontal' (X = 0, only at units) or
-    'general'.
-    """
-
-    base: GroupoidPoint
-    X: np.ndarray
-    Y: np.ndarray
-    kind: str = "general"
-
-
 def z_membership(rs, B, A, tol=1e-9):
     """Whether (B, A) is a point: commutation, det 1, section membership."""
     B = np.asarray(B, dtype=complex)
@@ -190,38 +176,35 @@ def _tangent_constraints(p, dM):
 
 
 def tangent_space(rs, p, tol=1e-8):
-    """Numerical-kernel basis of the tangent space at p.
+    """Numerical-kernel basis of the tangent space at p, shape (2n, 2, N, N).
 
-    The constraints linearize to ([X, A] + [B, Y(sdot)], Tr(B^{-1} X)) = 0
-    where Y(sdot) is the analytic derivative of the section element.  The
-    kernel is computed by SVD with cutoff tol * (largest singular value) and
-    has complex dimension 2n at regular points; a different dimension raises
-    DegenerateTangentError.  Vectors with vanishing Y get the 'fiber' tag.
+    Row i is the tangent (X_i, Y_i): X varies B, Y varies A.  The constraints
+    linearize to ([X, A] + [B, Y(sdot)], Tr(B^{-1} X)) = 0 where Y(sdot) is
+    the analytic derivative of the section element.  The kernel is computed
+    by SVD with cutoff tol * (largest singular value) and has complex
+    dimension 2n at regular points; a different dimension raises
+    DegenerateTangentError.
     """
     n = rs.n
     N = n + 1
     dM = dM_ds(rs, p.s)
     LX, LY, tr = _tangent_constraints(p, dM)
-    kern = null_space(np.block([[LX, LY], [tr, np.zeros((1, n))]]), rcond=tol)
-    dim = kern.shape[1]
-    if dim != 2 * n:
-        raise DegenerateTangentError(f"kernel dimension {dim}, expected {2 * n}")
-    vecs = []
-    for v in kern.T:
-        sdot = v[N * N :]
-        kind = "fiber" if np.max(np.abs(sdot)) < 1e-10 else "general"
-        Y = np.tensordot(sdot, dM, axes=1)
-        vecs.append(TangentVector(base=p, X=v[: N * N].reshape(N, N), Y=Y, kind=kind))
-    return vecs
+    kern = null_space(np.block([[LX, LY], [tr, np.zeros((1, n))]]), rcond=tol).T
+    if len(kern) != 2 * n:
+        raise DegenerateTangentError(f"kernel dimension {len(kern)}, expected {2 * n}")
+    X = kern[:, : N * N].reshape(-1, N, N)
+    # one product per vector: a batched one sums in another order (round-off)
+    Y = [np.tensordot(sdot, dM, axes=1) for sdot in kern[:, N * N :]]
+    return np.stack([X, Y], axis=1)
 
 
 def fiber_vector(p, xi):
-    """The tangent vector of the curve t -> (B e^{t xi}, A) for xi in the algebra."""
-    return TangentVector(base=p, X=p.B @ xi, Y=np.zeros_like(p.B), kind="fiber")
+    """The tangent (X, Y) = (B xi, 0) of the curve t -> (B e^{t xi}, A), for xi in the algebra."""
+    return np.array([p.B @ xi, np.zeros_like(p.B)], dtype=complex)
 
 
 def horizontal_vector_at_unit(rs, p, sdot):
-    """At a unit, the tangent of the base curve s + t*sdot with X = 0."""
+    """At a unit, the tangent (0, Y) of the base curve s + t*sdot."""
     dM = dM_ds(rs, p.s)
     Y = sum(sdot[d] * dM[d] for d in range(rs.n))
-    return TangentVector(base=p, X=np.zeros_like(p.B), Y=np.asarray(Y), kind="horizontal")
+    return np.array([np.zeros_like(p.B), Y], dtype=complex)

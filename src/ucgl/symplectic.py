@@ -1,11 +1,14 @@
 """The quasi-symplectic 2-form restricted to the centralizer space.
 
-omega is evaluated on tangent pairs (X, Y) at a point (g, a) of the ambient
-double via left/right translated slots and the trace pairing.  The closed
-unit-block formulas act as the convention oracle; multiplicativity,
-closedness, nondegeneracy, the involution pullback identities, the real
-sub-form behaviour and the integrable-system structure are all checked
-numerically on top of it.
+Every tangent vector is an array whose last three axes are (2, N, N): the
+pair (X, Y) at a point (g, a), X varying g and Y varying a.  Tangent bases,
+chart frames and composable bases are stacks of them.  omega_gram evaluates
+omega over whole stacks via left/right translated slots and the trace
+pairing; omega on one pair is a view of it.  At a unit, omega has a closed
+form on any two tangents (unit_block_values), which acts as the convention
+oracle; multiplicativity, closedness, nondegeneracy, the involution pullback
+identities, the real sub-form behaviour and the integrable-system structure
+are all checked numerically on top of it.
 
 Local holomorphic charts (s-parameters times centralizer coefficients) are
 built through any point via a matrix logarithm of the B-slot decomposed in
@@ -13,8 +16,7 @@ powers of the base.  Chart tangent frames are analytic: every Frechet
 derivative of expm along the chart directions is the upper-right block of
 one batched expm of the block matrices [[N, dN], [0, N]] (Higham, Functions
 of Matrices, 2008, sec. 3.2), and the involutions act on them by their exact
-differentials.  Frames and composable bases are stacked arrays, the format
-omega_gram takes.
+differentials.
 
 No finite difference is left.  Closedness is exact: d commutes with pullback,
 so d omega on the chart's coordinate frame needs only the first-order frame
@@ -33,11 +35,10 @@ from .core import char_poly, inverse, trace_form
 from .errors import (
     DegenerateChartError,
     DegenerateFormError,
-    InvalidTangentKindError,
     NotComposableError,
     ProjectionFailureError,
 )
-from .groupoid import TangentVector, _tangent_constraints
+from .groupoid import _tangent_constraints
 from .involutions import (
     apply_sigma,
     apply_theta,
@@ -50,11 +51,6 @@ from .stokes import build_M, dM_ds
 #: relative singular-value cutoffs
 CHARACTER_RANK_TOL = 1e-6  # Jacobian rank cutoff of character_system
 FIXED_CUTOFF = 1e-3  # below it a direction counts as involution-fixed
-
-
-def _stack(vecs):
-    """Tangent vectors as one array U of shape (m, 2, N, N), U[i] = (X_i, Y_i)."""
-    return np.array([(u.X, u.Y) for u in vecs], dtype=complex)
 
 
 def _slots(gi, a, ai, W):
@@ -80,11 +76,11 @@ def _K(P, Q):
 def omega_gram(g, a, U, V=None):
     """The matrix omega(U_i, V_j) at (g, a), by the formula in omega's docstring.
 
-    U and V are stacked tangent vectors as returned by _stack.  g and a are
-    inverted once and each trace term is one einsum over the stacks.  With
-    x = g^{-1} X, omega(u, v) = (K(u, v) - K(v, u)) / 2 (see _K).  Without V
-    the Gram of U with itself is (K - K^T) / 2, exactly antisymmetric with a
-    zero diagonal.
+    U and V are stacked tangents of shape (m, 2, N, N), U[i] = (X_i, Y_i).  g
+    and a are inverted once and each trace term is one einsum over the stacks.
+    With x = g^{-1} X, omega(u, v) = (K(u, v) - K(v, u)) / 2 (see _K).
+    Without V the Gram of U with itself is (K - K^T) / 2, exactly
+    antisymmetric with a zero diagonal.
     """
     gi = inverse(g)
     ai = inverse(a)
@@ -96,50 +92,36 @@ def omega_gram(g, a, U, V=None):
     return 0.5 * (_K(P, Q) - _K(Q, P).T)
 
 
-def omega(g, a, u, v):
-    """The 2-form at (g, a) on tangent pairs u = (X_u, Y_u), v = (X_v, Y_v).
+def omega(p, u, v):
+    """The 2-form at the point p on tangents u = (X_u, Y_u), v = (X_v, Y_v).
 
-    With x = g^{-1} X and the trace pairing ( , ):
+    With (g, a) = (p.B, p.A), x = g^{-1} X and the trace pairing ( , ):
       omega(u, v) = 1/2 [ (Ad_a x_u, x_v) - (Ad_a x_v, x_u)
                           + (x_u, a^{-1} Y_v + Y_v a^{-1})
                           - (x_v, a^{-1} Y_u + Y_u a^{-1}) ]
     """
-    return omega_gram(g, a, _stack([u]), _stack([v]))[0, 0]
-
-
-def omega_at(p, u, v):
-    """omega at a centralizer point."""
-    return omega(p.B, p.A, u, v)
+    return omega_gram(p.B, p.A, u[None], v[None])[0, 0]
 
 
 def unit_block_values(a, u, v):
-    """Closed-form value of omega at a unit, by tangent kind.
+    """Closed-form value of omega at the unit over a, for any two tangents there.
 
-    Fiber vectors carry xi = X (an algebra element); horizontal vectors
-    carry rho with Y = a rho.  The four blocks are
-      (H,H) -> 0, (F,F) -> 0, (H,F) -> -(eta, rho), (F,H) -> (xi, varrho).
+    At a unit g = I, so x = X, and the linearized commutation [X, a] + [g, Y]
+    = 0 of a tangent becomes [X, a] = 0.  Then Ad_a x = x, the first two
+    terms of omega cancel, and (X_u, Y_v a^{-1}) = (X_u, a^{-1} Y_v) because
+    X_u commutes with a^{-1}.  What is left is
+      omega(u, v) = (X_u, a^{-1} Y_v) - (X_v, a^{-1} Y_u).
+    On fiber vectors (X = xi, Y = 0) and horizontal ones (X = 0, Y = a rho)
+    it gives the four blocks (H,H) -> 0, (F,F) -> 0, (H,F) -> -(xi_v, rho_u)
+    and (F,H) -> (xi_u, rho_v).
     """
-    kinds = (u.kind, v.kind)
-    for k in kinds:
-        if k not in ("fiber", "horizontal"):
-            raise InvalidTangentKindError(f"unit blocks need fiber/horizontal tags, got {k!r}")
     ai = inverse(a)
-    if kinds == ("horizontal", "horizontal") or kinds == ("fiber", "fiber"):
-        return 0.0 + 0.0j
-    if kinds == ("horizontal", "fiber"):
-        eta = v.X
-        rho = ai @ u.Y
-        return -trace_form(eta, rho)
-    # ("fiber", "horizontal")
-    xi = u.X
-    varrho = ai @ v.Y
-    return trace_form(xi, varrho)
+    return trace_form(u[0], ai @ v[1]) - trace_form(v[0], ai @ u[1])
 
 
 def type_20_residual(p, u, v):
     """|omega(J u, v) - i omega(u, v)| with J the ambient complex structure."""
-    Ju = TangentVector(base=u.base, X=1j * u.X, Y=1j * u.Y, kind=u.kind)
-    return abs(omega_at(p, Ju, v) - 1j * omega_at(p, u, v))
+    return abs(omega(p, 1j * u, v) - 1j * omega(p, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -332,32 +314,18 @@ def closedness_residual(rs, p):
 # Gram matrices and nondegeneracy
 
 
-class TwoFormGram:
-    """Gram data of omega over a tangent basis at a point."""
-
-    def __init__(self, base, basis, gram, min_singular):
-        self.base = base
-        self.basis = basis
-        self.gram = gram
-        self.min_singular = min_singular
-
-    @property
-    def antisymmetry_residual(self):
-        return float(np.max(np.abs(self.gram + self.gram.T)))
-
-
-def gram_matrix(p, basis):
-    """Complex Gram of omega plus the realified minimum singular value.
+def gram_matrix(p, U):
+    """Complex Gram G of omega over stacked tangents U, and the realified
+    minimum singular value.
 
     The realified form is Re(omega) on the doubled basis (u_j, i u_j); omega
-    is complex bilinear, so its Gram is [[Re G, -Im G], [-Im G, -Re G]] for
-    the complex Gram G.  Its smallest singular value certifies nondegeneracy
-    of the complex form.
+    is complex bilinear, so its Gram is [[Re G, -Im G], [-Im G, -Re G]].
+    Its smallest singular value certifies nondegeneracy of the complex form.
+    Returns (G, min_singular).
     """
-    G = omega_gram(p.B, p.A, _stack(basis))
+    G = omega_gram(p.B, p.A, U)
     GR = np.block([[G.real, -G.imag], [-G.imag, -G.real]])
-    sv = np.linalg.svd(GR, compute_uv=False)
-    return TwoFormGram(base=p, basis=basis, gram=G, min_singular=float(sv[-1]))
+    return G, float(np.linalg.svd(GR, compute_uv=False)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -46,7 +46,7 @@ from ucgl.symplectic import (
     gram_matrix,
     involution_pullback_residual,
     multiplicativity_residual,
-    omega_at,
+    omega,
     poisson_bracket_residual,
     real_form_checks,
     unit_block_values,
@@ -211,8 +211,8 @@ def test_criterion_07_unit_block_oracle(roots):
             uH = horizontal_vector_at_unit(rs, u0, rand_s(rng, n))
             vH = horizontal_vector_at_unit(rs, u0, rand_s(rng, n))
             for a, b in ((uF, vF), (uH, vH), (uF, vH), (uH, vF)):
-                blocks = max(blocks, abs(omega_at(u0, a, b) - unit_block_values(A, a, b)))
-            eps_zero = max(eps_zero, abs(omega_at(u0, uH, vH)))
+                blocks = max(blocks, abs(omega(u0, a, b) - unit_block_values(A, a, b)))
+            eps_zero = max(eps_zero, abs(omega(u0, uH, vH)))
     ok = blocks < 1e-11 and eps_zero < 1e-12
     msg = _line(7, "unit-block closed forms", ok,
                 f"block residual {blocks:.2e} (tol 1e-11), "
@@ -267,7 +267,7 @@ def test_criterion_10_nondegeneracy(roots):
             s = semisimple_s(rs, rng)
             A = build_M(rs, s)
             p = unit(rs, A) if i % 2 == 0 else random_point(rs, rng, A)
-            min_sing = min(min_sing, gram_matrix(p, tangent_space(rs, p)).min_singular)
+            min_sing = min(min_sing, gram_matrix(p, tangent_space(rs, p))[1])
     ok = min_sing > 1e-6
     msg = _line(10, "nondegeneracy", ok, f"min Gram singular value {min_sing:.2e} (> 1e-6)")
     assert ok, msg
@@ -331,7 +331,7 @@ def test_criterion_13_integrable_system(roots):
             cf, ce = rand_s(rng, n), rand_s(rng, n)
             uF = fiber_vector(p, sum(cf[k] * traceless[k] for k in range(n)))
             vF = fiber_vector(p, sum(ce[k] * traceless[k] for k in range(n)))
-            isotropy = max(isotropy, abs(omega_at(p, uF, vF)))
+            isotropy = max(isotropy, abs(omega(p, uF, vF)))
             for i in range(1, n + 1):
                 for j in range(i + 1, n + 1):
                     poisson = max(poisson, poisson_bracket_residual(rs, i, j, p))

@@ -109,6 +109,14 @@ def test_cli_sample_slocal(tmp_path):
         assert B.shape == (2, 2)
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_sample_count_below_one_is_a_usage_error(capsys, count):
+    assert main(["sample-slocal", "--n", "1", "--seed", "4", "--count", str(count)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def _raise_precondition(rs, rng, samples=100):
     raise PreconditionError("det B differs from 1 beyond tolerance")
 

@@ -158,11 +158,12 @@ def test_tangent_space_dimension(roots, n):
     rng = np.random.default_rng(900 + n)
     for _ in range(10):
         p = random_point(rs, rng)
-        vecs = tangent_space(rs, p)
-        assert len(vecs) == 2 * n
-        for v in vecs:
-            if v.kind == "fiber":
-                assert np.max(np.abs(v.Y)) < 1e-8
+        U = tangent_space(rs, p)
+        assert len(U) == 2 * n and U.shape[1:] == (2, n + 1, n + 1)
+        # every row satisfies the linearized constraints
+        X, Y = U[:, 0], U[:, 1]
+        assert np.max(np.abs(X @ p.A - p.A @ X + p.B @ Y - Y @ p.B)) < 1e-10
+        assert np.max(np.abs(np.trace(np.linalg.inv(p.B) @ X, axis1=1, axis2=2))) < 1e-10
 
 
 def test_tangent_space_unit_example(roots):
@@ -172,18 +173,18 @@ def test_tangent_space_unit_example(roots):
     p = unit(rs, A)
     dM = dM_ds(rs, p.s)
     assert np.allclose(dM[0], [[0, 0], [0, -1]])
-    vecs = tangent_space(rs, p)
-    assert len(vecs) == 2
+    U = tangent_space(rs, p)
+    assert len(U) == 2
     # the explicit fiber and horizontal directions satisfy the constraints
     uF = fiber_vector(p, st1.PiHat)
     uH = horizontal_vector_at_unit(rs, p, np.array([1.0 + 0j]))
-    for u in (uF, uH):
-        res = np.max(np.abs(u.X @ A - A @ u.X + p.B @ u.Y - u.Y @ p.B))
+    for X, Y in (uF, uH):
+        res = np.max(np.abs(X @ A - A @ X + p.B @ Y - Y @ p.B))
         assert res < 1e-12
-        assert abs(np.trace(np.linalg.inv(p.B) @ u.X)) < 1e-12
+        assert abs(np.trace(np.linalg.inv(p.B) @ X)) < 1e-12
     # and they lie in the span of the computed kernel basis
-    K = np.array([np.concatenate([v.X.ravel(), v.Y.ravel()]) for v in vecs]).T
+    K = U.reshape(len(U), -1).T
     for u in (uF, uH):
-        w = np.concatenate([u.X.ravel(), u.Y.ravel()])
+        w = u.ravel()
         coef, *_ = np.linalg.lstsq(K, w, rcond=None)
         assert np.max(np.abs(K @ coef - w)) < 1e-9

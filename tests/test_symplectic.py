@@ -3,9 +3,8 @@ import pytest
 from scipy.linalg import expm_frechet
 
 from ucgl.core import char_poly, structural_matrices
-from ucgl.errors import InvalidTangentKindError, NotComposableError
+from ucgl.errors import NotComposableError
 from ucgl.groupoid import (
-    TangentVector,
     centralizer_basis,
     fiber_vector,
     horizontal_vector_at_unit,
@@ -26,7 +25,7 @@ from ucgl.symplectic import (
     gram_matrix,
     involution_pullback_residual,
     multiplicativity_residual,
-    omega_at,
+    omega,
     omega_gram,
     poisson_bracket_residual,
     real_form_checks,
@@ -53,14 +52,14 @@ def test_unit_block_hand_values(roots):
     E01 = np.zeros((2, 2), dtype=complex)
     E01[0, 1] = 1.0
     uF = fiber_vector(u0, st1.PiHat)
-    vH = TangentVector(base=u0, X=np.zeros((2, 2)), Y=A @ E01, kind="horizontal")
+    vH = np.array([np.zeros((2, 2)), A @ E01], dtype=complex)
     assert unit_block_values(A, uF, vH) == pytest.approx(-1.0)
     assert unit_block_values(A, vH, uF) == pytest.approx(1.0)
     assert unit_block_values(A, uF, uF) == 0.0
     assert unit_block_values(A, vH, vH) == 0.0
     # the direct evaluation must reproduce the closed forms
-    assert abs(omega_at(u0, uF, vH) - (-1.0)) < 1e-12
-    assert abs(omega_at(u0, uF, uF)) == 0.0
+    assert abs(omega(u0, uF, vH) - (-1.0)) < 1e-12
+    assert abs(omega(u0, uF, uF)) == 0.0
 
 
 def test_unit_block_oracle_random(roots):
@@ -72,16 +71,30 @@ def test_unit_block_oracle_random(roots):
             uF, uH = random_unit_tangents(rs, rng, u0)
             vF, vH = random_unit_tangents(rs, rng, u0)
             for a, b in ((uF, vF), (uH, vH), (uF, vH), (uH, vF)):
-                assert abs(omega_at(u0, a, b) - unit_block_values(u0.A, a, b)) < 1e-11
-            assert abs(omega_at(u0, uH, vH)) < 1e-12  # pullback by the unit map vanishes
+                assert abs(omega(u0, a, b) - unit_block_values(u0.A, a, b)) < 1e-11
+            assert abs(omega(u0, uH, vH)) < 1e-12  # pullback by the unit map vanishes
 
 
-def test_unit_block_requires_tags(roots):
-    rs = roots[1]
-    u0 = unit(rs, build_M(rs, np.array([0.3 + 0j])))
-    v = TangentVector(base=u0, X=np.eye(2), Y=np.zeros((2, 2)), kind="general")
-    with pytest.raises(InvalidTangentKindError):
-        unit_block_values(u0.A, v, v)
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_unit_closed_form_on_tangent_basis(roots, n):
+    """The closed form equals omega on every pair of a full tangent basis at
+    a unit, general kernel vectors included, and misses it off the units."""
+    rs = roots[n]
+    rng = np.random.default_rng(2300 + n)
+
+    def both(p):
+        U = tangent_space(rs, p)
+        G = np.array([[omega(p, u, v) for v in U] for u in U])
+        closed = np.array([[unit_block_values(p.A, u, v) for v in U] for u in U])
+        return G, np.max(np.abs(closed - G))
+
+    misses = []
+    for _ in range(10):
+        G, miss = both(unit(rs, build_M(rs, rand_s(rng, n))))
+        assert miss <= 1e-12 * np.max(np.abs(G))
+        misses.append(both(random_point(rs, rng))[1])
+    # negative control: away from the units the formula is wrong
+    assert min(misses) > 1e-3
 
 
 def test_omega_antisymmetry(roots):
@@ -90,10 +103,10 @@ def test_omega_antisymmetry(roots):
     p = random_point(rs, rng)
     vecs = tangent_space(rs, p)
     for u in vecs:
-        assert omega_at(p, u, u) == 0
+        assert omega(p, u, u) == 0
     for u in vecs:
         for v in vecs:
-            assert abs(omega_at(p, u, v) + omega_at(p, v, u)) < 1e-12
+            assert abs(omega(p, u, v) + omega(p, v, u)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -218,11 +231,11 @@ def test_gram_unit_example(roots):
     st1 = structural_matrices(1)
     uF = fiber_vector(u0, st1.PiHat)
     uH = horizontal_vector_at_unit(rs, u0, np.array([1.0 + 0j]))
-    g = gram_matrix(u0, [uF, uH])
-    assert g.antisymmetry_residual < 1e-12
-    assert abs(g.gram[0, 0]) == 0 and abs(g.gram[1, 1]) == 0
-    assert abs(abs(g.gram[0, 1]) - 1.0) < 1e-12
-    assert g.min_singular > 1e-6
+    G, min_singular = gram_matrix(u0, np.array([uF, uH]))
+    assert np.array_equal(G, -G.T)
+    assert abs(G[0, 0]) == 0 and abs(G[1, 1]) == 0
+    assert abs(abs(G[0, 1]) - 1.0) < 1e-12
+    assert min_singular > 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -233,7 +246,7 @@ def test_nondegeneracy(roots, n):
         A = build_M(rs, semisimple_s(rs, rng))  # keep eigenvalues well separated
         p = unit(rs, A) if i % 2 == 0 else random_point(rs, rng, A)
         basis = tangent_space(rs, p)
-        assert gram_matrix(p, basis).min_singular > 1e-6
+        assert gram_matrix(p, basis)[1] > 1e-6
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -279,7 +292,7 @@ def test_fiber_isotropy_and_type(roots):
         cf, ce = rand_s(rng, n), rand_s(rng, n)
         uF = fiber_vector(p, sum(cf[k] * traceless[k] for k in range(n)))
         vF = fiber_vector(p, sum(ce[k] * traceless[k] for k in range(n)))
-        assert abs(omega_at(p, uF, vF)) < 1e-9
+        assert abs(omega(p, uF, vF)) < 1e-9
         assert type_20_residual(p, uF, vF) < 1e-10
 
 
