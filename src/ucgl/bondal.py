@@ -28,7 +28,6 @@ class BondalPoint:
 
 def _unit_upper(A, tol):
     A = np.asarray(A, dtype=complex)
-    N = A.shape[0]
     if np.max(np.abs(np.diag(A) - 1.0)) > tol:
         return False
     low = np.tril(A, -1)
@@ -79,16 +78,12 @@ def embed_slocal(rs, p):
 def triangularizing_permutation(A, tol=1e-9):
     """A permutation making P A P^T unit-diagonal upper triangular, if one exists.
 
-    Brute force over all permutations (sizes here are at most 5); returns the
-    permutation tuple or None.  Used to probe, not assert, triangularity of
-    embedded bases.
+    P has a one at (i, perm[i]), so P A P^T is A[perm][:, perm].  Brute force
+    over all permutations (sizes here are at most 5); returns the permutation
+    tuple or None.  Used to probe, not assert, triangularity of embedded bases.
     """
     A = np.asarray(A, dtype=complex)
-    N = A.shape[0]
-    for perm in itertools.permutations(range(N)):
-        P = np.zeros((N, N))
-        for i, j in enumerate(perm):
-            P[i, j] = 1.0
-        if _unit_upper(P @ A @ P.T, tol):
+    for perm in itertools.permutations(range(A.shape[0])):
+        if _unit_upper(A[np.ix_(perm, perm)], tol):
             return perm
     return None

@@ -32,11 +32,13 @@ def _build_parser():
     p.add_argument("--budget", type=float, default=60.0)
     p.add_argument("--out", type=str, default=None)
 
+    # unset flags stay None, so the config file or run_suite's defaults
+    # (suite all, seed 42, samples 100) apply
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--n", type=int, default=None, help="rank; required unless the config sets n")
+    p.add_argument("--suite", choices=SUITES + ("all",), default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--samples", type=int, default=None)
     p.add_argument("--format", choices=("json", "md"), default="json")
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--config", type=str, default=None,
@@ -80,13 +82,13 @@ def _load_config(path):
     return config
 
 
-def cmd_verify(args, argv):
+def cmd_verify(args):
     config = _load_config(args.config) if args.config else {}
-    # explicit flags override the config file
-    explicit = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
     for key in ("n", "suite", "seed", "samples"):
-        if key not in config or key in explicit:
+        if getattr(args, key) is not None:
             config[key] = getattr(args, key)
+    if "n" not in config:
+        raise UcglError("no rank: pass --n or set n in the config file")
     try:
         report = run_suite(config)
     except SearchFailureError as exc:
@@ -123,14 +125,12 @@ def cmd_sample_slocal(args):
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "derive-roots":
             return cmd_derive_roots(args)
         if args.command == "verify":
-            return cmd_verify(args, argv)
+            return cmd_verify(args)
         return cmd_sample_slocal(args)
     except UcglError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -103,8 +103,11 @@ def alpha_symmetry_residual(kind, inp, require_antisymmetric=True):
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def random_antisymmetric_input(n, rng, x=None, zeta=None):
-    """Draw a TodaInput with anti-symmetric w, v from a numpy Generator."""
+def random_antisymmetric_input(n, rng):
+    """Draw a TodaInput with anti-symmetric w, v from a numpy Generator.
+
+    Draws w, v, then x, then zeta (moved off the pole when |zeta| < 1e-3).
+    """
     half = (n + 1) // 2
     w = np.zeros(n + 1)
     v = np.zeros(n + 1)
@@ -112,10 +115,8 @@ def random_antisymmetric_input(n, rng, x=None, zeta=None):
     v[:half] = rng.standard_normal(half)
     w = 0.5 * (w - w[::-1])
     v = 0.5 * (v - v[::-1])
-    if x is None:
-        x = float(np.exp(rng.standard_normal() * 0.3))
-    if zeta is None:
-        zeta = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        if abs(zeta) < 1e-3:
-            zeta += 1.0
+    x = float(np.exp(rng.standard_normal() * 0.3))
+    zeta = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    if abs(zeta) < 1e-3:
+        zeta += 1.0
     return TodaInput(n=n, w=w, v=v, x=x, zeta=zeta)

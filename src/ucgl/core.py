@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import InvalidDimensionError, SingularMatrixError
 
-#: default threshold below which a determinant counts as zero
+#: threshold below which a determinant counts as zero
 DET_EPS = 1e-12
 
 
@@ -29,25 +29,22 @@ class StructuralSet:
     """The constant matrices attached to rank n (matrix size n+1).
 
     Pi is the cyclic shift with ones on the superdiagonal and a one in the
-    lower-left corner; PiHat flips the sign of its last row.  Omega is the
-    DFT-style Vandermonde matrix in the primitive (n+1)-th root of unity,
-    which diagonalizes Pi.  Delta is the anti-diagonal flip, C fixes index 0
-    and reverses the rest, Ctilde twists C by diag(1,-1,...,-1).  delta_perm
-    is the index rotation i -> i-1 mod n+1.
+    lower-left corner; PiHat flips the sign of its last row.  cyclic is the
+    section's cyclic factor: PiHat at odd n, Pi at even n (the same array).
+    d is the diagonal of powers of the primitive (n+1)-th root of unity
+    omega_root.  Delta is the anti-diagonal flip, C fixes index 0 and
+    reverses the rest, Ctilde twists C by diag(1,-1,...,-1).
     """
 
     n: int
     omega_root: complex
     Pi: np.ndarray
     PiHat: np.ndarray
-    Omega: np.ndarray
+    cyclic: np.ndarray
     d: np.ndarray
-    dHalf: np.ndarray
     Delta: np.ndarray
     C: np.ndarray
     Ctilde: np.ndarray
-    delta_perm: tuple
-    rank: int
 
 
 def structural_matrices(n):
@@ -70,33 +67,25 @@ def _structural_set(n):
         Pi[i, i + 1] = 1.0
     Pi[n, 0] = 1.0
     PiHat = np.diag([1.0] * n + [-1.0]).astype(complex) @ Pi
-    ii, jj = np.meshgrid(np.arange(N), np.arange(N), indexing="ij")
-    Omega = om ** (ii * jj)
     d = np.diag(om ** np.arange(N))
-    # principal square root e^{pi i/(n+1)} of the primitive root
-    dHalf = np.diag(np.exp(1j * np.pi * np.arange(N) / N))
     Delta = np.fliplr(np.eye(N)).astype(complex)
     C = np.zeros((N, N), dtype=complex)
     C[0, 0] = 1.0
     for i in range(1, N):
         C[i, N - i] = 1.0
     Ctilde = np.diag([1.0] + [-1.0] * n).astype(complex) @ C
-    delta_perm = tuple((i - 1) % N for i in range(N))
-    for arr in (Pi, PiHat, Omega, d, dHalf, Delta, C, Ctilde):
+    for arr in (Pi, PiHat, d, Delta, C, Ctilde):
         arr.flags.writeable = False
     return StructuralSet(
         n=n,
         omega_root=om,
         Pi=Pi,
         PiHat=PiHat,
-        Omega=Omega,
+        cyclic=PiHat if n % 2 == 1 else Pi,
         d=d,
-        dHalf=dHalf,
         Delta=Delta,
         C=C,
         Ctilde=Ctilde,
-        delta_perm=delta_perm,
-        rank=n,
     )
 
 
@@ -123,15 +112,15 @@ def _adjugate_inverse(A, det):
     return adj / det
 
 
-def inverse(M, det_eps=DET_EPS):
+def inverse(M):
     """Matrix inverse: adjugate formulas up to 3x3, LU factorization above.
 
-    Raises SingularMatrixError when |det| falls below det_eps.
+    Raises SingularMatrixError when |det| falls below DET_EPS.
     """
     A = _as_matrix(M)
     det = np.linalg.det(A)
-    if abs(det) < det_eps:
-        raise SingularMatrixError(f"|det| = {abs(det):.3e} below {det_eps:.1e}")
+    if abs(det) < DET_EPS:
+        raise SingularMatrixError(f"|det| = {abs(det):.3e} below {DET_EPS:.1e}")
     if A.shape[0] <= 3:
         return _adjugate_inverse(A, det)
     return np.linalg.solve(A, np.eye(A.shape[0], dtype=complex))
@@ -168,11 +157,11 @@ def char_poly(M):
     return coeffs_desc[..., ::-1].copy()
 
 
-def is_regular(M, tol=1e-8):
+def is_regular(M):
     """Whether M is regular: {I, M, ..., M^n} spans an (n+1)-dimensional space.
 
     Numerical rank of the flattened power stack with singular-value cutoff
-    tol times the largest singular value.
+    1e-8 times the largest singular value.
     """
     A = _as_matrix(M)
     N = A.shape[0]
@@ -182,7 +171,7 @@ def is_regular(M, tol=1e-8):
         rows.append(P.ravel())
         P = P @ A
     sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    rank = int(np.sum(sv > tol * sv[0]))
+    rank = int(np.sum(sv > 1e-8 * sv[0]))
     return rank == N
 
 

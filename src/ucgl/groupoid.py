@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import null_space
 
-from .core import determinant, inverse, is_regular
+from .core import inverse, is_regular
 from .errors import (
     DegenerateSampleError,
     DegenerateTangentError,
@@ -18,11 +18,14 @@ from .errors import (
     NotRegularError,
     PreconditionError,
 )
-from .involutions import F_sigma, F_theta, GroupoidPoint, make_point
+from .involutions import POINT_TOL, F_sigma, F_theta, GroupoidPoint, make_point
 from .stokes import build_M, dM_ds, rand_palindromic_s, rand_s, section_membership
 
 #: base-equality tolerance for composability
 BASE_TOL = 1e-10
+
+#: relative singular-value cutoff of the tangent kernels
+KERNEL_CUTOFF = 1e-8
 
 
 @dataclass(frozen=True)
@@ -33,23 +36,21 @@ class ComposablePair:
     q: GroupoidPoint
 
 
-def make_pair(p, q, tol=BASE_TOL):
-    if np.max(np.abs(p.A - q.A)) > tol:
+def make_pair(p, q):
+    if np.max(np.abs(p.A - q.A)) > BASE_TOL:
         raise NotComposableError("bases differ beyond tolerance")
     return ComposablePair(p=p, q=q)
 
 
-def z_membership(rs, B, A, tol=1e-9):
-    """Whether (B, A) is a point: commutation, det 1, section membership."""
-    B = np.asarray(B, dtype=complex)
-    A = np.asarray(A, dtype=complex)
-    if B.shape != A.shape:
+def z_membership(rs, B, A, tol=POINT_TOL):
+    """Whether (B, A) is a point: whether make_point accepts it at tol."""
+    if np.shape(B) != np.shape(A):
         raise PreconditionError("shape mismatch")
-    if np.max(np.abs(B @ A - A @ B)) > tol:
+    try:
+        make_point(rs, B, A, tol)
+    except PreconditionError:
         return False
-    if abs(determinant(B) - 1.0) > tol:
-        return False
-    return section_membership(rs, A, tol)["in_section"]
+    return True
 
 
 def source(p):
@@ -75,14 +76,14 @@ def groupoid_compose(rs, pair):
     return make_point(rs, pair.p.B @ pair.q.B, pair.p.A, tol=1e-7)
 
 
-def centralizer_basis(A, tol=1e-8):
+def centralizer_basis(A):
     """Bases of the commutant of a regular A.
 
     Returns (powers, traceless): the group-level basis {I, A, ..., A^n} and
     the traceless algebra basis {A^j - (Tr A^j/(n+1)) I, j = 1..n}.
     """
     A = np.asarray(A, dtype=complex)
-    if not is_regular(A, tol):
+    if not is_regular(A):
         raise NotRegularError("centralizer basis needs a regular element")
     N = A.shape[0]
     I = np.eye(N, dtype=complex)
@@ -104,14 +105,17 @@ def commuting_combination(A, c):
     return lam * B0
 
 
-def sample_commuting(A, seed, max_retries=20):
-    """Draw a det-1 element of the centralizer of a regular A, deterministically."""
+def sample_commuting(A, seed):
+    """Draw a det-1 element of the centralizer of a regular A, deterministically.
+
+    Up to 20 coefficient draws; each singular combination is drawn again.
+    """
     A = np.asarray(A, dtype=complex)
     if not is_regular(A):
         raise NotRegularError("sampling needs a regular base")
     rng = np.random.default_rng(seed)
     N = A.shape[0]
-    for _ in range(max_retries):
+    for _ in range(20):
         c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
         try:
             return commuting_combination(A, c)
@@ -175,21 +179,21 @@ def _tangent_constraints(p, dM):
     return LX, LY, inverse(p.B).T.reshape(1, -1)
 
 
-def tangent_space(rs, p, tol=1e-8):
+def tangent_space(rs, p):
     """Numerical-kernel basis of the tangent space at p, shape (2n, 2, N, N).
 
     Row i is the tangent (X_i, Y_i): X varies B, Y varies A.  The constraints
     linearize to ([X, A] + [B, Y(sdot)], Tr(B^{-1} X)) = 0 where Y(sdot) is
     the analytic derivative of the section element.  The kernel is computed
-    by SVD with cutoff tol * (largest singular value) and has complex
-    dimension 2n at regular points; a different dimension raises
+    by SVD with cutoff KERNEL_CUTOFF times the largest singular value and has
+    complex dimension 2n at regular points; a different dimension raises
     DegenerateTangentError.
     """
     n = rs.n
     N = n + 1
     dM = dM_ds(rs, p.s)
     LX, LY, tr = _tangent_constraints(p, dM)
-    kern = null_space(np.block([[LX, LY], [tr, np.zeros((1, n))]]), rcond=tol).T
+    kern = null_space(np.block([[LX, LY], [tr, np.zeros((1, n))]]), rcond=KERNEL_CUTOFF).T
     if len(kern) != 2 * n:
         raise DegenerateTangentError(f"kernel dimension {len(kern)}, expected {2 * n}")
     X = kern[:, : N * N].reshape(-1, N, N)

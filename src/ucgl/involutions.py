@@ -138,32 +138,24 @@ def point_distance(p, q):
 
 
 def slocal_membership(rs, p, tol=POINT_TOL):
-    """Membership of the joint fixed set, checked two independent ways.
+    """Membership of the joint fixed set of sigma and theta.
 
-    fixed_route applies both involutions and compares with the input;
-    direct_route evaluates the literal matrix identities on B and A with the
-    twists at the input parameters.  c_reality reports whether B conj(B) = I
-    holds; it is a diagnostic, never a membership requirement.
+    sigma(p) and theta(p) are computed once, with the twists at the input
+    parameters.  fixed_route asks that each image lie within tol of p;
+    direct_route asks the same of the largest of the four matrix residuals
+    |F B^{-T} F^{-1} - B|, |F A^{-T} F^{-1} - A|, |G conj(B) G^{-1} - B| and
+    |G conj(A)^{-1} G^{-1} - A|.  Both read the same four numbers, so they
+    agree (a NaN residual aside); they are not independent checks.
+    c_reality reports whether B conj(B) = I holds; it is a diagnostic, never
+    a membership requirement.
     """
     sp = apply_sigma(rs, p, tol=np.inf)
     tp = apply_theta(rs, p, tol=np.inf)
-    fixed_route = point_distance(sp, p) < tol and point_distance(tp, p) < tol
-
-    F = F_sigma(rs, p.s)
-    G = F_theta(rs, p.s)
-    Fi, Gi = inverse(F), inverse(G)
-    res = max(
-        np.max(np.abs(F @ inverse(p.B).T @ Fi - p.B)),
-        np.max(np.abs(F @ inverse(p.A).T @ Fi - p.A)),
-        np.max(np.abs(G @ np.conj(p.B) @ Gi - p.B)),
-        np.max(np.abs(G @ inverse(np.conj(p.A)) @ Gi - p.A)),
-    )
-    direct_route = bool(res < tol)
-    c_reality = bool(
-        np.max(np.abs(p.B @ np.conj(p.B) - np.eye(p.B.shape[0]))) < tol
-    )
+    pairs = ((sp.B, p.B), (sp.A, p.A), (tp.B, p.B), (tp.A, p.A))
+    res = [np.max(np.abs(X - Y)) for X, Y in pairs]
+    c_reality = np.max(np.abs(p.B @ np.conj(p.B) - np.eye(p.B.shape[0]))) < tol
     return {
-        "fixed_route": bool(fixed_route),
-        "direct_route": direct_route,
-        "c_reality": c_reality,
+        "fixed_route": bool(max(res[:2]) < tol and max(res[2:]) < tol),
+        "direct_route": bool(max(res) < tol),
+        "c_reality": bool(c_reality),
     }

@@ -106,21 +106,19 @@ class VerificationReport:
     def all_passed(self):
         return all(c.passed for c in self.checks)
 
-    def to_dict(self, include_timing=True):
-        d = {
+    def to_dict(self):
+        return {
             "n": self.n,
             "seed": self.seed,
             "suite": self.suite,
             "checks": [c.to_dict() for c in sorted(self.checks, key=lambda c: c.name)],
             "root_sets": self.root_sets,
             "all_pass": self.all_passed,
+            "timing": self.timing,
         }
-        if include_timing:
-            d["timing"] = self.timing
-        return d
 
-    def to_json(self, include_timing=True):
-        return json.dumps(self.to_dict(include_timing), sort_keys=True, indent=2)
+    def to_json(self):
+        return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def to_markdown(self):
         lines = [
@@ -175,7 +173,7 @@ def _fiber_vector(p, traceless, rng):
 # suites: trial functions plus a tolerance table
 
 
-def suite_connection(rs, rng, samples=100):
+def suite_connection(rs, rng, samples):
     n = rs.n
 
     def symmetric(_):
@@ -196,7 +194,7 @@ def suite_connection(rs, rng, samples=100):
         _control(runs, "connection.negative_control", 1e-3, 1e-9)]
 
 
-def suite_stokes(rs, rng, samples=100):
+def suite_stokes(rs, rng, samples):
     n = rs.n
     sign = -1.0 if n % 2 == 1 else 1.0
 
@@ -239,7 +237,7 @@ def suite_stokes(rs, rng, samples=100):
     return checks
 
 
-def suite_involutions(rs, rng, samples=100):
+def suite_involutions(rs, rng, samples):
     def laws(_):
         p = random_point(rs, rng)
         sp, tp = apply_sigma(rs, p), apply_theta(rs, p)
@@ -281,7 +279,7 @@ def suite_involutions(rs, rng, samples=100):
     }) + [Check("involutions.route_equivalence", samples, float(sum(runs["disagreements"])), 0.5)]
 
 
-def suite_groupoid(rs, rng, samples=100):
+def suite_groupoid(rs, rng, samples):
     n = rs.n
 
     def compose(p, q):
@@ -323,7 +321,7 @@ def suite_groupoid(rs, rng, samples=100):
     })
 
 
-def suite_symplectic(rs, rng, samples=100):
+def suite_symplectic(rs, rng, samples):
     n = rs.n
 
     def unit_blocks(_):
@@ -415,7 +413,7 @@ def suite_symplectic(rs, rng, samples=100):
     ]
 
 
-def suite_bondal(rs, rng, samples=100):
+def suite_bondal(rs, rng, samples):
     N = rs.n + 1
     I = np.eye(N, dtype=complex)
 
@@ -451,7 +449,7 @@ def suite_bondal(rs, rng, samples=100):
               details={"triangularizing_permutations": sorted(set(runs["perms"]))})]
 
 
-def suite_slocal_experiment(rs, rng, samples=100):
+def suite_slocal_experiment(rs, rng, samples):
     def reality(_):
         B = random_slocal_point(rs, rng).B
         return {"hits": _sup(B @ np.conj(B) - np.eye(rs.n + 1)) < 1e-8}
@@ -474,12 +472,21 @@ SUITES = tuple(_SUITE_FUNCS)
 
 
 def _setting(config, key, kind, default=None):
-    """config[key], or default when it is absent, converted by kind."""
+    """config[key], or default when it is absent, converted by kind.
+
+    A bool, or a number that kind would change (2.7 as an int), is refused
+    rather than truncated.
+    """
     value = config.get(key, default)
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise UcglError(f"config key {key!r} must be {kind.__name__}, got {value!r}") from None
+        converted = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        converted = None
+    if converted is None or isinstance(value, bool) or (
+        isinstance(value, float) and converted != value
+    ):
+        raise UcglError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    return converted
 
 
 def run_suite(config):

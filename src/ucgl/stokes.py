@@ -55,19 +55,9 @@ class RootSetData:
     """
 
     n: int
-    parity: str
     R1: frozenset
     R1p: frozenset
     survivor_count: int
-
-    def sign_table(self):
-        """Map (i,j) -> (coefficient, parameter index) over all ordered pairs."""
-        table = {}
-        for i in range(self.n + 1):
-            for j in range(self.n + 1):
-                if i != j:
-                    table[(i, j)] = sign_coeff(i, j, self.n)
-        return table
 
 
 def sign_coeff(i, j, n):
@@ -112,8 +102,7 @@ def build_Q(rs, k_num, s, route="roots"):
     s = np.asarray(s, dtype=complex)
     on_R1, m = _chain_base(n, k_num)
     if route == "shift":
-        st = structural_matrices(n)
-        P = st.PiHat if n % 2 == 1 else st.Pi
+        P = structural_matrices(n).cyclic
         Pm = np.linalg.matrix_power(P, m) if m >= 0 else np.linalg.matrix_power(inverse(P), -m)
         Q0 = build_Q(rs, N if on_R1 else N + 1, s, route="roots")
         return Pm @ Q0 @ inverse(Pm)
@@ -127,10 +116,8 @@ def build_Q(rs, k_num, s, route="roots"):
 
 def build_M(rs, s):
     """The section element: product of the two base Stokes factors and the cyclic twist."""
-    st = structural_matrices(rs.n)
-    P = st.PiHat if rs.n % 2 == 1 else st.Pi
     N = rs.n + 1
-    return build_Q(rs, N, s) @ build_Q(rs, N + 1, s) @ P
+    return build_Q(rs, N, s) @ build_Q(rs, N + 1, s) @ structural_matrices(rs.n).cyclic
 
 
 def build_S(rs, m, s):
@@ -167,12 +154,15 @@ def rand_palindromic_s(rng, n):
     return np.concatenate([half, half[: n // 2][::-1]]).astype(complex)
 
 
-def semisimple_s(rs, rng, gap=1e-2, tries=50):
-    """Random s whose section element has pairwise eigenvalue gaps above gap."""
-    for _ in range(tries):
+def semisimple_s(rs, rng):
+    """Random s whose section element has pairwise eigenvalue gaps of at least 1e-2.
+
+    Draws up to 50 times before giving up.
+    """
+    for _ in range(50):
         s = rand_s(rng, rs.n)
         lam = np.roots(char_poly(build_M(rs, s))[::-1])
-        if all(abs(a - b) >= gap for a, b in itertools.combinations(lam, 2)):
+        if all(abs(a - b) >= 1e-2 for a, b in itertools.combinations(lam, 2)):
             return s
     raise DegenerateSampleError("could not find a well-separated spectrum")
 
@@ -217,8 +207,7 @@ def dM_ds(rs, s):
     """
     n = rs.n
     N = n + 1
-    st = structural_matrices(n)
-    P = st.PiHat if n % 2 == 1 else st.Pi
+    P = structural_matrices(n).cyclic
     return factor_product_derivative(rs, (N, N + 1, P), s, np.eye(n, dtype=complex))
 
 
@@ -226,19 +215,17 @@ def dM_ds(rs, s):
 # constrained search
 
 
-def _candidate_passes(R1, R1p, n, rng, npts, tol=SEARCH_TOL):
+def _candidate_passes(R1, R1p, n, rng, npts):
     """Check the four closure constraints at npts random parameter vectors."""
     from .involutions import F_sigma, F_theta  # deferred: involutions imports us
 
-    cand = RootSetData(n=n, parity="odd" if n % 2 else "even", R1=R1, R1p=R1p,
-                       survivor_count=0)
-    st = structural_matrices(n)
-    P = st.PiHat if n % 2 == 1 else st.Pi
+    cand = RootSetData(n=n, R1=R1, R1p=R1p, survivor_count=0)
+    P = structural_matrices(n).cyclic
     for _ in range(npts):
         s = rand_s(rng, n)
         M = build_M(cand, s)
         # (a) characteristic-polynomial identity
-        if np.max(np.abs(stokes_params_of(M) - s)) > tol:
+        if np.max(np.abs(stokes_params_of(M) - s)) > SEARCH_TOL:
             return False
         # (b) closure under the parameter-reversing involution
         Fs = F_sigma(cand, s)
@@ -321,7 +308,7 @@ def _screen_chunk(start, stop, s):
     n = len(s)
     N = n + 1
     st = structural_matrices(n)
-    P = st.PiHat if n % 2 == 1 else st.Pi
+    P = st.cyclic
 
     def section(cand, x):
         return _stacked_Q(*cand, N, x) @ _stacked_Q(*cand, N + 1, x) @ P
@@ -426,13 +413,7 @@ def derive_root_sets(n, time_budget=60.0, cache_dir=None, force=False):
     if not survivors:
         raise SearchFailureError(f"no root-set candidate survived at rank {n}")
     best = min(survivors, key=_transposed_lex_key)
-    rs = RootSetData(
-        n=n,
-        parity="odd" if n % 2 == 1 else "even",
-        R1=best[0],
-        R1p=best[1],
-        survivor_count=len(survivors),
-    )
+    rs = RootSetData(n=n, R1=best[0], R1p=best[1], survivor_count=len(survivors))
     _memo[n] = rs
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
@@ -451,10 +432,8 @@ def root_sets_to_dict(rs):
 
 
 def root_sets_from_dict(data):
-    n = int(data["n"])
     return RootSetData(
-        n=n,
-        parity="odd" if n % 2 == 1 else "even",
+        n=int(data["n"]),
         R1=frozenset(tuple(p) for p in data["R1"]),
         R1p=frozenset(tuple(p) for p in data["R1p"]),
         survivor_count=int(data["survivor_count"]),

@@ -38,7 +38,7 @@ from .errors import (
     NotComposableError,
     ProjectionFailureError,
 )
-from .groupoid import _tangent_constraints
+from .groupoid import KERNEL_CUTOFF, _tangent_constraints
 from .involutions import (
     apply_sigma,
     apply_theta,
@@ -128,13 +128,14 @@ def type_20_residual(p, u, v):
 # composable tangent pairs and multiplicativity
 
 
-def composable_tangent_basis(rs, pair, tol=1e-8):
+def composable_tangent_basis(rs, pair):
     """Kernel basis of the tangent space to the set of composable pairs.
 
     Unknowns (X1, X2, sdot) with the shared base variation Y(sdot); the
-    kernel has complex dimension 3n at regular points.  Returns an array of
-    shape (3n, 2, 2, N, N) whose entry i is the pair (u1, u2), each a stacked
-    tangent (X, Y), with equal Y-components.
+    kernel, cut off as in groupoid.tangent_space, has complex dimension 3n at
+    regular points.  Returns an array of shape (3n, 2, 2, N, N) whose entry i
+    is the pair (u1, u2), each a stacked tangent (X, Y), with equal
+    Y-components.
     """
     n = rs.n
     N = n + 1
@@ -144,7 +145,7 @@ def composable_tangent_basis(rs, pair, tol=1e-8):
     LX2, LY2, tr2 = _tangent_constraints(q, dM)
     Z, z, zs = np.zeros((N * N, N * N)), np.zeros((1, N * N)), np.zeros((1, n))
     L = np.block([[LX1, Z, LY1], [Z, LX2, LY2], [tr1, z, zs], [z, tr2, zs]])
-    W = null_space(L, rcond=tol).T
+    W = null_space(L, rcond=KERNEL_CUTOFF).T
     Y = np.tensordot(W[:, 2 * N * N :], dM, axes=1)
     X1 = W[:, : N * N].reshape(-1, N, N)
     X2 = W[:, N * N : 2 * N * N].reshape(-1, N, N)
@@ -441,8 +442,9 @@ def real_form_checks(rs, p):
 
     p should be a theta-fixed point (for the joint checks, a point of the
     monodromy locus).  Reports the max |Re omega| on the theta-fixed tangent
-    subspace, and on the joint (sigma, theta)-fixed subspace the Gram of
-    Im omega with its minimum singular value and the real dimension.
+    subspace, and on the joint (sigma, theta)-fixed subspace the minimum
+    singular value of the Gram of Im omega (exactly antisymmetric, as
+    omega_gram's is) and the real dimension.
     """
     chart = SectionChart(rs, p)
     base, F = chart.real_frame(chart.x0())
@@ -460,9 +462,7 @@ def real_form_checks(rs, p):
     G2 = omega_gram(base.B, base.A, np.tensordot(joint.T, F, axes=1)).imag
     min_sing = float(np.linalg.svd(G2, compute_uv=False)[-1]) if dim else 0.0
     return {
-        "theta_fixed_dim": Vt.shape[1],
         "re_omega_residual": float(np.max(np.abs(Gt.real))),
         "joint_fixed_dim": dim,
         "omega2_min_singular": min_sing,
-        "omega2_antisymmetry": float(np.max(np.abs(G2 + G2.T))) if dim else 0.0,
     }

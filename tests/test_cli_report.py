@@ -185,3 +185,55 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys, content):
     assert main(["verify", "--n", "1", "--suite", "connection", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_abbreviated_flag_overrides_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 1, "suite": "connection", "samples": 5, "seed": 1}))
+    out = tmp_path / "rep.json"
+    # argparse accepts --sample for --samples; the flag must still win over the file
+    assert main(["verify", "--n", "1", "--config", str(cfg), "--sample", "7",
+                 "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    samples = {c["name"]: c["samples"] for c in data["checks"]}
+    assert samples["connection.symmetry_anti"] == 7 and data["seed"] == 1
+
+
+def test_cli_rank_from_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 2, "suite": "connection", "samples": 3}))
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["n"] == 2 and data["seed"] == 42
+    assert main(["verify", "--n", "1", "--config", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["n"] == 1
+
+
+@pytest.mark.parametrize("config", [None, {"suite": "connection", "samples": 3}])
+def test_cli_no_rank_is_a_usage_error(tmp_path, capsys, config):
+    args = ["verify", "--suite", "connection", "--samples", "3"]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("config", [{"n": 2.7}, {"n": True}, {"n": 1, "samples": 10.9},
+                                    {"n": 1, "seed": 1.5}, {"n": 1, "samples": False},
+                                    {"n": 1, "time_budget": True}])
+def test_config_values_are_not_truncated(tmp_path, config):
+    with pytest.raises(UcglError):
+        run_suite({"suite": "connection", "samples": 3, **config})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["verify", "--suite", "connection", "--config", str(cfg)]) == 2
+
+
+def test_integral_float_config_values_are_accepted():
+    rep = run_suite({"n": 1.0, "suite": "connection", "samples": 3.0, "seed": 5.0})
+    samples = {c.name: c.samples for c in rep.checks}["connection.symmetry_anti"]
+    assert (rep.n, rep.seed, samples) == (1, 5, 3)
+    assert all(type(v) is int for v in (rep.n, rep.seed, samples))

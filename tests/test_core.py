@@ -24,12 +24,19 @@ def random_matrix(rng, N, scale=1.0):
     return scale * (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)))
 
 
+def _vandermonde(st_):
+    """The DFT-style Vandermonde matrix in the primitive root, which diagonalizes Pi."""
+    k = np.arange(st_.n + 1)
+    return st_.omega_root ** np.outer(k, k)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_structural_invariants(n):
     st_ = structural_matrices(n)
     N = n + 1
     I = np.eye(N)
-    assert np.max(np.abs(st_.Pi - st_.Omega @ st_.d @ np.linalg.inv(st_.Omega))) < TOL_VANDER
+    Om = _vandermonde(st_)
+    assert np.max(np.abs(st_.Pi - Om @ st_.d @ np.linalg.inv(Om))) < TOL_VANDER
     assert np.max(np.abs(np.linalg.matrix_power(st_.PiHat, N) + I)) < TOL_EXACT
     assert np.max(np.abs(np.linalg.matrix_power(st_.Pi, N) - I)) < TOL_EXACT
     for M in (st_.C, st_.Ctilde, st_.Delta):
@@ -40,9 +47,8 @@ def test_structural_invariants(n):
             np.max(np.abs(st_.Ctilde @ np.linalg.inv(st_.PiHat) @ st_.Ctilde - st_.PiHat))
             < TOL_EXACT
         )
-    assert np.max(np.abs(st_.dHalf @ st_.dHalf - st_.d)) < TOL_EXACT
-    assert st_.delta_perm == tuple((i - 1) % N for i in range(N))
-    assert st_.rank == n
+    # the section's cyclic factor is the signed shift at odd rank, the plain one at even
+    assert st_.cyclic is (st_.PiHat if n % 2 == 1 else st_.Pi)
 
 
 def test_structural_explicit_values():
@@ -50,7 +56,8 @@ def test_structural_explicit_values():
     assert np.array_equal(st2.Pi.real, [[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     om = np.exp(2j * np.pi / 3)
     assert np.max(np.abs(np.diag(st2.d) - [1, om, om ** 2])) < TOL_EXACT
-    assert np.max(np.abs(st2.Pi @ st2.Omega - st2.Omega @ st2.d)) < TOL_VANDER
+    Om = _vandermonde(st2)
+    assert np.max(np.abs(st2.Pi @ Om - Om @ st2.d)) < TOL_VANDER
 
     st1 = structural_matrices(1)
     assert np.array_equal(st1.PiHat.real, [[0, 1], [-1, 0]])
@@ -69,7 +76,7 @@ def test_structural_matrices_cached_read_only():
     assert structural_matrices(np.int64(3)) is st3
     arrays = [getattr(st3, f.name) for f in dataclasses.fields(st3)
               if isinstance(getattr(st3, f.name), np.ndarray)]
-    assert len(arrays) == 8
+    assert len(arrays) == 7
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError):
         st3.C[0, 0] = 2.0

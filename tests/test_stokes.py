@@ -22,6 +22,7 @@ from ucgl.stokes import (
     rand_palindromic_s,
     rand_s,
     section_membership,
+    sign_coeff,
     stokes_params_of,
 )
 
@@ -60,8 +61,7 @@ def test_stacked_factors_match_build_Q(n):
     N = n + 1
     i, j, in_R1 = _prescreened_candidates(n, 0, N ** n << n)
     s = rand_s(np.random.default_rng(30 + n), n)
-    parity = "odd" if n % 2 == 1 else "even"
-    cands = [RootSetData(n, parity, *_candidate_sets(*row), 0) for row in zip(i, j, in_R1)]
+    cands = [RootSetData(n, *_candidate_sets(*row), 0) for row in zip(i, j, in_R1)]
     for k_num in range(n, 2 * N + 2):
         stacked = _stacked_Q(i, j, in_R1, k_num, s)
         assert np.array_equal(stacked, [build_Q(rs, k_num, s) for rs in cands])
@@ -254,13 +254,19 @@ def test_section_membership(roots):
     assert not mem["in_section"] and not mem["in_local"]
 
 
-def test_sign_table_covers_all_pairs(roots):
+def test_sign_coeff_covers_all_pairs(roots):
     for n in (1, 2, 3):
-        table = roots[n].sign_table()
-        assert len(table) == (n + 1) * n
-        for (i, j), (c, d) in table.items():
+        N = n + 1
+        for i, j in itertools.permutations(range(N), 2):
+            c, d = sign_coeff(i, j, n)
             assert abs(c) == 1.0
-            assert d == (j - i) % (n + 1)
+            assert d == (j - i) % N
+        # build_Q places exactly these signed parameters on the base chain's pairs
+        s = rand_s(np.random.default_rng(70 + n), n)
+        Q = build_Q(roots[n], N, s)
+        for i, j in roots[n].R1:
+            c, d = sign_coeff(i, j, n)
+            assert Q[i, j] == c * s[d - 1]
 
 
 def test_cache_round_trip(tmp_path):
