@@ -8,11 +8,10 @@ source and target coincide.  Composition multiplies the B-slots.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
+from scipy.linalg import expm, null_space
 
 from .core import inverse, is_regular
 from .errors import (
-    DegenerateSampleError,
     DegenerateTangentError,
     NotComposableError,
     NotRegularError,
@@ -77,75 +76,63 @@ def groupoid_compose(rs, pair):
 
 
 def centralizer_basis(A):
-    """Bases of the commutant of a regular A.
+    """Frobenius-orthonormal basis E, shape (n, N, N), of the traceless commutant of a regular A.
 
-    Returns (powers, traceless): the group-level basis {I, A, ..., A^n} and
-    the traceless algebra basis {A^j - (Tr A^j/(n+1)) I, j = 1..n}.
+    For regular A the commutant is the polynomials in A (Kostant, Amer. J.
+    Math. 85, 1963), so its traceless part is spanned by the traceless
+    powers A^j - (Tr A^j / N) I, j = 1..n; E is the QR of these, vectorised.
     """
     A = np.asarray(A, dtype=complex)
     if not is_regular(A):
         raise NotRegularError("centralizer basis needs a regular element")
     N = A.shape[0]
-    I = np.eye(N, dtype=complex)
-    powers = [np.linalg.matrix_power(A, j) for j in range(N)]
-    traceless = [powers[j] - (np.trace(powers[j]) / N) * I for j in range(1, N)]
-    return powers, traceless
+    powers = [A]
+    for _ in range(2, N):
+        powers.append(powers[-1] @ A)
+    P = np.array(powers)
+    P -= np.trace(P, axis1=1, axis2=2)[:, None, None] / N * np.eye(N)
+    Q, _ = np.linalg.qr(P.reshape(N - 1, -1).T)
+    return Q.T.reshape(N - 1, N, N)
 
 
-def commuting_combination(A, c):
-    """Det-normalized combination sum_j c_j A^j (principal root branch)."""
-    A = np.asarray(A, dtype=complex)
-    c = np.asarray(c, dtype=complex)
-    N = A.shape[0]
-    B0 = sum(c[j] * np.linalg.matrix_power(A, j) for j in range(N))
-    det = np.linalg.det(B0)
-    if abs(det) < 1e-8:
-        raise DegenerateSampleError("combination is numerically singular")
-    lam = np.exp(-np.log(det) / N)  # principal branch of det^{-1/(n+1)}
-    return lam * B0
+def _commutant_element(A, seed):
+    """xi = sum_k c_k E_k over centralizer_basis(A), c complex standard normal from seed."""
+    E = centralizer_basis(A)
+    return np.tensordot(rand_s(np.random.default_rng(seed), len(E)), E, axes=1)
 
 
 def sample_commuting(A, seed):
-    """Draw a det-1 element of the centralizer of a regular A, deterministically.
-
-    Up to 20 coefficient draws; each singular combination is drawn again.
-    """
-    A = np.asarray(A, dtype=complex)
-    if not is_regular(A):
-        raise NotRegularError("sampling needs a regular base")
-    rng = np.random.default_rng(seed)
-    N = A.shape[0]
-    for _ in range(20):
-        c = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-        try:
-            return commuting_combination(A, c)
-        except DegenerateSampleError:
-            continue
-    raise DegenerateSampleError("retries exhausted")
+    """Deterministic det-1 element expm(xi) of the centralizer of a regular A, xi from
+    _commutant_element: it commutes with A, and det = exp(Tr xi) = 1."""
+    return expm(_commutant_element(A, seed))
 
 
 def sample_slocal_fiber(rs, A, seed):
-    """Deterministic sample of the joint fixed set in the fiber over A.
+    """Deterministic sample B = expm(eta) of the joint fixed set in the fiber over A.
 
-    A must lie on the real palindromic slice of the section.  A random
-    centralizer element C is symmetrized twice: D = C * beta(C) with
-    beta(X) = F X^{-T} F^{-1}, then B = D * thetahat(D) with
-    thetahat(X) = G conj(X) G^{-1}.  The commutant of a regular element is
-    abelian and the two maps are commuting involutions on it, so the double
-    norm construction lands in the joint fixed set with det B = 1.
+    A must lie on the real palindromic slice of the section.  With xi from
+    _commutant_element, eta = (1/2)(1 + theta_*)(1 + beta_*) xi, where
+    beta_* xi = -F xi^T F^{-1} and theta_* xi = G conj(xi) G^{-1}, F =
+    F_sigma(s), G = F_theta(s), are the differentials of the B-slot maps
+    beta(X) = F X^{-T} F^{-1} and thetahat(X) = G conj(X) G^{-1} of sigma
+    and theta.  A is fixed, so both preserve its commutant and commute there.
+
+    eta is the double norm of C = expm(xi / 2): the commutant of a regular
+    element is abelian, so exponents add, D = C beta(C) = expm((1 + beta_*)
+    xi / 2) and D thetahat(D) = expm(eta).  As beta_* (1 + beta_*) =
+    1 + beta_*, likewise for theta_*, beta_* and theta_* fix eta, so sigma
+    and theta fix B; beta_* negates traces and theta_* conjugates them, so
+    Tr eta = 0 and det B = 1.
     """
     A = np.asarray(A, dtype=complex)
     mem = section_membership(rs, A)
     if not mem["in_local"]:
         raise PreconditionError("base must be on the real palindromic slice")
-    s = mem["s"]
-    F = F_sigma(rs, s)
-    G = F_theta(rs, s)
-    Fi, Gi = inverse(F), inverse(G)
-    C = sample_commuting(A, seed)
-    D = C @ (F @ inverse(C).T @ Fi)
-    B = D @ (G @ np.conj(D) @ Gi)
-    return make_point(rs, B, A)
+    F, G = F_sigma(rs, mem["s"]), F_theta(rs, mem["s"])
+    xi = _commutant_element(A, seed)
+    xi = xi - F @ xi.T @ inverse(F)
+    eta = 0.5 * (xi + G @ np.conj(xi) @ inverse(G))
+    return make_point(rs, expm(eta), A)
 
 
 def random_point(rs, rng, A=None):

@@ -8,13 +8,13 @@ residual is the largest in its list (_max_checks); a negative control's is
 max(0, threshold - smallest observation) (_control), zero when the control
 misbehaves as it should.  A NaN propagates through both and so fails.
 
-All randomness flows from a single seeded generator, so a (config, seed)
-pair draws the same samples every time: checks, sample counts and
-tolerances repeat.  Most residuals repeat byte for byte, but some
-symplectic ones may differ at round-off between runs, across processes
-(n = 3, seed 22, samples = 10: symplectic.poisson_brackets 3.9976e-15 and
-3.9716e-15) and now and then within one (n = 4, seed 39, suite all:
-symplectic.pullback_random 3.41e-14 and 2.73e-14).
+Each suite draws from its own generator, seeded by the child of
+SeedSequence(seed) that belongs to the suite's name, so a (config, seed)
+pair draws the same samples every time, and a suite run alone draws what
+it draws inside 'all': checks, sample counts and tolerances repeat.  Most
+residuals repeat byte for byte, but some symplectic ones may differ at
+round-off between runs, across processes and now and then within one
+(poisson_brackets and pullback_random at the 1e-14 level).
 """
 
 import itertools
@@ -163,10 +163,9 @@ def _sup(X):
     return float(np.max(np.abs(X)))
 
 
-def _fiber_vector(p, traceless, rng):
-    """Fiber tangent at p along a random traceless commutant direction."""
-    c = rand_s(rng, len(traceless))
-    return fiber_vector(p, sum(c[j] * traceless[j] for j in range(len(c))))
+def _fiber_vector(p, E, rng):
+    """Fiber tangent at p along a random direction of the commutant basis E."""
+    return fiber_vector(p, np.tensordot(rand_s(rng, len(E)), E, axes=1))
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +327,8 @@ def suite_symplectic(rs, rng, samples):
         # four-block unit oracle plus the zero-form along units
         A = build_M(rs, rand_s(rng, n))
         u0 = unit(rs, A)
-        _, traceless = centralizer_basis(A)
-        uF, vF = _fiber_vector(u0, traceless, rng), _fiber_vector(u0, traceless, rng)
+        E = centralizer_basis(A)
+        uF, vF = _fiber_vector(u0, E, rng), _fiber_vector(u0, E, rng)
         uH = horizontal_vector_at_unit(rs, u0, rand_s(rng, n))
         vH = horizontal_vector_at_unit(rs, u0, rand_s(rng, n))
         return {
@@ -371,8 +370,8 @@ def suite_symplectic(rs, rng, samples):
         rank = character_system(rs, s)["jacobian_rank"]
         A = build_M(rs, s)
         p = random_point(rs, rng, A)
-        _, traceless = centralizer_basis(A)
-        uF, vF = _fiber_vector(p, traceless, rng), _fiber_vector(p, traceless, rng)
+        E = centralizer_basis(A)
+        uF, vF = _fiber_vector(p, E, rng), _fiber_vector(p, E, rng)
         return {
             "symplectic.character_jacobian_rank": abs(rank - n),
             "symplectic.poisson_brackets": [poisson_bracket_residual(rs, i, j, p)
@@ -386,13 +385,12 @@ def suite_symplectic(rs, rng, samples):
         rep = real_form_checks(rs, random_slocal_point(rs, rng))
         return {"symplectic.real_form_re_omega": rep["re_omega_residual"],
                 "symplectic.real_form_omega2": rep["omega2_min_singular"],
-                "joint_fixed_dims": rep["joint_fixed_dim"]}
+                "symplectic.real_form_fixed_gap": rep["fixed_gap"]}
 
     few = max(5, samples // 10)
     runs = (_draw(2 * samples, unit_blocks) | _draw(max(10, samples // 2), multiplicative)
             | _draw(max(3, samples // 10), closed) | _draw(few, nondegenerate)
             | _draw(3, pullbacks) | _draw(few, integrable) | _draw(3, real_form))
-    dims = runs["joint_fixed_dims"]
     return _max_checks(runs, {
         "symplectic.unit_block_oracle": 1e-11,
         "symplectic.unit_pullback_zero": 1e-12,
@@ -405,11 +403,12 @@ def suite_symplectic(rs, rng, samples):
         "symplectic.fiber_isotropy": 1e-9,
         "symplectic.type_two_zero": 1e-10,
         "symplectic.real_form_re_omega": 1e-8,
+        # measured <= 2.5e-12 on 200 fixed-locus points per rank at n = 1..5 and
+        # >= 2.2e-3 at random points: over four decades of margin either side
+        "symplectic.real_form_fixed_gap": 1e-7,
     }) + [
         _control(runs, "symplectic.nondegeneracy", 1e-6, 1e-12, key="min_singular"),
-        _control(runs, "symplectic.real_form_omega2", 1e-7, 1e-12,
-                 key="min_singular", joint_fixed_dims=dims, expected_dim=2 * ((n + 1) // 2),
-                 dims_even=all(d % 2 == 0 for d in dims)),
+        _control(runs, "symplectic.real_form_omega2", 1e-7, 1e-12, key="min_singular"),
     ]
 
 
@@ -509,12 +508,13 @@ def run_suite(config):
         raise UcglError(f"samples must be at least 1, got {samples}")
     t0 = time.monotonic()
     rs = derive_root_sets(n, time_budget=time_budget)
-    rng = np.random.default_rng(seed)
-    names = list(_SUITE_FUNCS) if suite == "all" else [suite]
+    streams = dict(zip(SUITES, np.random.SeedSequence(seed).spawn(len(SUITES))))
+    names = SUITES if suite == "all" else [suite]
     checks = []
     for name in names:
         try:
-            checks.extend(_SUITE_FUNCS[name](rs, rng, samples=samples))
+            checks.extend(_SUITE_FUNCS[name](rs, np.random.default_rng(streams[name]),
+                                             samples=samples))
         except UcglError as exc:
             checks.append(Check(f"{name}.error", 0, 1.0, 0.5,
                                 details={"type": type(exc).__name__, "message": str(exc)}))

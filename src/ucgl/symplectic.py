@@ -48,9 +48,8 @@ from .involutions import (
 )
 from .stokes import build_M, dM_ds
 
-#: relative singular-value cutoffs
-CHARACTER_RANK_TOL = 1e-6  # Jacobian rank cutoff of character_system
-FIXED_CUTOFF = 1e-3  # below it a direction counts as involution-fixed
+#: relative singular-value cutoff of the Jacobian rank in character_system
+CHARACTER_RANK_TOL = 1e-6
 
 
 def _slots(gi, a, ai, W):
@@ -429,22 +428,24 @@ def _involution_matrix(F, Fimg):
     return T
 
 
-def _fixed_subspace(*Ts):
-    """Orthonormal basis of the joint fixed space of the given real matrices."""
+def _fixed_subspace(dim, *Ts):
+    """Orthonormal basis of the dim-dimensional joint fixed space of the real
+    matrices Ts, from the SVD of the stacked T - I, and its spectral gap: the
+    largest kept singular value over the smallest dropped one."""
     m = Ts[0].shape[0]
     _, sv, Vh = np.linalg.svd(np.vstack([T - np.eye(m) for T in Ts]))
-    dim = int(np.sum(sv < FIXED_CUTOFF * max(1.0, sv[0])))
-    return Vh[m - dim :].T if dim else np.zeros((m, 0))
+    return Vh[m - dim :].T, sv[m - dim] / sv[m - dim - 1]
 
 
 def real_form_checks(rs, p):
     """Behaviour of omega on involution-fixed tangent subspaces at p.
 
     p should be a theta-fixed point (for the joint checks, a point of the
-    monodromy locus).  Reports the max |Re omega| on the theta-fixed tangent
-    subspace, and on the joint (sigma, theta)-fixed subspace the minimum
-    singular value of the Gram of Im omega (exactly antisymmetric, as
-    omega_gram's is) and the real dimension.
+    monodromy locus).  The theta-fixed tangent space has real dimension 2n
+    and the joint (sigma, theta)-fixed one 2 ceil(n/2).  Reports the max
+    |Re omega| on the first, the minimum singular value of the Gram of
+    Im omega (exactly antisymmetric, as omega_gram's is) on the second, and
+    the larger of the two spectral gaps of _fixed_subspace.
     """
     chart = SectionChart(rs, p)
     base, F = chart.real_frame(chart.x0())
@@ -452,17 +453,12 @@ def real_form_checks(rs, p):
     Tt = _involution_matrix(F, theta_differential(rs, base, F, sdot))
     Ts = _involution_matrix(F, sigma_differential(rs, base, F, sdot))
 
-    Vt = _fixed_subspace(Tt)
-    if Vt.shape[1] == 0:
-        raise ProjectionFailureError("empty theta-fixed tangent subspace")
+    Vt, gap_t = _fixed_subspace(2 * rs.n, Tt)
     Gt = omega_gram(base.B, base.A, np.tensordot(Vt.T, F, axes=1))
-
-    joint = _fixed_subspace(Ts, Tt)
-    dim = joint.shape[1]
+    joint, gap_joint = _fixed_subspace(2 * ((rs.n + 1) // 2), Ts, Tt)
     G2 = omega_gram(base.B, base.A, np.tensordot(joint.T, F, axes=1)).imag
-    min_sing = float(np.linalg.svd(G2, compute_uv=False)[-1]) if dim else 0.0
     return {
         "re_omega_residual": float(np.max(np.abs(Gt.real))),
-        "joint_fixed_dim": dim,
-        "omega2_min_singular": min_sing,
+        "omega2_min_singular": float(np.linalg.svd(G2, compute_uv=False)[-1]),
+        "fixed_gap": float(np.maximum(gap_t, gap_joint)),  # a NaN gap propagates
     }

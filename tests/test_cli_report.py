@@ -52,6 +52,22 @@ def test_cli_verify_exit_codes(tmp_path, monkeypatch):
     assert not json.loads(out.read_text())["all_pass"]
 
 
+def test_readme_rank_one_example_exits_zero(tmp_path):
+    """README's `ucgl verify --n 1 --suite all --seed 42` passes every check."""
+    out = tmp_path / "rep.json"
+    assert main(["verify", "--n", "1", "--suite", "all", "--seed", "42", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["all_pass"]
+
+
+def test_suite_alone_draws_what_it_draws_inside_all():
+    """Each suite has its own stream, so --suite groupoid repeats its checks from 'all'."""
+    config = {"n": 2, "seed": 5, "samples": 10}
+    alone = run_suite(config | {"suite": "groupoid"}).to_dict()["checks"]
+    within = [c for c in run_suite(config | {"suite": "all"}).to_dict()["checks"]
+              if c["name"].startswith("groupoid.")]
+    assert alone and alone == within
+
+
 def test_cli_derive_roots_search_failure_exit_code():
     assert main(["derive-roots", "--n", "3", "--budget", "0"]) == 3
 

@@ -3,14 +3,12 @@ import pytest
 
 from ucgl.core import determinant, structural_matrices
 from ucgl.errors import (
-    DegenerateSampleError,
     NotComposableError,
     NotRegularError,
     PreconditionError,
 )
 from ucgl.groupoid import (
     centralizer_basis,
-    commuting_combination,
     fiber_vector,
     groupoid_compose,
     groupoid_inverse,
@@ -26,8 +24,8 @@ from ucgl.groupoid import (
     unit,
     z_membership,
 )
-from ucgl.involutions import make_point, point_distance, slocal_membership
-from ucgl.stokes import build_M, dM_ds, rand_palindromic_s, rand_s
+from ucgl.involutions import POINT_TOL, make_point, point_distance, slocal_membership
+from ucgl.stokes import build_M, dM_ds, derive_root_sets, rand_palindromic_s, rand_s
 
 
 def test_z_membership_examples(roots):
@@ -80,25 +78,22 @@ def test_noncomposable_rejected(roots):
 
 def test_centralizer_basis(roots):
     st1 = structural_matrices(1)
-    powers, traceless = centralizer_basis(st1.PiHat)
-    assert np.allclose(powers[0], np.eye(2)) and np.allclose(powers[1], st1.PiHat)
-    assert len(traceless) == 1 and np.allclose(traceless[0], st1.PiHat)
+    (E,) = centralizer_basis(st1.PiHat)
+    assert np.isclose(abs(np.vdot(E, st1.PiHat)), np.linalg.norm(st1.PiHat))
     with pytest.raises(NotRegularError):
         centralizer_basis(np.eye(3))
-    rs = roots[2]
-    rng = np.random.default_rng(3)
-    A = build_M(rs, rand_s(rng, 2))
-    powers, traceless = centralizer_basis(A)
-    for M in powers + traceless:
-        assert np.max(np.abs(M @ A - A @ M)) < 1e-12
-    G = np.array([p.ravel() for p in powers])
-    assert np.linalg.matrix_rank(G, tol=1e-8) == 3
-
-
-def test_commuting_combination_example():
-    st1 = structural_matrices(1)
-    B = commuting_combination(st1.PiHat, np.array([1.0, 1.0]))
-    assert np.max(np.abs(B - (np.eye(2) + st1.PiHat) / np.sqrt(2))) < 1e-14
+    for n in (1, 2, 3, 4):
+        rs = roots[n]
+        rng = np.random.default_rng(3 + n)
+        for _ in range(20):
+            A = build_M(rs, rand_s(rng, n))
+            E = centralizer_basis(A)
+            assert E.shape == (n, n + 1, n + 1)
+            gram = np.einsum("kij,lij->kl", E.conj(), E)
+            assert np.max(np.abs(gram - np.eye(n))) < 1e-14
+            # subtracting Tr A^j / N leaves round-off of the size of A^j: 1.7e-14 at n = 4
+            assert np.max(np.abs(np.trace(E, axis1=1, axis2=2))) < 1e-12
+            assert np.max(np.abs(E @ A - A @ E)) < 1e-14 * np.linalg.norm(A)
 
 
 def test_sample_commuting_properties(roots):
@@ -131,6 +126,20 @@ def test_slocal_fiber_sampling(roots):
         assert mem["fixed_route"] and mem["direct_route"]
     with pytest.raises(PreconditionError):
         sample_slocal_fiber(roots[1], build_M(roots[1], np.array([1j])), seed=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_slocal_fiber_fixed_to_round_off(n):
+    """300 fixed-locus samples per rank: sigma(p) = theta(p) = p within the point
+    tolerance, and |det B - 1| within 10 N u cond(B)."""
+    rs = derive_root_sets(n)
+    rng = np.random.default_rng(2500 + n)
+    u = np.finfo(float).eps
+    for _ in range(300):
+        p = random_slocal_point(rs, rng)
+        mem = slocal_membership(rs, p, tol=POINT_TOL)
+        assert mem["fixed_route"] and mem["direct_route"]
+        assert abs(np.linalg.det(p.B) - 1) <= 10 * (n + 1) * u * np.linalg.cond(p.B)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

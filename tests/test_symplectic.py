@@ -36,7 +36,7 @@ from ucgl.symplectic import (
 
 def random_unit_tangents(rs, rng, u0):
     n = rs.n
-    _, traceless = centralizer_basis(u0.A)
+    traceless = centralizer_basis(u0.A)
     cf = rand_s(rng, n)
     xi = sum(cf[j] * traceless[j] for j in range(n))
     uF = fiber_vector(u0, xi)
@@ -288,7 +288,7 @@ def test_fiber_isotropy_and_type(roots):
         rs = roots[n]
         rng = np.random.default_rng(1600 + n)
         p = random_point(rs, rng)
-        _, traceless = centralizer_basis(p.A)
+        traceless = centralizer_basis(p.A)
         cf, ce = rand_s(rng, n), rand_s(rng, n)
         uF = fiber_vector(p, sum(cf[k] * traceless[k] for k in range(n)))
         vF = fiber_vector(p, sum(ce[k] * traceless[k] for k in range(n)))
@@ -394,10 +394,18 @@ def test_real_form_checks(roots, n):
     rng = np.random.default_rng(1700 + n)
     rep = real_form_checks(rs, random_slocal_point(rs, rng))
     assert rep["re_omega_residual"] < 1e-8
-    assert rep["joint_fixed_dim"] % 2 == 0
-    assert rep["joint_fixed_dim"] == 2 * ((n + 1) // 2)
+    assert rep["fixed_gap"] < 1e-7
     assert rep["omega2_min_singular"] > 1e-7
     # identity-arrow points work too
     u0 = unit(rs, build_M(rs, rand_palindromic_s(rng, n)))
     rep0 = real_form_checks(rs, u0)
     assert rep0["re_omega_residual"] < 1e-8
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_fixed_gap_fails_off_the_fixed_locus(roots, n):
+    """Negative control: at generic points no 2n-dimensional fixed space separates."""
+    rs = roots[n]
+    rng = np.random.default_rng(2400 + n)
+    for _ in range(5):
+        assert real_form_checks(rs, random_point(rs, rng))["fixed_gap"] > 1e-7

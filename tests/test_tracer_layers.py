@@ -7,18 +7,24 @@ from pathlib import Path
 
 import numpy as np
 
-from ucgl.groupoid import random_slocal_point, z_membership
+from ucgl.groupoid import random_slocal_point, sample_slocal_fiber, z_membership
 from ucgl.involutions import slocal_membership
-from ucgl.stokes import derive_root_sets
+from ucgl.stokes import build_M, derive_root_sets
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _load(name):
+    """The module bench/<name>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_traced_names_resolve():
     """bench/run.py --trace 1 wraps getattr(ucgl.<module>, name) for every LAYERS entry."""
-    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = _load("tracer")
     missing = [
         f"ucgl.{mod}.{fn}"
         for mod, fns in tracer.LAYERS.items()
@@ -40,3 +46,15 @@ def test_benchmark_keywords_and_flag_keys(roots):
     flags = slocal_membership(rs, p, tol=1e-8)
     assert flags["fixed_route"] is True and flags["direct_route"] is True
     assert z_membership(rs, p.B, p.A, tol=1e-10) is True
+
+
+def test_benchmark_failing_samples_now_pass():
+    """The (rank, half of s, sampler seed) points of bench/inputs.py's SAMPLE_FAILING,
+    on which an earlier sampler raised or missed the fixed locus, sample and pass
+    slocal_membership at tol=1e-8."""
+    inputs = _load("inputs")
+    for n, half, seed in inputs.SAMPLE_FAILING:
+        rs = derive_root_sets(n)
+        p = sample_slocal_fiber(rs, build_M(rs, inputs.palindromic(half, n)), seed)
+        flags = slocal_membership(rs, p, tol=1e-8)
+        assert flags["fixed_route"] and flags["direct_route"], (n, half, seed)
