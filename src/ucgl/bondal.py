@@ -5,9 +5,10 @@ B^{-T} A B^{-1} again unit-diagonal upper triangular.  Source is A, target
 is B^{-T} A B^{-1}, composition multiplies the B-slots and keeps the second
 base.  The monodromy locus maps into this structure by sending (B, A) to
 (B, S1(s)^{-T}) with S1 the first full-turn Stokes product; only the
-groupoid-morphism laws are asserted for the image (no triangularity claim:
-the relevant cone convention is not pinned down here, so it is probed
-empirically via triangularizing_permutation instead).
+groupoid-morphism laws are asserted for the image.  Whether its bases are
+triangular up to a permutation is not asserted, since the relevant cone
+convention is not pinned down here; triangularizing_permutation finds such
+a permutation when one exists.
 """
 
 import itertools
@@ -80,7 +81,7 @@ def triangularizing_permutation(A, tol=1e-9):
 
     P has a one at (i, perm[i]), so P A P^T is A[perm][:, perm].  Brute force
     over all permutations (sizes here are at most 5); returns the permutation
-    tuple or None.  Used to probe, not assert, triangularity of embedded bases.
+    tuple or None.
     """
     A = np.asarray(A, dtype=complex)
     for perm in itertools.permutations(range(A.shape[0])):

@@ -1,8 +1,10 @@
 """The centralizer space as a groupoid: structure maps, sampling, tangents.
 
 Because every base lies on the section, which meets each regular conjugacy
-class exactly once, two elements are composable iff their bases are equal;
-source and target coincide.  Composition multiplies the B-slots.
+class exactly once, two elements are composable iff their bases are equal:
+source and target coincide, s = t = A, so the groupoid is a bundle of groups
+over the section and needs no maps for them.  Composition multiplies the
+B-slots.
 """
 
 from dataclasses import dataclass
@@ -50,14 +52,6 @@ def z_membership(rs, B, A, tol=POINT_TOL):
     except PreconditionError:
         return False
     return True
-
-
-def source(p):
-    return p.A
-
-
-def target(p):
-    return p.A
 
 
 def unit(rs, A):

@@ -141,21 +141,16 @@ def slocal_membership(rs, p, tol=POINT_TOL):
     """Membership of the joint fixed set of sigma and theta.
 
     sigma(p) and theta(p) are computed once, with the twists at the input
-    parameters.  fixed_route asks that each image lie within tol of p;
-    direct_route asks the same of the largest of the four matrix residuals
+    parameters.  p is a member when the largest of the four matrix residuals
     |F B^{-T} F^{-1} - B|, |F A^{-T} F^{-1} - A|, |G conj(B) G^{-1} - B| and
-    |G conj(A)^{-1} G^{-1} - A|.  Both read the same four numbers, so they
-    agree (a NaN residual aside); they are not independent checks.
-    c_reality reports whether B conj(B) = I holds; it is a diagnostic, never
-    a membership requirement.
+    |G conj(A)^{-1} G^{-1} - A| is below tol (a NaN residual is not).  That
+    one flag is returned under both fixed_route and direct_route, for callers
+    that read either key.  c_reality reports whether B conj(B) = I holds; it
+    is a diagnostic, never a membership requirement.
     """
     sp = apply_sigma(rs, p, tol=np.inf)
     tp = apply_theta(rs, p, tol=np.inf)
     pairs = ((sp.B, p.B), (sp.A, p.A), (tp.B, p.B), (tp.A, p.A))
-    res = [np.max(np.abs(X - Y)) for X, Y in pairs]
+    member = bool(np.max([np.max(np.abs(X - Y)) for X, Y in pairs]) < tol)
     c_reality = np.max(np.abs(p.B @ np.conj(p.B) - np.eye(p.B.shape[0]))) < tol
-    return {
-        "fixed_route": bool(max(res[:2]) < tol and max(res[2:]) < tol),
-        "direct_route": bool(max(res) < tol),
-        "c_reality": bool(c_reality),
-    }
+    return {"fixed_route": member, "direct_route": member, "c_reality": bool(c_reality)}

@@ -48,9 +48,6 @@ from .involutions import (
 )
 from .stokes import build_M, dM_ds
 
-#: relative singular-value cutoff of the Jacobian rank in character_system
-CHARACTER_RANK_TOL = 1e-6
-
 
 def _slots(gi, a, ai, W):
     """The trace slots (x, Ad_a x, a^{-1} Y + Y a^{-1}) of stacked tangents W.
@@ -338,6 +335,13 @@ def involution_pullback_residual(kind, rs, p):
     sigma: max |omega(ds u, ds v) - omega(u, v)|;
     theta: max |omega(dt u, dt v) + conj(omega(u, v))|, both over all pairs
     from the chart's real tangent frame, mapped by the exact differential.
+
+    It cannot see the commutator term [dF F^{-1}, .] of the differentials:
+    with K = dF F^{-1} that term adds the conjugation direction ([K, B'],
+    [K, A']) at the image (B', A'), and omega pairs conjugation directions to
+    zero with the tangent space and with one another, so dropping the term
+    leaves this residual at round-off.  real_form_fixed_gap and
+    test_involution_differentials_exact see that term.
     """
     if kind not in ("sigma", "theta"):
         raise ProjectionFailureError(f"unknown involution kind {kind!r}")
@@ -383,14 +387,6 @@ def _character_jacobian(rs, s):
     J = np.zeros((n, n), dtype=complex)
     J[i - 1, n - i] = (-1.0) ** (i * n)
     return J
-
-
-def character_system(rs, s):
-    """Values and Jacobian rank of the fundamental characters at s."""
-    s = np.asarray(s, dtype=complex)
-    sv_ = np.linalg.svd(_character_jacobian(rs, s), compute_uv=False)
-    rank = int(np.sum(sv_ > CHARACTER_RANK_TOL * sv_[0]))
-    return {"values": _characters(rs, s), "jacobian_rank": rank}
 
 
 def poisson_bracket_residual(rs, i, j, p):

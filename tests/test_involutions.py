@@ -136,12 +136,7 @@ def test_route_equivalence_on_mixed_probes(roots, n):
     rng = np.random.default_rng(400 + n)
     outcomes = set()
     for sampler in [random_slocal_point] * 200 + [random_point] * 200:
-        while True:
-            try:
-                p = sampler(rs, rng)
-                break
-            except PreconditionError:  # an ill-conditioned draw; draw again
-                continue
+        p = sampler(rs, rng)
         for tol in (1e-12, 1e-8):
             mem = slocal_membership(rs, p, tol=tol)
             assert mem == direct_route_reference(rs, p, tol)

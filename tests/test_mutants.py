@@ -1,0 +1,150 @@
+"""Every reported check can fail: one named mutant per check.
+
+A mutant is one small edit to the source of one function of the package:
+the text `old` replaced by `new`, compiled in the function's own module and
+monkeypatched in wherever the package binds that function.  Each row runs
+only its check's suite (samples=5, seed 42) at n = 2 and 3, and asserts
+that the named check is reported and fails; a `<suite>.error` does not
+count.  The completeness test keeps the table's
+names equal to the checks run_suite reports, so a new check lands with a
+row here.  This is mutation testing in the manner of DeMillo, Lipton and
+Sayward ("Hints on test data selection", IEEE Computer 11(4), 1978).
+"""
+
+import importlib
+import inspect
+import sys
+
+import pytest
+
+from ucgl.report import run_suite
+
+#: reported, never asserted: its tolerance of 1.1 is deliberate
+EXEMPT = {"slocal.c_reality_fraction"}
+
+#: F_sigma moves with s at even rank and F_theta at odd rank, so each row runs at one of each
+RANKS = (2, 3)
+
+#: check -> (function as module.name, old text, new text)
+MUTANTS = {
+    "connection.symmetry_cyclic": (
+        "connection.alpha_coeff", "(-(z ** -2)) * W.T", "(-(z ** -2)) * W"),
+    "connection.symmetry_anti": (
+        "connection.build_W", "np.diag(np.exp(w))", "np.diag(np.exp(-w))"),
+    "connection.symmetry_c_real": (
+        "connection.alpha_coeff", "inp.x ** 2 * W", "inp.x * W"),
+    "connection.symmetry_theta_real": (
+        "connection.alpha_coeff", "inp.x ** 2 * W", "1j * inp.x ** 2 * W"),
+    # a vanishing coefficient satisfies every identity, anti-symmetric or not
+    "connection.negative_control": (
+        "connection.alpha_coeff",
+        "return (-(z ** -2)) * W.T - (z ** -1) * np.diag(inp.v).astype(complex)"
+        " + inp.x ** 2 * W", "return 0 * W"),
+    "stokes.round_trip": (
+        "stokes.stokes_params_of", "char_poly(A)[..., 1 : n + 1]", "char_poly(A)[..., 0:n]"),
+    "stokes.regularity": ("core.is_regular", "return rank == N", "return rank > N"),
+    "stokes.power_identity": (
+        "stokes.build_S", "range(m * N, m * N + N)", "range(m * N, m * N + N - 1)"),
+    "stokes.factor_route_agreement": (
+        "stokes.build_Q", "Pm @ Q0 @ inverse(Pm)", "inverse(Pm) @ Q0 @ Pm"),
+    "stokes.antisymmetry_equivalence": (
+        "stokes.rand_palindromic_s", "half[: n // 2][::-1]", "-half[: n // 2][::-1]"),
+    "stokes.antisymmetry_negative_control": (
+        "stokes.rand_s", "return rng.standard_normal(n) + 1j * rng.standard_normal(n)",
+        "return rand_palindromic_s(rng, n)"),
+    "involutions.involutivity": (
+        "involutions.apply_sigma", "B2 = F @ inverse(p.B).T @ Fi",
+        "B2 = F @ inverse(p.B @ p.B).T @ Fi"),
+    # a root of unity keeps det B = 1 and sigma involutive, but conj moves it
+    "involutions.commutation": (
+        "involutions.apply_sigma", "B2 = F @ inverse(p.B).T @ Fi",
+        "B2 = np.exp(2j * np.pi / len(F)) * F @ inverse(p.B).T @ Fi"),
+    "involutions.base_parameter_action": (
+        "involutions.apply_sigma", "return make_point(rs, B2, A2, tol)", "return p"),
+    "involutions.groupoid_morphism": (
+        "involutions.apply_theta", "B2 = G @ np.conj(p.B) @ Gi",
+        "B2 = G @ np.conj(p.B) @ inverse(np.conj(p.A)) @ Gi"),
+    "involutions.fixed_point_char_poly_real": (
+        "groupoid.sample_slocal_fiber", "eta = 0.5 * (xi + G @ np.conj(xi) @ inverse(G))",
+        "eta = xi"),
+    "groupoid.axioms": (
+        "groupoid.groupoid_inverse", "make_point(rs, inverse(p.B), p.A)",
+        "make_point(rs, p.B, p.A)"),
+    # inside make_point's 1e-7 acceptance, outside the check's 1e-10
+    "groupoid.sampler_membership": (
+        "groupoid.sample_commuting", "return expm(_commutant_element(A, seed))",
+        "return expm(_commutant_element(A, seed)) * (1 + 1e-10)"),
+    "groupoid.slocal_fiber_membership": (
+        "groupoid.sample_slocal_fiber", "xi = xi - F @ xi.T @ inverse(F)", "xi = xi"),
+    "groupoid.tangent_dimension": (
+        "groupoid.tangent_space", "return np.stack([X, Y], axis=1)",
+        "return np.stack([X, Y], axis=1)[1:]"),
+    "symplectic.unit_block_oracle": ("symplectic._K", ") + np.einsum(", ") - np.einsum("),
+    "symplectic.unit_pullback_zero": (
+        "groupoid.horizontal_vector_at_unit", "np.array([np.zeros_like(p.B), Y]",
+        "np.array([p.A @ Y, Y]"),
+    "symplectic.multiplicativity": (
+        "symplectic.multiplicativity_residual", "p.B @ U2[:, 0]", "U2[:, 0]"),
+    "symplectic.closedness": (
+        "symplectic._omega_derivative", "a @ xd - Ad @ Y[w]", "a @ xd"),
+    "symplectic.pullback_units": (
+        "involutions.theta_differential", "dW[:, 1] = -Ai @ dW[:, 1] @ Ai",
+        "dW[:, 1] = Ai @ dW[:, 1] @ Ai"),
+    "symplectic.pullback_random": (
+        "involutions.sigma_differential", "-W @ U.transpose(0, 1, 3, 2) @ W", "-W @ U @ W"),
+    "symplectic.nondegeneracy": (
+        "groupoid.tangent_space", "return np.stack([X, Y], axis=1)",
+        "return np.stack([X, np.zeros_like(X)], axis=1)"),
+    "symplectic.poisson_brackets": (
+        "symplectic.poisson_bracket_residual", "np.zeros((rs.n, rs.n))", "np.ones((rs.n, rs.n))"),
+    "symplectic.fiber_isotropy": ("groupoid.fiber_vector", "p.B @ xi,", "p.B @ xi.T,"),
+    # omega vanishes on fiber pairs, so only an antilinear edit can show here
+    "symplectic.type_two_zero": (
+        "symplectic._K", "P[1], Q[0]", "P[1].conj(), Q[0]"),
+    "symplectic.real_form_re_omega": (
+        "symplectic.real_form_checks", "Vt, gap_t = _fixed_subspace(2 * rs.n, Tt)",
+        "Vt, gap_t = _fixed_subspace(2 * rs.n, Ts)"),
+    "symplectic.real_form_omega2": (
+        "symplectic.real_form_checks", "np.tensordot(joint.T, F, axes=1)).imag",
+        "np.tensordot(joint.T, F, axes=1)).real"),
+    # involution_pullback_residual cannot see this term; the fixed spaces can
+    "symplectic.real_form_fixed_gap": (
+        "involutions._twisted_differential", "return F @ dW @ Fi + K @ Z - Z @ K",
+        "return F @ dW @ Fi"),
+    "bondal.axioms": ("bondal.unit", "B=np.eye(", "B=-np.eye("),
+    "bondal.embedding_intertwines": (
+        "bondal.embed_slocal", "BondalPoint(B=p.B,", "BondalPoint(B=-p.B,"),
+}
+
+
+def _mutate(monkeypatch, function, old, new):
+    """Replace module.name by its source with old (found exactly once) replaced by new."""
+    modname, name = function.split(".")
+    module = importlib.import_module(f"ucgl.{modname}")
+    original = getattr(module, name)
+    source = inspect.getsource(original)
+    assert source.count(old) == 1, f"{old!r} is not in {function} exactly once"
+    namespace = {}
+    code = compile(source.replace(old, new), inspect.getsourcefile(original), "exec")
+    exec(code, vars(module), namespace)
+    for key, mod in list(sys.modules.items()):
+        if key.split(".")[0] == "ucgl" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, namespace[name])
+
+
+@pytest.mark.parametrize("n", RANKS)
+@pytest.mark.parametrize("check", MUTANTS)
+def test_mutant_fails_its_check(roots, monkeypatch, check, n):
+    # roots derives the root sets before a mutant can reach the search
+    _mutate(monkeypatch, *MUTANTS[check])
+    suite = check.split(".")[0]
+    checks = {c.name: c for c in run_suite({"n": n, "suite": suite, "seed": 42,
+                                            "samples": 5}).checks}
+    assert check in checks, checks.get(f"{suite}.error", sorted(checks))
+    assert not checks[check].passed, checks[check].max_residual
+
+
+def test_every_check_has_a_mutant(roots):
+    names = {c.name for n in RANKS
+             for c in run_suite({"n": n, "suite": "all", "seed": 42, "samples": 5}).checks}
+    assert names - EXEMPT == set(MUTANTS)
