@@ -41,7 +41,8 @@ def membership(B, A, tol=1e-9):
     A = np.asarray(A, dtype=complex)
     if not _unit_upper(A, tol):
         return False
-    return _unit_upper(inverse(B).T @ A @ inverse(B), tol)
+    Bi = inverse(B)
+    return _unit_upper(Bi.T @ A @ Bi, tol)
 
 
 def make_bondal_point(B, A, tol=1e-9):
@@ -55,7 +56,8 @@ def source(p):
 
 
 def target(p):
-    return inverse(p.B).T @ p.A @ inverse(p.B)
+    Bi = inverse(p.B)
+    return Bi.T @ p.A @ Bi
 
 
 def unit(A):

@@ -94,26 +94,8 @@ def determinant(M):
     return complex(np.linalg.det(_as_matrix(M)))
 
 
-def _adjugate_inverse(A, det):
-    N = A.shape[0]
-    if N == 1:
-        return np.array([[1.0 / det]], dtype=complex)
-    if N == 2:
-        adj = np.array([[A[1, 1], -A[0, 1]], [-A[1, 0], A[0, 0]]], dtype=complex)
-        return adj / det
-    # N == 3: cofactor transpose
-    adj = np.empty((3, 3), dtype=complex)
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(A, j, axis=0), i, axis=1)
-            adj[i, j] = (-1) ** (i + j) * (
-                minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0]
-            )
-    return adj / det
-
-
 def inverse(M):
-    """Matrix inverse: adjugate formulas up to 3x3, LU factorization above.
+    """Matrix inverse by np.linalg.inv (LU factorization) at every size.
 
     Raises SingularMatrixError when |det| falls below DET_EPS.
     """
@@ -121,9 +103,7 @@ def inverse(M):
     det = np.linalg.det(A)
     if abs(det) < DET_EPS:
         raise SingularMatrixError(f"|det| = {abs(det):.3e} below {DET_EPS:.1e}")
-    if A.shape[0] <= 3:
-        return _adjugate_inverse(A, det)
-    return np.linalg.solve(A, np.eye(A.shape[0], dtype=complex))
+    return np.linalg.inv(A)
 
 
 def trace_form(X, Y):

@@ -41,10 +41,6 @@ class DegenerateTangentError(UcglError):
     """The numerical tangent space has an unexpected dimension."""
 
 
-class DegenerateChartError(UcglError):
-    """A local chart could not be built (branch-cut or conditioning trouble)."""
-
-
 class DegenerateFormError(UcglError):
     """A Gram matrix required to be invertible is numerically singular."""
 

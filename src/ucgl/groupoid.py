@@ -161,14 +161,16 @@ def _tangent_constraints(p, dM):
 
 
 def tangent_space(rs, p):
-    """Numerical-kernel basis of the tangent space at p, shape (2n, 2, N, N).
+    """Numerical-kernel basis U of the tangent space at p and its base velocities sdot.
 
-    Row i is the tangent (X_i, Y_i): X varies B, Y varies A.  The constraints
-    linearize to ([X, A] + [B, Y(sdot)], Tr(B^{-1} X)) = 0 where Y(sdot) is
-    the analytic derivative of the section element.  The kernel is computed
-    by SVD with cutoff KERNEL_CUTOFF times the largest singular value and has
-    complex dimension 2n at regular points; a different dimension raises
-    DegenerateTangentError.
+    U has shape (2n, 2, N, N): row i is the tangent (X_i, Y_i), X varying B
+    and Y varying A.  The constraints linearize to ([X, A] + [B, Y(sdot)],
+    Tr(B^{-1} X)) = 0 where Y(sdot) is the analytic derivative of the section
+    element, so the kernel's unknowns are (X, sdot) and sdot, shape (2n, n),
+    is the velocity of s along each U_i.  The kernel is computed by SVD with
+    cutoff KERNEL_CUTOFF times the largest singular value and has complex
+    dimension 2n at regular points; a different dimension raises
+    DegenerateTangentError.  Returns (U, sdot).
     """
     n = rs.n
     N = n + 1
@@ -179,8 +181,9 @@ def tangent_space(rs, p):
         raise DegenerateTangentError(f"kernel dimension {len(kern)}, expected {2 * n}")
     X = kern[:, : N * N].reshape(-1, N, N)
     # one product per vector: a batched one sums in another order (round-off)
-    Y = [np.tensordot(sdot, dM, axes=1) for sdot in kern[:, N * N :]]
-    return np.stack([X, Y], axis=1)
+    sdot = kern[:, N * N :]
+    Y = [np.tensordot(v, dM, axes=1) for v in sdot]
+    return np.stack([X, Y], axis=1), sdot
 
 
 def fiber_vector(p, xi):

@@ -1,51 +1,35 @@
 """The quasi-symplectic 2-form restricted to the centralizer space.
 
 Every tangent vector is an array whose last three axes are (2, N, N): the
-pair (X, Y) at a point (g, a), X varying g and Y varying a.  Tangent bases,
-chart frames and composable bases are stacks of them.  omega_gram evaluates
-omega over whole stacks via left/right translated slots and the trace
-pairing; omega on one pair is a view of it.  At a unit, omega has a closed
-form on any two tangents (unit_block_values), which acts as the convention
-oracle; multiplicativity, closedness, nondegeneracy, the involution pullback
+pair (X, Y) at a point (g, a), X varying g and Y varying a.  Tangent bases
+and composable bases are stacks of them.  omega_gram evaluates omega over
+whole stacks via left/right translated slots and the trace pairing; omega on
+one pair is a view of it.  At a unit, omega has a closed form on any two
+tangents (unit_block_values), which acts as the convention oracle;
+multiplicativity, closedness, nondegeneracy, the involution pullback
 identities, the real sub-form behaviour and the integrable-system structure
 are all checked numerically on top of it.
 
-Local holomorphic charts (s-parameters times centralizer coefficients) are
-built through any point via a matrix logarithm of the B-slot decomposed in
-powers of the base.  Chart tangent frames are analytic: every Frechet
-derivative of expm along the chart directions is the upper-right block of
-one batched expm of the block matrices [[N, dN], [0, N]] (Higham, Functions
-of Matrices, 2008, sec. 3.2), and the involutions act on them by their exact
-differentials.
+Those statements are pointwise tensor identities, so every check runs at
+the point itself on one frame: groupoid.tangent_space's kernel basis U with
+its base velocities sdot, and [U, iU] with [sdot, i sdot] where a real frame
+is needed.  The involutions act on it by their exact differentials.
 
-No finite difference is left.  Closedness is exact: d commutes with pullback,
-so d omega on the chart's coordinate frame needs only the first-order frame
-and the derivative of omega along it with the frame held fixed, by the
-product rule through the same trace formula.  The character Jacobian is a
-constant signed reversal, read off the section's parametrisation.
+No finite difference is left.  Closedness is exact: on any frame at a point
+d omega needs only the frame and the derivative of omega along it, by the
+product rule through the same trace formula (see closedness_residual).  The
+character Jacobian is a constant signed reversal, read off the section's
+parametrisation.
 """
-
-import itertools
 
 import numpy as np
 # expm_frechet is unused here; bench/tracer.py looks it up by name to count its calls
-from scipy.linalg import expm, expm_frechet, logm, null_space  # noqa: F401
+from scipy.linalg import expm_frechet, null_space  # noqa: F401
 
 from .core import char_poly, inverse, trace_form
-from .errors import (
-    DegenerateChartError,
-    DegenerateFormError,
-    NotComposableError,
-    ProjectionFailureError,
-)
-from .groupoid import KERNEL_CUTOFF, _tangent_constraints
-from .involutions import (
-    apply_sigma,
-    apply_theta,
-    make_point,
-    sigma_differential,
-    theta_differential,
-)
+from .errors import DegenerateFormError, NotComposableError, ProjectionFailureError
+from .groupoid import KERNEL_CUTOFF, _tangent_constraints, tangent_space
+from .involutions import apply_sigma, apply_theta, sigma_differential, theta_differential
 from .stokes import build_M, dM_ds
 
 
@@ -115,9 +99,10 @@ def unit_block_values(a, u, v):
     return trace_form(u[0], ai @ v[1]) - trace_form(v[0], ai @ u[1])
 
 
-def type_20_residual(p, u, v):
-    """|omega(J u, v) - i omega(u, v)| with J the ambient complex structure."""
-    return abs(omega(p, 1j * u, v) - 1j * omega(p, u, v))
+def type_20_residual(p, U):
+    """Max |omega(J U_a, U_b) - i omega(U_a, U_b)| over stacked tangents U, with J
+    the ambient complex structure: zero when omega is complex bilinear."""
+    return float(np.max(np.abs(omega_gram(p.B, p.A, 1j * U, U) - 1j * omega_gram(p.B, p.A, U))))
 
 
 # ---------------------------------------------------------------------------
@@ -166,103 +151,6 @@ def multiplicativity_residual(rs, pair, basis):
 
 
 # ---------------------------------------------------------------------------
-# local charts
-
-
-class SectionChart:
-    """Holomorphic chart (s, c) -> (B, A) around a point of the space.
-
-    The B-slot is exp(N(s, c)) with N(s, c) a combination of powers of the
-    section element A(s); the coefficients are the logarithm coefficients of
-    the anchor's B-slot plus the chart coordinates c, trace-corrected so the
-    determinant stays at its anchor value.  The chart hits the anchor exactly
-    at (s0, 0) and stays inside the space by construction.
-    """
-
-    def __init__(self, rs, p):
-        self.rs = rs
-        self.n = rs.n
-        N = self.n + 1
-        self.N = N
-        self.s0 = np.asarray(p.s, dtype=complex)
-        A0 = build_M(rs, self.s0)
-        if np.max(np.abs(p.B - np.eye(N))) < 1e-13:
-            N0 = np.zeros((N, N), dtype=complex)
-        else:
-            N0 = np.asarray(logm(p.B), dtype=complex)
-        # decompose the logarithm in powers of the base (the commutant algebra)
-        powers = [np.linalg.matrix_power(A0, j) for j in range(N)]
-        P = np.array([pw.ravel() for pw in powers]).T
-        beta, res, _, _ = np.linalg.lstsq(P, N0.ravel(), rcond=None)
-        recon = sum(beta[j] * powers[j] for j in range(N))
-        if np.max(np.abs(recon - N0)) > 1e-8:
-            raise DegenerateChartError("logarithm does not decompose in base powers")
-        self.beta = beta
-        self.tr0 = np.trace(N0)
-
-    # coordinates: x in R^{4n} packed as [Re s, Im s, Re c, Im c]
-
-    def x0(self):
-        return np.concatenate([self.s0.real, self.s0.imag, np.zeros(2 * self.n)])
-
-    def unpack(self, x):
-        n = self.n
-        s = x[:n] + 1j * x[n : 2 * n]
-        c = x[2 * n : 3 * n] + 1j * x[3 * n :]
-        return s, c
-
-    def _nilpotent(self, s, c):
-        A = build_M(self.rs, s)
-        powers = [np.linalg.matrix_power(A, j) for j in range(self.N)]
-        Nm = self.beta[0] * powers[0]
-        for j in range(1, self.N):
-            Nm = Nm + (self.beta[j] + c[j - 1]) * powers[j]
-        Nm = Nm - (np.trace(Nm) - self.tr0) / self.N * np.eye(self.N)
-        return A, powers, Nm
-
-    def point(self, x):
-        s, c = self.unpack(x)
-        A, _, Nm = self._nilpotent(s, c)
-        return make_point(self.rs, expm(Nm), A, tol=1e-6)
-
-    def complex_frame(self, x):
-        """Analytic tangent vectors along the 2n complex coordinates.
-
-        Returns (base, U) with U of shape (2n, 2, N, N): U[k] = (dB, dA) along
-        s_1..s_n, then c_1..c_n.  With B = expm(Nm), each dB is the upper-right
-        block of expm([[Nm, dN], [0, Nm]]), all 2n of them from one batched expm.
-        """
-        s, c = self.unpack(x)
-        A, powers, Nm = self._nilpotent(s, c)
-        N = self.N
-        dA = dM_ds(self.rs, s)
-        dPow = [np.zeros_like(dA)]  # derivatives of A^j along every s-direction
-        for j in range(1, N):
-            dPow.append(dPow[-1] @ A + powers[j - 1] @ dA)
-        dN_s = sum((self.beta[j] + c[j - 1]) * dPow[j] for j in range(1, N))
-        dN = np.concatenate([dN_s, powers[1:]])
-        dN = dN - np.trace(dN, axis1=1, axis2=2)[:, None, None] / N * np.eye(N)
-        Ns = np.broadcast_to(Nm, dN.shape)
-        dB = expm(np.block([[Ns, dN], [np.zeros_like(dN), Ns]]))[:, :N, N:]
-        base = make_point(self.rs, expm(Nm), A, tol=1e-6)
-        return base, np.stack([dB, np.concatenate([dA, np.zeros_like(dA)])], axis=1)
-
-    def real_frame(self, x):
-        """Tangent vectors along the 4n real coordinates (holomorphy gives i*u).
-
-        Returns (base, U) with U of shape (4n, 2, N, N), ordered like the
-        packing [Re s, Im s, Re c, Im c].
-        """
-        base, U = self.complex_frame(x)
-        n = self.n
-        return base, np.concatenate([U[:n], 1j * U[:n], U[n:], 1j * U[n:]])
-
-    def real_frame_sdot(self):
-        """Velocity of the base parameters s along each real_frame vector, shape (4n, n)."""
-        return np.array([self.unpack(e)[0] for e in np.eye(4 * self.n)])
-
-
-# ---------------------------------------------------------------------------
 # closedness
 
 
@@ -290,21 +178,30 @@ def _omega_derivative(g, a, U):
     return 0.5 * (Kd - Kd.transpose(0, 2, 1))
 
 
-def closedness_residual(rs, p):
-    """Max |d omega| over all triples of real chart coordinates at p.
+def _exterior_derivative(g, a, U):
+    """d omega(U_i, U_j, U_k) at (g, a) for a frame U: D[i, j, k] - D[j, i, k] + D[k, i, j].
 
-    d commutes with pullback, so on the chart frame U (coordinate fields,
-    which commute) d omega(U_i, U_j, U_k) = D[i, j, k] - D[j, i, k] + D[k, i, j]
-    with D from _omega_derivative: only the first-order frame enters, since
-    the terms omega(d_i d_j phi, d_k phi) cancel in pairs (mixed partials are
-    symmetric, omega is antisymmetric).  One real frame per call.
+    D is _omega_derivative's; the result is exactly alternating.
     """
-    chart = SectionChart(rs, p)
-    base, U = chart.real_frame(chart.x0())
-    D = _omega_derivative(base.B, base.A, U)
-    dw = D - D.transpose(1, 0, 2) + D.transpose(1, 2, 0)
-    i, j, k = np.array(list(itertools.combinations(range(len(U)), 3))).T
-    return float(np.max(np.abs(dw[i, j, k])))
+    D = _omega_derivative(g, a, U)
+    return D - D.transpose(1, 0, 2) + D.transpose(1, 2, 0)
+
+
+def closedness_residual(rs, p):
+    """Max |d omega| over all triples of the real frame [U, iU] at p, U from tangent_space.
+
+    This is exact.  Let phi be a chart through p whose coordinate fields
+    (which commute) are the frame at p.  Then d omega(U_i, U_j, U_k) is the
+    alternating sum of the derivatives d_i omega(d_j phi, d_k phi): the
+    derivative of omega along U_i with the frame held fixed, D[i, j, k], plus
+    terms omega(d_i d_j phi, d_k phi) that cancel in pairs (mixed partials are
+    symmetric, omega is antisymmetric) for any chart.  And any basis of the
+    tangent space at a point is the frame of some chart: compose any chart
+    with a linear change of coordinates.  So only the first-order frame at p
+    enters, and tangent_space's basis serves.
+    """
+    U, _ = tangent_space(rs, p)
+    return float(np.max(np.abs(_exterior_derivative(p.B, p.A, np.concatenate([U, 1j * U])))))
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +231,7 @@ def involution_pullback_residual(kind, rs, p):
 
     sigma: max |omega(ds u, ds v) - omega(u, v)|;
     theta: max |omega(dt u, dt v) + conj(omega(u, v))|, both over all pairs
-    from the chart's real tangent frame, mapped by the exact differential.
+    from the real frame [U, iU] at p, mapped by the exact differential.
 
     It cannot see the commutator term [dF F^{-1}, .] of the differentials:
     with K = dF F^{-1} that term adds the conjugation direction ([K, B'],
@@ -348,11 +245,11 @@ def involution_pullback_residual(kind, rs, p):
     apply, differential = {
         "sigma": (apply_sigma, sigma_differential), "theta": (apply_theta, theta_differential)
     }[kind]
-    chart = SectionChart(rs, p)
-    base, U = chart.real_frame(chart.x0())
-    img = apply(rs, base, tol=np.inf)
-    w = omega_gram(base.B, base.A, U)
-    wi = omega_gram(img.B, img.A, differential(rs, base, U, chart.real_frame_sdot()))
+    # the real frame [U, iU] with its base velocities [sdot, i sdot]
+    F, Fs = (np.concatenate([S, 1j * S]) for S in tangent_space(rs, p))
+    img = apply(rs, p, tol=np.inf)
+    w = omega_gram(p.B, p.A, F)
+    wi = omega_gram(img.B, img.A, differential(rs, p, F, Fs))
     return float(np.max(np.abs(wi - w if kind == "sigma" else wi + np.conj(w))))
 
 
@@ -390,17 +287,16 @@ def _character_jacobian(rs, s):
 
 
 def poisson_bracket_residual(rs, i, j, p):
-    """|{chi_i, chi_j}| at a point, via chart gradients and the inverse Gram.
+    """|{chi_i, chi_j}| at a point, via gradients on tangent_space's basis and its Gram.
 
-    The characters depend on s alone, so their gradients along the complex
-    chart coordinates (s, c) are the character Jacobian followed by zeros.
+    The characters depend on s alone, so d chi(U_k) is the character
+    Jacobian applied to U_k's base velocity sdot_k.
     """
-    chart = SectionChart(rs, p)
-    base, U = chart.complex_frame(chart.x0())
-    G = omega_gram(base.B, base.A, U)
+    U, sdot = tangent_space(rs, p)
+    G = omega_gram(p.B, p.A, U)
     if np.linalg.cond(G) > 1e10:
         raise DegenerateFormError("Gram matrix numerically singular")
-    grads = np.hstack([_character_jacobian(rs, chart.s0), np.zeros((rs.n, rs.n))])
+    grads = _character_jacobian(rs, p.s) @ sdot.T
     ai = np.linalg.solve(G, grads[i - 1])
     bj = np.linalg.solve(G, grads[j - 1])
     return abs(ai @ G @ bj)
@@ -420,7 +316,7 @@ def _involution_matrix(F, Fimg):
     """Real matrix of a tangent involution in the stacked frame F, given F's images Fimg."""
     T, res, rank, _ = np.linalg.lstsq(_flatten(F), _flatten(Fimg), rcond=None)
     if rank < len(F):
-        raise ProjectionFailureError("chart frame is rank deficient")
+        raise ProjectionFailureError("tangent frame is rank deficient")
     return T
 
 
@@ -443,16 +339,15 @@ def real_form_checks(rs, p):
     Im omega (exactly antisymmetric, as omega_gram's is) on the second, and
     the larger of the two spectral gaps of _fixed_subspace.
     """
-    chart = SectionChart(rs, p)
-    base, F = chart.real_frame(chart.x0())
-    sdot = chart.real_frame_sdot()
-    Tt = _involution_matrix(F, theta_differential(rs, base, F, sdot))
-    Ts = _involution_matrix(F, sigma_differential(rs, base, F, sdot))
+    # the real frame [U, iU] with its base velocities [sdot, i sdot]
+    F, Fs = (np.concatenate([S, 1j * S]) for S in tangent_space(rs, p))
+    Tt = _involution_matrix(F, theta_differential(rs, p, F, Fs))
+    Ts = _involution_matrix(F, sigma_differential(rs, p, F, Fs))
 
     Vt, gap_t = _fixed_subspace(2 * rs.n, Tt)
-    Gt = omega_gram(base.B, base.A, np.tensordot(Vt.T, F, axes=1))
+    Gt = omega_gram(p.B, p.A, np.tensordot(Vt.T, F, axes=1))
     joint, gap_joint = _fixed_subspace(2 * ((rs.n + 1) // 2), Ts, Tt)
-    G2 = omega_gram(base.B, base.A, np.tensordot(joint.T, F, axes=1)).imag
+    G2 = omega_gram(p.B, p.A, np.tensordot(joint.T, F, axes=1)).imag
     return {
         "re_omega_residual": float(np.max(np.abs(Gt.real))),
         "omega2_min_singular": float(np.linalg.svd(G2, compute_uv=False)[-1]),

@@ -266,7 +266,8 @@ def test_criterion_10_nondegeneracy(roots):
             s = semisimple_s(rs, rng)
             A = build_M(rs, s)
             p = unit(rs, A) if i % 2 == 0 else random_point(rs, rng, A)
-            min_sing = min(min_sing, gram_matrix(p, tangent_space(rs, p))[1])
+            U, _ = tangent_space(rs, p)
+            min_sing = min(min_sing, gram_matrix(p, U)[1])
     ok = min_sing > 1e-6
     msg = _line(10, "nondegeneracy", ok, f"min Gram singular value {min_sing:.2e} (> 1e-6)")
     assert ok, msg
@@ -316,7 +317,8 @@ def test_criterion_13_integrable_system(roots):
         rs = roots[n]
         for _ in range(5):
             p = random_point(rs, rng, build_M(rs, semisimple_s(rs, rng)))
-            dim_ok = dim_ok and len(tangent_space(rs, p)) == 2 * n
+            U, _ = tangent_space(rs, p)
+            dim_ok = dim_ok and len(U) == 2 * n
             traceless = centralizer_basis(p.A)
             cf, ce = rand_s(rng, n), rand_s(rng, n)
             uF = fiber_vector(p, sum(cf[k] * traceless[k] for k in range(n)))

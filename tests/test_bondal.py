@@ -104,3 +104,15 @@ def test_triangularizing_permutation_probe(roots):
     S1 = build_S(rs2, 1, np.array([0.4 + 0j, 0.4 + 0j]))
     perm2 = bd.triangularizing_permutation(inverse(S1).T)
     assert perm2 is None or len(perm2) == 3
+
+
+def test_target_inverts_once_bit_identically():
+    """target and membership invert B once; the result equals the twice-inverted formula bit for bit."""
+    rng = np.random.default_rng(41)
+    for N in (2, 3, 4, 5):
+        B = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        A = np.triu(rng.standard_normal((N, N)), 1) + np.eye(N)
+        p = bd.BondalPoint(B=B, A=A)
+        assert np.array_equal(bd.target(p), inverse(B).T @ A @ inverse(B))
+        # a complex orthogonal B has B^{-T} = B, so over the identity base the target is I
+        assert bd.membership(rand_orthogonal(rng, N), np.eye(N)) and not bd.membership(B, A)

@@ -164,8 +164,11 @@ def test_tangent_space_dimension(roots, n):
     rng = np.random.default_rng(900 + n)
     for _ in range(10):
         p = random_point(rs, rng)
-        U = tangent_space(rs, p)
+        U, sdot = tangent_space(rs, p)
         assert len(U) == 2 * n and U.shape[1:] == (2, n + 1, n + 1)
+        assert sdot.shape == (2 * n, n)
+        # each Y is the section's derivative along the row's base velocity
+        assert np.max(np.abs(U[:, 1] - np.tensordot(sdot, dM_ds(rs, p.s), axes=1))) < 1e-12
         # every row satisfies the linearized constraints
         X, Y = U[:, 0], U[:, 1]
         assert np.max(np.abs(X @ p.A - p.A @ X + p.B @ Y - Y @ p.B)) < 1e-10
@@ -179,7 +182,7 @@ def test_tangent_space_unit_example(roots):
     p = unit(rs, A)
     dM = dM_ds(rs, p.s)
     assert np.allclose(dM[0], [[0, 0], [0, -1]])
-    U = tangent_space(rs, p)
+    U, _ = tangent_space(rs, p)
     assert len(U) == 2
     # the explicit fiber and horizontal directions satisfy the constraints
     uF = fiber_vector(p, st1.PiHat)

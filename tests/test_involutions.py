@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ucgl.core import char_poly, inverse, structural_matrices
 from ucgl.errors import PreconditionError
-from ucgl.groupoid import random_point, random_slocal_point, sample_slocal_fiber, unit
+from ucgl.groupoid import (
+    centralizer_basis,
+    random_point,
+    random_slocal_point,
+    sample_slocal_fiber,
+    tangent_space,
+    unit,
+)
 from ucgl.involutions import (
     F_sigma,
     F_theta,
@@ -16,7 +24,6 @@ from ucgl.involutions import (
     theta_differential,
 )
 from ucgl.stokes import build_M, build_S, dM_ds, rand_s
-from ucgl.symplectic import SectionChart
 
 TOL = 1e-9
 
@@ -165,33 +172,53 @@ def test_make_point_validates(roots):
         make_point(rs, np.eye(2), np.diag([2.0, 0.5]))  # off the section
 
 
-def richardson_map_frame(rs, chart, apply, x0, h=1e-3):
-    """Reference differential of apply o chart.point along every chart coordinate.
+def richardson(f, h=1e-3):
+    """f'(0) by central differences with two Richardson levels (truncation error O(h^6))."""
 
-    Central differences with two Richardson levels (truncation error O(h^6)),
-    stacked as (4n, 2, N, N) like the exact differentials.
+    def central(hh):
+        return (f(hh) - f(-hh)) / (2 * hh)
+
+    d1, d2, d4 = central(h), central(h / 2), central(h / 4)
+    r1, r2 = (4 * d2 - d1) / 3, (4 * d4 - d2) / 3
+    return (16 * r2 - r1) / 15
+
+
+def curves_through(rs, p):
+    """Curves t -> point through p, one per real direction, with their base velocities.
+
+    Along s + t e_d and s + i t e_d the B-slot stays the polynomial in A that
+    p.B is (the commutant of a regular A is its polynomials), rescaled to
+    det 1; the fiber curves are B expm(t E_k) and B expm(i t E_k) over
+    centralizer_basis(A).
     """
+    n, N = rs.n, rs.n + 1
 
-    def image(x):
-        q = apply(rs, chart.point(x), tol=np.inf)
-        return np.array([q.B, q.A])
+    def powers(A):
+        return np.array([np.linalg.matrix_power(A, j) for j in range(N)])
 
-    def central(k, hh):
-        e = np.zeros_like(x0)
-        e[k] = hh
-        return (image(x0 + e) - image(x0 - e)) / (2 * hh)
+    beta = np.linalg.lstsq(powers(p.A).reshape(N, -1).T, p.B.ravel(), rcond=None)[0]
+
+    def base(ds):
+        def curve(t):
+            A = build_M(rs, p.s + t * ds)
+            B = np.tensordot(beta, powers(A), axes=1)
+            return make_point(rs, B / np.linalg.det(B) ** (1 / N), A, tol=1e-6)
+        return curve
+
+    def fiber(xi):
+        return lambda t: make_point(rs, p.B @ expm(t * xi), p.A)
 
     out = []
-    for k in range(len(x0)):
-        d1, d2, d4 = central(k, h), central(k, h / 2), central(k, h / 4)
-        r1, r2 = (4 * d2 - d1) / 3, (4 * d4 - d2) / 3
-        out.append((16 * r2 - r1) / 15)
-    return np.array(out)
+    for z in (1, 1j):
+        out += [(base(z * e), z * e) for e in np.eye(n)]
+        out += [(fiber(z * xi), np.zeros(n)) for xi in centralizer_basis(p.A)]
+    return out
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_involution_differentials_exact(roots, n):
-    """Exact differentials against finite differences and against dM_ds.
+    """Exact differentials against finite differences along curves through p,
+    and against dM_ds on tangent_space's basis.
 
     n = 1..4 covers both moving twists: F_sigma at even rank, F_theta at odd.
     """
@@ -206,15 +233,21 @@ def test_involution_differentials_exact(roots, n):
         (apply_sigma, sigma_differential, lambda s: s[..., ::-1]),
         (apply_theta, theta_differential, lambda s: np.conj(s[..., ::-1])),
     )
+
+    def pair(q):
+        return np.array([q.B, q.A])
+
     for p in points:
-        chart = SectionChart(rs, p)
-        x0 = chart.x0()
-        base, U = chart.real_frame(x0)
-        sdot = chart.real_frame_sdot()
+        curves = curves_through(rs, p)
+        U = np.array([richardson(lambda t: pair(c(t))) for c, _ in curves])
+        sdot = np.array([v for _, v in curves])
+        T, Tdot = tangent_space(rs, p)
         for apply, differential, image_s in maps:
-            dU = differential(rs, base, U, sdot)
-            ref = richardson_map_frame(rs, chart, apply, x0)
+            dU = differential(rs, p, U, sdot)
+            ref = np.array([richardson(lambda t: pair(apply(rs, c(t), tol=np.inf)))
+                            for c, _ in curves])
             assert np.max(np.abs(dU - ref)) < 1e-8 * np.max(np.abs(ref))
             # the image A-slot moves along the section at the image parameters
-            dA = np.tensordot(image_s(sdot), dM_ds(rs, image_s(base.s)), axes=1)
-            assert np.max(np.abs(dU[:, 1] - dA)) < 1e-12 * np.max(np.abs(dA))
+            dT = differential(rs, p, T, Tdot)
+            dA = np.tensordot(image_s(Tdot), dM_ds(rs, image_s(p.s)), axes=1)
+            assert np.max(np.abs(dT[:, 1] - dA)) < 1e-12 * np.max(np.abs(dA))

@@ -77,8 +77,8 @@ MUTANTS = {
     "groupoid.slocal_fiber_membership": (
         "groupoid.sample_slocal_fiber", "xi = xi - F @ xi.T @ inverse(F)", "xi = xi"),
     "groupoid.tangent_dimension": (
-        "groupoid.tangent_space", "return np.stack([X, Y], axis=1)",
-        "return np.stack([X, Y], axis=1)[1:]"),
+        "groupoid.tangent_space", "return np.stack([X, Y], axis=1), sdot",
+        "return np.stack([X, Y], axis=1)[1:], sdot"),
     "symplectic.unit_block_oracle": ("symplectic._K", ") + np.einsum(", ") - np.einsum("),
     "symplectic.unit_pullback_zero": (
         "groupoid.horizontal_vector_at_unit", "np.array([np.zeros_like(p.B), Y]",
@@ -92,13 +92,13 @@ MUTANTS = {
         "dW[:, 1] = Ai @ dW[:, 1] @ Ai"),
     "symplectic.pullback_random": (
         "involutions.sigma_differential", "-W @ U.transpose(0, 1, 3, 2) @ W", "-W @ U @ W"),
+    # the realified Gram repeats its first block row
     "symplectic.nondegeneracy": (
-        "groupoid.tangent_space", "return np.stack([X, Y], axis=1)",
-        "return np.stack([X, np.zeros_like(X)], axis=1)"),
+        "symplectic.gram_matrix", "[-G.imag, -G.real]]", "[G.real, -G.imag]]"),
+    # gradients that are not functions of s alone, so not in involution
     "symplectic.poisson_brackets": (
-        "symplectic.poisson_bracket_residual", "np.zeros((rs.n, rs.n))", "np.ones((rs.n, rs.n))"),
+        "symplectic.poisson_bracket_residual", "@ sdot.T", "@ np.conj(sdot).T"),
     "symplectic.fiber_isotropy": ("groupoid.fiber_vector", "p.B @ xi,", "p.B @ xi.T,"),
-    # omega vanishes on fiber pairs, so only an antilinear edit can show here
     "symplectic.type_two_zero": (
         "symplectic._K", "P[1], Q[0]", "P[1].conj(), Q[0]"),
     "symplectic.real_form_re_omega": (

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm_frechet
 
-from ucgl.core import char_poly, structural_matrices
+from ucgl import symplectic
+from ucgl.core import structural_matrices
 from ucgl.errors import NotComposableError
 from ucgl.groupoid import (
     centralizer_basis,
@@ -14,11 +14,11 @@ from ucgl.groupoid import (
     tangent_space,
     unit,
 )
-from ucgl.stokes import build_M, dM_ds, rand_palindromic_s, rand_s, semisimple_s
+from ucgl.stokes import build_M, rand_palindromic_s, rand_s, semisimple_s
 from ucgl.symplectic import (
-    SectionChart,
     _character_jacobian,
     _characters,
+    _exterior_derivative,
     _omega_derivative,
     closedness_residual,
     composable_tangent_basis,
@@ -83,7 +83,7 @@ def test_unit_closed_form_on_tangent_basis(roots, n):
     rng = np.random.default_rng(2300 + n)
 
     def both(p):
-        U = tangent_space(rs, p)
+        U, _ = tangent_space(rs, p)
         G = np.array([[omega(p, u, v) for v in U] for u in U])
         closed = np.array([[unit_block_values(p.A, u, v) for v in U] for u in U])
         return G, np.max(np.abs(closed - G))
@@ -101,7 +101,7 @@ def test_omega_antisymmetry(roots):
     rs = roots[2]
     rng = np.random.default_rng(5)
     p = random_point(rs, rng)
-    vecs = tangent_space(rs, p)
+    vecs, _ = tangent_space(rs, p)
     for u in vecs:
         assert omega(p, u, u) == 0
     for u in vecs:
@@ -113,9 +113,9 @@ def test_omega_antisymmetry(roots):
 def test_omega_gram_matches_trace_formula(roots, n):
     rs = roots[n]
     p = random_point(rs, np.random.default_rng(1800 + n))
-    chart = SectionChart(rs, p)
-    base, U = chart.real_frame(chart.x0())
-    a, gi, ai = base.A, np.linalg.inv(base.B), np.linalg.inv(base.A)
+    U, _ = tangent_space(rs, p)
+    U = np.concatenate([U, 1j * U])
+    a, gi, ai = p.A, np.linalg.inv(p.B), np.linalg.inv(p.A)
 
     def literal(u, v):
         (Xu, Yu), (Xv, Yv) = u, v
@@ -128,13 +128,13 @@ def test_omega_gram_matches_trace_formula(roots, n):
         )
 
     ref = np.array([[literal(u, v) for v in U] for u in U])
-    G = omega_gram(base.B, a, U)
+    G = omega_gram(p.B, a, U)
     scale = np.max(np.abs(ref))
     assert np.max(np.abs(G - ref)) < 1e-12 * scale
     assert np.array_equal(G, -G.T)
     assert not np.any(np.diag(G))
     # the two-stack form gives the off-diagonal block
-    assert np.max(np.abs(omega_gram(base.B, a, U[:2], U[2:]) - ref[:2, 2:])) < 1e-12 * scale
+    assert np.max(np.abs(omega_gram(p.B, a, U[:2], U[2:]) - ref[:2, 2:])) < 1e-12 * scale
 
 
 def test_multiplicativity_rejects_unequal_base_variation(roots):
@@ -183,18 +183,40 @@ def test_closedness(roots, n, tol):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_closedness_detects_non_tangent_frame(roots, monkeypatch, n):
-    """Negative control: a frame pushed off the tangent spaces is not closed."""
+    """Negative control: a frame pushed off the tangent spaces is not closed.
+
+    It has 2n + 1 vectors: d omega is a holomorphic 3-form, so it vanishes on
+    the real frame of any complex plane, and at n = 1 the tangent space is one.
+    """
     rs = roots[n]
     rng = np.random.default_rng(2200 + n)
     p = random_point(rs, rng)
-    real_frame = SectionChart.real_frame
-
-    def perturbed(self, x):
-        base, U = real_frame(self, x)
-        return base, U + 0.1 * rng.standard_normal(U.shape)
-
-    monkeypatch.setattr(SectionChart, "real_frame", perturbed)
+    U, sdot = tangent_space(rs, p)
+    W = np.concatenate([U, U[:1]]) + 0.1 * rng.standard_normal((2 * n + 1,) + U.shape[1:])
+    monkeypatch.setattr(symplectic, "tangent_space", lambda rs, p: (W, sdot))
     assert closedness_residual(rs, p) > (1e-4 if n <= 2 else 1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_closedness_frame_independent(roots, n):
+    """d omega on the real frame F = [U, iU] and on a random real recombination
+    M F agree through M (x) M (x) M, and vanish; on a frame off the tangent
+    space they agree too, and do not vanish."""
+    rs = roots[n]
+    rng = np.random.default_rng(2500 + n)
+    for p in _three_points(rs, rng):
+        U, _ = tangent_space(rs, p)
+        F = np.concatenate([U, 1j * U])
+        M = rng.standard_normal((4 * n, 4 * n))
+        for W, closed in ((F, True), (F + 0.1 * rng.standard_normal(F.shape), False)):
+            MW = np.tensordot(M, W, axes=1)
+            dw, dwM = _exterior_derivative(p.B, p.A, W), _exterior_derivative(p.B, p.A, MW)
+            ref = np.einsum("ia,jb,kc,abc->ijk", M, M, M, dw)
+            # round-off scales with the terms of the alternating sum; D vanishes at n = 1 units
+            scale = max(np.max(np.abs(_omega_derivative(p.B, p.A, MW))),
+                        np.max(np.abs(omega_gram(p.B, p.A, MW))))
+            assert np.max(np.abs(dwM - ref)) < 1e-11 * scale
+            assert (np.max(np.abs(dwM)) < 1e-11 * scale) == closed
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -202,15 +224,15 @@ def test_omega_derivative_matches_gram_differences(roots, n):
     """D[w] against a central difference of omega_gram along frame vector w.
 
     The product rule holds for any ambient stack, so a random one is checked
-    too: on chart frames some slot terms cancel and would hide a wrong sign.
+    too: on tangent frames some slot terms cancel and would hide a wrong sign.
     """
     rs = roots[n]
     rng = np.random.default_rng(2100 + n)
     h = 1e-6
     for p in _three_points(rs, rng):
-        chart = SectionChart(rs, p)
-        base, U = chart.real_frame(chart.x0())
-        g, a = base.B, base.A
+        U, _ = tangent_space(rs, p)
+        U = np.concatenate([U, 1j * U])
+        g, a = p.B, p.A
         for W in (U, rng.standard_normal(U.shape) + 1j * rng.standard_normal(U.shape)):
             D = _omega_derivative(g, a, W)
             ref = np.array([
@@ -245,7 +267,7 @@ def test_nondegeneracy(roots, n):
     for i in range(6):
         A = build_M(rs, semisimple_s(rs, rng))  # keep eigenvalues well separated
         p = unit(rs, A) if i % 2 == 0 else random_point(rs, rng, A)
-        basis = tangent_space(rs, p)
+        basis, _ = tangent_space(rs, p)
         assert gram_matrix(p, basis)[1] > 1e-6
 
 
@@ -288,35 +310,20 @@ def test_fiber_isotropy_and_type(roots):
         uF = fiber_vector(p, sum(cf[k] * traceless[k] for k in range(n)))
         vF = fiber_vector(p, sum(ce[k] * traceless[k] for k in range(n)))
         assert abs(omega(p, uF, vF)) < 1e-9
-        assert type_20_residual(p, uF, vF) < 1e-10
-
-
-def test_chart_hits_anchor(roots):
-    rs = roots[2]
-    rng = np.random.default_rng(17)
-    p = random_point(rs, rng)
-    chart = SectionChart(rs, p)
-    q = chart.point(chart.x0())
-    assert np.max(np.abs(q.B - p.B)) < 1e-10
-    assert np.max(np.abs(q.A - p.A)) < 1e-12
+        U, _ = tangent_space(rs, p)
+        assert np.max(np.abs(omega_gram(p.B, p.A, U))) > 1e-2  # omega is not zero here
+        assert type_20_residual(p, U) < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_chart_frame_matches_finite_differences(roots, n):
+def test_type_two_zero_detects_real_part(roots, monkeypatch, n):
+    """Negative control: an omega that takes its real part is not complex bilinear."""
     rs = roots[n]
-    rng = np.random.default_rng(16 + n)
-    p = random_point(rs, rng)
-    chart = SectionChart(rs, p)
-    x0 = chart.x0()
-    _, U = chart.real_frame(x0)
-    h = 1e-6
-    for k in range(len(x0)):
-        e = np.zeros_like(x0)
-        e[k] = h
-        Bp, Ap = chart.point(x0 + e).B, chart.point(x0 + e).A
-        Bm, Am = chart.point(x0 - e).B, chart.point(x0 - e).A
-        assert np.max(np.abs((Bp - Bm) / (2 * h) - U[k, 0])) < 1e-6
-        assert np.max(np.abs((Ap - Am) / (2 * h) - U[k, 1])) < 1e-6
+    p = random_point(rs, np.random.default_rng(1650 + n))
+    U, _ = tangent_space(rs, p)
+    gram = symplectic.omega_gram
+    monkeypatch.setattr(symplectic, "omega_gram", lambda *args: gram(*args).real)
+    assert type_20_residual(p, U) > 1e-10
 
 
 def _three_points(rs, rng):
@@ -330,57 +337,18 @@ def _three_points(rs, rng):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_block_exponential_frame_matches_expm_frechet(roots, n):
-    """complex_frame against one scipy expm_frechet call per chart direction."""
+def test_character_jacobian_matches_differences(roots, n):
+    """Central differences of the characters chi(s), along s_d and i s_d (chi is
+    holomorphic), equal the character Jacobian."""
     rs = roots[n]
-    N = n + 1
-    I = np.eye(N)
-    rng = np.random.default_rng(1900 + n)
-    for p in _three_points(rs, rng):
-        chart = SectionChart(rs, p)
-        x = chart.x0() + 1e-2 * rng.standard_normal(4 * n)  # nonzero c as well
-        _, U = chart.complex_frame(x)
-        assert U.shape == (2 * n, 2, N, N)
-        s, c = chart.unpack(x)
-        A, powers, Nm = chart._nilpotent(s, c)
-        dA = dM_ds(rs, s)
-        dNs = []
-        for d in range(n):
-            dPow = [np.zeros((N, N), dtype=complex)]
-            for j in range(1, N):
-                dPow.append(dPow[-1] @ A + powers[j - 1] @ dA[d])
-            dNs.append(sum((chart.beta[j] + c[j - 1]) * dPow[j] for j in range(1, N)))
-        dNs += [powers[j] for j in range(1, N)]
-        for k, dN in enumerate(dNs):
-            _, dB = expm_frechet(Nm, dN - np.trace(dN) / N * I)
-            assert np.max(np.abs(U[k, 0] - dB)) < 1e-12 * np.max(np.abs(dB))
-            assert np.array_equal(U[k, 1], dA[k] if k < n else np.zeros((N, N)))
-        _, R = chart.real_frame(x)
-        assert np.array_equal(R, np.concatenate([U[:n], 1j * U[:n], U[n:], 1j * U[n:]]))
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_poisson_gradients_match_chart_differences(roots, n):
-    """Character gradients through chart points equal the character Jacobian."""
-    rs = roots[n]
-    N = n + 1
     rng = np.random.default_rng(2000 + n)
-    for p in _three_points(rs, rng):
-        chart = SectionChart(rs, p)
-        x0 = chart.x0()
-
-        def chi(x):
-            c = char_poly(chart.point(x).A)
-            return np.array([(-1.0) ** k * c[N - k] for k in range(1, N)])
-
-        h = 1e-6
-        ref = np.zeros((n, 2 * n), dtype=complex)
-        for a, idx in enumerate(np.r_[:n, 2 * n : 3 * n]):  # Re s, Re c in the packing
-            e = np.zeros_like(x0)
-            e[idx] = h
-            ref[:, a] = (chi(x0 + e) - chi(x0 - e)) / (2 * h)
-        assert not np.any(ref[:, n:])
-        assert np.max(np.abs(ref[:, :n] - _character_jacobian(rs, chart.s0))) <= 1e-8
+    h = 1e-6
+    for s in (rand_s(rng, n), semisimple_s(rs, rng), rand_palindromic_s(rng, n)):
+        J = _character_jacobian(rs, s)
+        for step in (h, 1j * h):
+            ref = np.array([(_characters(rs, s + step * e) - _characters(rs, s - step * e))
+                            / (2 * step) for e in np.eye(n)]).T
+            assert np.max(np.abs(ref - J)) <= 1e-8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
