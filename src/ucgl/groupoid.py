@@ -7,6 +7,7 @@ over the section and needs no maps for them.  Composition multiplies the
 B-slots.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,17 @@ def centralizer_basis(A):
     For regular A the commutant is the polynomials in A (Kostant, Amer. J.
     Math. 85, 1963), so its traceless part is spanned by the traceless
     powers A^j - (Tr A^j / N) I, j = 1..n; E is the QR of these, vectorised.
+
+    E is memoised by the shape and bytes of A (32 entries) and is
+    read-only; a non-regular A raises NotRegularError on every call.
     """
     A = np.asarray(A, dtype=complex)
+    return _centralizer_basis(A.shape, A.tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _centralizer_basis(shape, data):
+    A = np.frombuffer(data, dtype=complex).reshape(shape)
     if not is_regular(A):
         raise NotRegularError("centralizer basis needs a regular element")
     N = A.shape[0]
@@ -86,7 +96,9 @@ def centralizer_basis(A):
     P = np.array(powers)
     P -= np.trace(P, axis1=1, axis2=2)[:, None, None] / N * np.eye(N)
     Q, _ = np.linalg.qr(P.reshape(N - 1, -1).T)
-    return Q.T.reshape(N - 1, N, N)
+    E = Q.T.reshape(N - 1, N, N)
+    E.flags.writeable = False
+    return E
 
 
 def _commutant_element(A, seed):

@@ -171,15 +171,31 @@ def section_membership(rs, A, tol=1e-9):
     """Whether A lies on the section, and on its real palindromic slice.
 
     Returns a dict with in_section, in_local and the read-off parameters s.
-    in_local additionally requires s real and s_i = s_{n-i+1}.
+    in_local additionally requires s real and s_i = s_{n-i+1}.  A NaN
+    residual fails both.
+
+    The fit itself, s and its three residuals, is memoised by value in
+    _section_fit: one entry per root set and the shape and bytes of A, 32
+    entries, compared against tol here, so calls at any tolerance share an
+    entry and every residual is the one a fresh fit gives.  The returned s
+    is read-only.
     """
     A = np.asarray(A, dtype=complex)
-    s = stokes_params_of(A)
-    in_section = bool(np.max(np.abs(A - build_M(rs, s))) < tol)
-    in_local = in_section and bool(
-        np.max(np.abs(s.imag)) < tol and np.max(np.abs(s - s[::-1])) < tol
-    )
+    s, gap, imag, asym = _section_fit(rs, A.shape, A.tobytes())
+    in_section = bool(gap < tol)
+    in_local = in_section and bool(imag < tol and asym < tol)
     return {"in_section": in_section, "in_local": in_local, "s": s}
+
+
+@functools.lru_cache(maxsize=32)
+def _section_fit(rs, shape, data):
+    """s = stokes_params_of(A) for A from its shape and bytes, with max|A - M(s)|,
+    max|Im s| and max|s - s reversed|."""
+    A = np.frombuffer(data, dtype=complex).reshape(shape)
+    s = stokes_params_of(A)
+    s.flags.writeable = False
+    return (s, np.max(np.abs(A - build_M(rs, s))), np.max(np.abs(s.imag)),
+            np.max(np.abs(s - s[::-1])))
 
 
 def factor_product_derivative(rs, factors, s, sdots):

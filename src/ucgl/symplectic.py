@@ -286,20 +286,22 @@ def _character_jacobian(rs, s):
     return J
 
 
-def poisson_bracket_residual(rs, i, j, p):
-    """|{chi_i, chi_j}| at a point, via gradients on tangent_space's basis and its Gram.
+def poisson_bracket_residual(rs, p, U, sdot):
+    """|{chi_i, chi_j}| at p for every pair i < j, in itertools.combinations
+    order, from tangent_space's (U, sdot) at p.
 
     The characters depend on s alone, so d chi(U_k) is the character
-    Jacobian applied to U_k's base velocity sdot_k.
+    Jacobian applied to U_k's base velocity sdot_k.  One solve against the
+    Gram G of U gives the coefficients a of every gradient, one column per
+    character, and the brackets are the entries of a^T G a above the
+    diagonal.
     """
-    U, sdot = tangent_space(rs, p)
     G = omega_gram(p.B, p.A, U)
     if np.linalg.cond(G) > 1e10:
         raise DegenerateFormError("Gram matrix numerically singular")
     grads = _character_jacobian(rs, p.s) @ sdot.T
-    ai = np.linalg.solve(G, grads[i - 1])
-    bj = np.linalg.solve(G, grads[j - 1])
-    return abs(ai @ G @ bj)
+    a = np.linalg.solve(G, grads.T)
+    return np.abs((a.T @ G @ a)[np.triu_indices(rs.n, 1)])
 
 
 # ---------------------------------------------------------------------------

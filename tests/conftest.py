@@ -1,13 +1,22 @@
 import numpy as np
 import pytest
 
-from ucgl.stokes import derive_root_sets
+from ucgl.groupoid import _centralizer_basis
+from ucgl.stokes import _section_fit, derive_root_sets
 
 
 @pytest.fixture(scope="session")
 def roots():
     """Derived root sets for ranks 1..4, shared across the session."""
     return {n: derive_root_sets(n) for n in range(1, 5)}
+
+
+@pytest.fixture(autouse=True)
+def cold_memos():
+    """Empty the value-keyed memos before each test: an entry made before a
+    test monkeypatches a function they call would hide the patch."""
+    _section_fit.cache_clear()
+    _centralizer_basis.cache_clear()
 
 
 @pytest.fixture()

@@ -6,7 +6,7 @@ import pytest
 
 from ucgl.cli import main
 from ucgl.errors import PreconditionError, SearchFailureError, UcglError
-from ucgl import report
+from ucgl import groupoid, report, stokes
 from ucgl.report import Check, run_suite
 from ucgl.stokes import derive_root_sets
 
@@ -66,6 +66,36 @@ def test_suite_alone_draws_what_it_draws_inside_all():
     within = [c for c in run_suite(config | {"suite": "all"}).to_dict()["checks"]
               if c["name"].startswith("groupoid.")]
     assert alone and alone == within
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_memos_leave_the_report_unchanged(monkeypatch, n):
+    """The same report, timing aside, from a cold memo, a warm one and none."""
+
+    def checks():
+        return run_suite({"n": n, "seed": 42, "samples": 10}).to_dict()["checks"]
+
+    cold = checks()
+    assert stokes._section_fit.cache_info().hits > 0
+    assert groupoid._centralizer_basis.cache_info().hits > 0
+    assert checks() == cold
+    monkeypatch.setattr(stokes, "_section_fit", stokes._section_fit.__wrapped__)
+    monkeypatch.setattr(groupoid, "_centralizer_basis", groupoid._centralizer_basis.__wrapped__)
+    assert checks() == cold
+
+
+def test_laws_trial_applies_sigma_five_times(roots, monkeypatch):
+    """sigma(p) and theta(p) are reused: sp, sigma(sp), sigma(tp), sigma(pq), sigma(q)."""
+    calls = []
+    apply_sigma = report.apply_sigma
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return apply_sigma(*args, **kwargs)
+
+    monkeypatch.setattr(report, "apply_sigma", counted)
+    report.suite_involutions(roots[2], np.random.default_rng(42), samples=5)
+    assert len(calls) == 25
 
 
 def test_cli_derive_roots_search_failure_exit_code():

@@ -8,6 +8,7 @@ from ucgl.errors import (
     PreconditionError,
 )
 from ucgl.groupoid import (
+    _centralizer_basis,
     centralizer_basis,
     fiber_vector,
     groupoid_compose,
@@ -91,6 +92,20 @@ def test_centralizer_basis(roots):
             # subtracting Tr A^j / N leaves round-off of the size of A^j: 1.7e-14 at n = 4
             assert np.max(np.abs(np.trace(E, axis1=1, axis2=2))) < 1e-12
             assert np.max(np.abs(E @ A - A @ E)) < 1e-14 * np.linalg.norm(A)
+
+
+def test_centralizer_basis_memo(roots):
+    """A non-regular A raises on every call; equal arrays share one read-only E."""
+    for _ in range(2):
+        with pytest.raises(NotRegularError):
+            centralizer_basis(np.eye(3))
+    A = build_M(roots[3], rand_s(np.random.default_rng(5), 3))
+    E = centralizer_basis(A)
+    np.testing.assert_array_equal(centralizer_basis(A.copy()), E)
+    # (hits, misses): an exception is not stored, so each raise was a miss
+    assert _centralizer_basis.cache_info()[:2] == (1, 3)
+    with pytest.raises(ValueError):
+        E[0, 0, 0] = 0.0
 
 
 def test_sample_commuting_properties(roots):

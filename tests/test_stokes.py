@@ -13,6 +13,7 @@ from ucgl.stokes import (
     _prescreened_candidates,
     _screen_chunk,
     _search,
+    _section_fit,
     _stacked_Q,
     build_M,
     build_Q,
@@ -252,6 +253,37 @@ def test_section_membership(roots):
     G = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     mem = section_membership(rs3, G)
     assert not mem["in_section"] and not mem["in_local"]
+
+
+def test_section_fit_memo_matches_a_cold_fit(roots):
+    """A warm entry gives the cold verdict at every tolerance, and an equal copy of A hits."""
+    rs = roots[3]
+    rng = np.random.default_rng(91)
+    bases = [
+        build_M(rs, rand_palindromic_s(rng, 3)),  # on the real palindromic slice
+        rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),  # off the section
+        build_M(rs, rand_s(rng, 3)),  # complex s
+        build_M(rs, np.array([0.3, -1.2, 0.8], dtype=complex)),  # real, not palindromic
+        np.full((4, 4), np.nan, dtype=complex),  # a NaN residual fails at every tol
+    ]
+    tols = (1e-9, 1e-7, np.inf)
+    for A in bases:
+        cold = []
+        for tol in tols:
+            _section_fit.cache_clear()
+            cold.append(section_membership(rs, A, tol))
+        _section_fit.cache_clear()
+        for tol, want in zip(tols, cold):
+            got = section_membership(rs, A.copy(), tol)
+            assert (got["in_section"], got["in_local"]) == (want["in_section"], want["in_local"])
+            np.testing.assert_array_equal(got["s"], want["s"])
+        assert _section_fit.cache_info()[:2] == (len(tols) - 1, 1)  # (hits, misses)
+    verdicts = [section_membership(rs, A)["in_section"] for A in bases]
+    assert verdicts == [True, False, True, True, False]
+    assert not section_membership(rs, bases[-1], np.inf)["in_section"]
+    assert [section_membership(rs, A)["in_local"] for A in bases[:4]] == [True, False, False, False]
+    with pytest.raises(ValueError):
+        section_membership(rs, bases[0])["s"][0] = 0.0
 
 
 def test_sign_coeff_covers_all_pairs(roots):
