@@ -3,7 +3,7 @@
 Modules:
   core        structural matrices, characteristic polynomial, trace form
   connection  connection-form coefficient and its symmetries
-  stokes      Stokes factors, the section, the root-set search
+  stokes      Stokes factors, the section, the root-set pair
   involutions the two twisting involutions and the fixed-locus test
   groupoid    groupoid structure maps, sampling, tangent spaces
   symplectic  the 2-form and its verification machinery

@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands:
-  derive-roots  run the constrained root-set search and write the JSON cache
+  derive-roots  derive the root-set pair from its closed-form rule, print or write it
   verify        run a verification suite, write a JSON/Markdown report
   sample-slocal draw deterministic samples of the monodromy locus
 
 Exit codes: 0 all checks pass, 1 a check failed or a suite raised (the
-report is still written), 2 usage error, 3 root-set search failure.
+report is still written), 2 usage error, 3 root-set failure (no orientation of
+the closed-form rule is confirmed).
 """
 
 import argparse
@@ -27,9 +28,8 @@ def _build_parser():
     parser = argparse.ArgumentParser(prog="ucgl")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("derive-roots", help="run the root-set search")
+    p = sub.add_parser("derive-roots", help="derive the root-set pair")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--budget", type=float, default=60.0)
     p.add_argument("--out", type=str, default=None)
 
     # unset flags stay None, so the config file or run_suite's defaults
@@ -62,9 +62,9 @@ def _emit(text, out):
 
 def cmd_derive_roots(args):
     try:
-        rs = derive_root_sets(args.n, time_budget=args.budget, force=True)
+        rs = derive_root_sets(args.n, force=True)
     except SearchFailureError as exc:
-        print(f"search failure: {exc}", file=sys.stderr)
+        print(f"root-set failure: {exc}", file=sys.stderr)
         return 3
     _emit(json.dumps(root_sets_to_dict(rs), sort_keys=True, indent=2), args.out)
     return 0
@@ -92,7 +92,7 @@ def cmd_verify(args):
     try:
         report = run_suite(config)
     except SearchFailureError as exc:
-        print(f"search failure: {exc}", file=sys.stderr)
+        print(f"root-set failure: {exc}", file=sys.stderr)
         return 3
     for c in report.checks:
         if c.name.endswith(".error"):

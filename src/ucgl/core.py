@@ -120,21 +120,18 @@ def char_poly(M):
 
     Uses the trace recursion (no eigenvalue solve): with B_0 = 0,
     B_k = M (B_{k-1} + a_{k-1} I), a_k = -Tr(B_k)/k, the descending
-    coefficients are 1, a_1, ..., a_N.  M may also be a stack of shape
-    (..., N, N); the coefficients then have shape (..., N+1).
+    coefficients are 1, a_1, ..., a_N.
     """
-    A = np.asarray(M, dtype=complex)
-    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
-        raise InvalidDimensionError(f"expected square matrices, got shape {A.shape}")
-    N = A.shape[-1]
-    coeffs_desc = np.zeros(A.shape[:-2] + (N + 1,), dtype=complex)
-    coeffs_desc[..., 0] = 1.0
-    B = np.zeros_like(A)
+    A = _as_matrix(M)
+    N = A.shape[0]
+    coeffs_desc = np.zeros(N + 1, dtype=complex)
+    coeffs_desc[0] = 1.0
+    B = np.zeros((N, N), dtype=complex)
     I = np.eye(N, dtype=complex)
     for k in range(1, N + 1):
-        B = A @ (B + coeffs_desc[..., k - 1, None, None] * I)
-        coeffs_desc[..., k] = -np.trace(B, axis1=-2, axis2=-1) / k
-    return coeffs_desc[..., ::-1].copy()
+        B = A @ (B + coeffs_desc[k - 1] * I)
+        coeffs_desc[k] = -np.trace(B) / k
+    return coeffs_desc[::-1].copy()
 
 
 def is_regular(M):

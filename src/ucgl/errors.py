@@ -26,7 +26,7 @@ class InvalidSectorError(UcglError):
 
 
 class SearchFailureError(UcglError):
-    """The constrained root-set search produced no survivor within budget."""
+    """No orientation of the closed-form root-set rule passed its confirmation."""
 
 
 class NotComposableError(UcglError):

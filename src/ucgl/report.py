@@ -371,14 +371,16 @@ def suite_symplectic(rs, rng, samples):
                 "symplectic.real_form_fixed_gap": rep["fixed_gap"]}
 
     few = max(5, samples // 10)
+    # at n = 1 the real frame spans one complex plane, on which every complex
+    # alternating 3-form vanishes: closedness could not fail, so it is not drawn
     runs = (_draw(2 * samples, unit_blocks) | _draw(max(10, samples // 2), multiplicative)
-            | _draw(max(3, samples // 10), closed) | _draw(few, nondegenerate)
+            | _draw(max(3, samples // 10) if n >= 2 else 0, closed) | _draw(few, nondegenerate)
             | _draw(3, pullbacks) | _draw(few, integrable) | _draw(3, real_form))
     return _max_checks(runs, {
         "symplectic.unit_block_oracle": 1e-11,
         "symplectic.unit_pullback_zero": 1e-12,
         "symplectic.multiplicativity": 1e-8,
-        "symplectic.closedness": 1e-4 if n <= 2 else 1e-3,
+        **({"symplectic.closedness": 1e-4 if n == 2 else 1e-3} if n >= 2 else {}),
         "symplectic.pullback_units": 1e-9,
         "symplectic.pullback_random": 1e-5,
         **({"symplectic.poisson_brackets": 1e-5} if n >= 2 else {}),
@@ -471,22 +473,21 @@ def run_suite(config):
     """Run one suite (or 'all') and assemble a VerificationReport.
 
     config keys: n (required), suite (default 'all'), seed (default 42),
-    samples (default 100, at least 1), time_budget for the root search
-    (default 60).  A suite that raises a UcglError is recorded as one failed
-    check '<suite>.error' (samples 0, the exception's type and message in
-    details) and the remaining suites still run.
+    samples (default 100, at least 1); other keys are ignored.  A suite that
+    raises a UcglError is recorded as one failed check '<suite>.error'
+    (samples 0, the exception's type and message in details) and the
+    remaining suites still run.
     """
     n = _setting(config, "n", int)
     suite = config.get("suite", "all")
     seed = _setting(config, "seed", int, 42)
     samples = _setting(config, "samples", int, 100)
-    time_budget = _setting(config, "time_budget", float, 60.0)
     if suite != "all" and suite not in _SUITE_FUNCS:
         raise UcglError(f"unknown suite {suite!r}")
     if samples < 1:
         raise UcglError(f"samples must be at least 1, got {samples}")
     t0 = time.monotonic()
-    rs = derive_root_sets(n, time_budget=time_budget)
+    rs = derive_root_sets(n)
     streams = dict(zip(SUITES, np.random.SeedSequence(seed).spawn(len(SUITES))))
     names = SUITES if suite == "all" else [suite]
     checks = []

@@ -7,8 +7,8 @@ from ucgl.stokes import _section_fit, derive_root_sets
 
 @pytest.fixture(scope="session")
 def roots():
-    """Derived root sets for ranks 1..4, shared across the session."""
-    return {n: derive_root_sets(n) for n in range(1, 5)}
+    """Derived root sets for ranks 1..5, shared across the session."""
+    return {n: derive_root_sets(n) for n in range(1, 6)}
 
 
 @pytest.fixture(autouse=True)

@@ -81,7 +81,7 @@ def test_criterion_01_root_set_derivation(roots):
         and rs1.R1 == frozenset()
         and rs1.R1p == frozenset({(1, 0)})
     )
-    msg = _line(1, "root-set search", ok,
+    msg = _line(1, "root-set derivation", ok,
                 f"timings={ {k: round(v, 2) for k, v in timings.items()} }s, "
                 f"survivors={survivors}, rank-1 result {sorted(rs1.R1p)}")
     assert ok, msg

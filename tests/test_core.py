@@ -90,17 +90,6 @@ def test_char_poly_known_values():
     assert np.allclose(char_poly(np.diag([2.0, 0.5])), [1, -2.5, 1])
 
 
-def test_char_poly_accepts_stacks():
-    rng = np.random.default_rng(4)
-    stack = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
-    coeffs = char_poly(stack)
-    assert coeffs.shape == (2, 3, 5)
-    for idx in np.ndindex(2, 3):
-        assert np.array_equal(coeffs[idx], char_poly(stack[idx]))
-    with pytest.raises(InvalidDimensionError):
-        char_poly(np.ones((2, 3, 4)))
-
-
 def test_char_poly_against_eigenvalue_oracle():
     rng = np.random.default_rng(3)
     for N in (2, 3, 4, 5):

@@ -41,7 +41,7 @@ MUTANTS = {
         "return (-(z ** -2)) * W.T - (z ** -1) * np.diag(inp.v).astype(complex)"
         " + inp.x ** 2 * W", "return 0 * W"),
     "stokes.round_trip": (
-        "stokes.stokes_params_of", "char_poly(A)[..., 1 : n + 1]", "char_poly(A)[..., 0:n]"),
+        "stokes.stokes_params_of", "char_poly(A)[1 : n + 1]", "char_poly(A)[0:n]"),
     "stokes.regularity": ("core.is_regular", "return rank == N", "return rank > N"),
     "stokes.power_identity": (
         "stokes.build_S", "range(m * N, m * N + N)", "range(m * N, m * N + N - 1)"),
@@ -135,7 +135,7 @@ def _mutate(monkeypatch, function, old, new):
 @pytest.mark.parametrize("n", RANKS)
 @pytest.mark.parametrize("check", MUTANTS)
 def test_mutant_fails_its_check(roots, monkeypatch, check, n):
-    # roots derives the root sets before a mutant can reach the search
+    # roots derives the root sets before a mutant can reach their derivation
     _mutate(monkeypatch, *MUTANTS[check])
     suite = check.split(".")[0]
     checks = {c.name: c for c in run_suite({"n": n, "suite": suite, "seed": 42,

@@ -7,14 +7,10 @@ import pytest
 from ucgl.core import determinant, inverse, is_regular, structural_matrices
 from ucgl.errors import InvalidSectorError, PreconditionError
 from ucgl.stokes import (
-    RootSetData,
     _candidate_passes,
-    _candidate_sets,
-    _prescreened_candidates,
-    _screen_chunk,
-    _search,
+    _orientations,
     _section_fit,
-    _stacked_Q,
+    _transposed_lex_key,
     build_M,
     build_Q,
     build_S,
@@ -27,53 +23,40 @@ from ucgl.stokes import (
     stokes_params_of,
 )
 
-# frozen output of the constrained search (independently re-derived in the
-# acceptance suite with a fresh search)
+# frozen output of derive_root_sets; n = 1..5 equal the exhaustive search
+# that the closed-form rule replaced
 EXPECTED_ROOTS = {
     1: (set(), {(1, 0)}),
     2: ({(1, 0)}, {(1, 2)}),
     3: ({(1, 0), (2, 3)}, {(1, 3)}),
     4: ({(2, 0), (3, 4)}, {(1, 0), (2, 4)}),
     5: ({(2, 0), (3, 5)}, {(1, 0), (2, 5), (3, 4)}),
+    6: ({(2, 1), (3, 0), (4, 6)}, {(2, 0), (3, 6), (4, 5)}),
 }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_derived_root_sets_match_frozen(roots, n):
-    rs = roots[n]
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_derived_root_sets_match_frozen(n):
+    rs = derive_root_sets(n)
     assert (set(rs.R1), set(rs.R1p)) == EXPECTED_ROOTS[n]
     assert rs.survivor_count == 2
     assert len(rs.R1) + len(rs.R1p) == n
     assert not (rs.R1 & rs.R1p)
 
 
-def test_rank5_derives_within_the_default_budget():
-    rs = derive_root_sets(5, force=True)
-    assert (set(rs.R1), set(rs.R1p)) == EXPECTED_ROOTS[5]
-    assert rs.survivor_count == 2
+@pytest.mark.parametrize("n, count", [(1, 2), (2, 2), (3, 4), (4, 4), (5, 8), (6, 8), (7, 16)])
+def test_rule_orientations(n, count):
+    """The rule's orientation count, and two confirmed, transposes of each other,
+    also at n = 7, beyond derive_root_sets' rank cap."""
+    cands = list(_orientations(n))
+    assert len(cands) == len(set(cands)) == count
+    rng = np.random.default_rng(12345)
+    confirmed = {c for c in cands if _candidate_passes(*c, n, rng, 1 + 2 * (n + 2))}
+    assert len(confirmed) == 2 and _transpose(min(confirmed, key=_transposed_lex_key)) in confirmed
 
 
 def _transpose(cand):
     return tuple(frozenset((j, i) for (i, j) in part) for part in cand)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_stacked_factors_match_build_Q(n):
-    N = n + 1
-    i, j, in_R1 = _prescreened_candidates(n, 0, N ** n << n)
-    s = rand_s(np.random.default_rng(30 + n), n)
-    cands = [RootSetData(n, *_candidate_sets(*row), 0) for row in zip(i, j, in_R1)]
-    for k_num in range(n, 2 * N + 2):
-        stacked = _stacked_Q(i, j, in_R1, k_num, s)
-        assert np.array_equal(stacked, [build_Q(rs, k_num, s) for rs in cands])
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_screen_forwards_only_the_two_survivors(n):
-    s = rand_s(np.random.default_rng(12345), n)
-    forwarded = {_candidate_sets(*row) for row in zip(*_screen_chunk(0, (n + 1) ** n << n, s))}
-    expected = tuple(frozenset(part) for part in EXPECTED_ROOTS[n])
-    assert forwarded == {expected, _transpose(expected)}
 
 
 def _exhaustive_candidates(n):
@@ -87,31 +70,48 @@ def _exhaustive_candidates(n):
                 yield frozenset(R1), frozenset(R1p)
 
 
+def _index_once_candidates(n):
+    """The (n+1)^n 2^n candidates whose pairs carry each index d = (j-i) mod (n+1)
+    once: a row i_d for each d = 1..n, the pair (i_d, i_d + d), and an R1/R1p split.
+    No other candidate can pass the characteristic-polynomial identity: if no pair
+    carries d, M(s) does not depend on s_d."""
+    N = n + 1
+    for rows in itertools.product(range(N), repeat=n):
+        pairs = [(i, (i + d) % N) for d, i in enumerate(rows, 1)]
+        for split in itertools.product((True, False), repeat=n):
+            yield (frozenset(p for p, r in zip(pairs, split) if r),
+                   frozenset(p for p, r in zip(pairs, split) if not r))
+
+
 def _carries_each_index_once(cand, n):
     return sorted((j - i) % (n + 1) for (i, j) in cand[0] | cand[1]) == list(range(1, n + 1))
 
 
 @pytest.mark.parametrize("n, count", [(1, 4), (2, 36), (3, 512), (4, 10000)])
 def test_prescreen_is_the_index_permutation_subset(n, count):
-    screened = [_candidate_sets(*row)
-                for row in zip(*_prescreened_candidates(n, 0, (n + 1) ** n << n))]
+    screened = list(_index_once_candidates(n))
     assert len(screened) == len(set(screened)) == count
     assert set(screened) == {
         c for c in _exhaustive_candidates(n) if _carries_each_index_once(c, n)
     }
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=pytest.mark.slow)])
 def test_pruned_search_matches_exhaustive(n):
-    # the unpruned search: every candidate, one-point screen, then confirmation
+    """The closed-form survivors are every candidate that passes the four constraints
+    at one point and then at 2(n+2): over all candidates at n <= 3, over those that
+    carry each index once at n = 4 and 5."""
+    candidates = _exhaustive_candidates(n) if n <= 3 else _index_once_candidates(n)
     rng = np.random.default_rng(12345)
     exhaustive = {
-        c for c in _exhaustive_candidates(n)
+        c for c in candidates
         if _candidate_passes(*c, n, rng, 1) and _candidate_passes(*c, n, rng, 2 * (n + 2))
     }
-    pruned = _search(n, time_budget=60.0)
-    assert len(pruned) == 2
-    assert set(pruned) == exhaustive
+    closed_form = {c for c in _orientations(n) if _candidate_passes(*c, n, rng, 1 + 2 * (n + 2))}
+    assert closed_form == exhaustive
+    rs = derive_root_sets(n, force=True)
+    assert rs.survivor_count == len(exhaustive) == 2
+    assert exhaustive == {(rs.R1, rs.R1p), _transpose((rs.R1, rs.R1p))}
 
 
 def test_rank1_hand_values(roots):
@@ -155,17 +155,6 @@ def test_round_trip_and_regularity(roots, n):
         assert np.max(np.abs(stokes_params_of(M) - s)) < 1e-10
         assert abs(determinant(M) - 1) < 1e-10
         assert is_regular(M)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_params_of_a_stack(roots, n):
-    rng = np.random.default_rng(40 + n)
-    s = [rand_s(rng, n) for _ in range(5)]
-    params = stokes_params_of(np.array([build_M(roots[n], x) for x in s]))
-    assert params.shape == (5, n)
-    for x, p in zip(s, params):
-        assert np.array_equal(p, stokes_params_of(build_M(roots[n], x)))
-        assert np.max(np.abs(p - x)) < 1e-10
 
 
 def test_params_are_conjugation_invariant(roots):
