@@ -59,6 +59,16 @@ def _transpose(cand):
     return tuple(frozenset((j, i) for (i, j) in part) for part in cand)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_screen_forwards_only_the_two_survivors(n):
+    """Of the rule's orientations, the one-point screen forwards only the frozen
+    pair and its transpose."""
+    rng = np.random.default_rng(12345)
+    forwarded = {c for c in _orientations(n) if _candidate_passes(*c, n, rng, 1)}
+    expected = tuple(frozenset(part) for part in EXPECTED_ROOTS[n])
+    assert forwarded == {expected, _transpose(expected)}
+
+
 def _exhaustive_candidates(n):
     """Every pair of disjoint sets of ordered index pairs with total size n."""
     N = n + 1
