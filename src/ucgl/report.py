@@ -176,10 +176,13 @@ def suite_connection(rs, rng, samples):
         return {f"connection.symmetry_{k}": alpha_symmetry_residual(k, inp) for k in SYMMETRY_KINDS}
 
     def broken(_):
-        # break anti-symmetry: the anti/c_real identities must fail
-        w, v = rng.standard_normal(n + 1), rng.standard_normal(n + 1)
-        w[0] += 1.0  # guarantee the anti-symmetry defect
-        inp = TodaInput(n=n, w=w, v=v, x=1.1, zeta=0.7 + 0.2j)
+        # break anti-symmetry: the anti/c_real identities must fail.  A defect
+        # in w alone can be invisible (W ignores a constant shift of w, so at
+        # n = 1 it is), but anti reads v_0 + v_n directly, here 1
+        good = random_antisymmetric_input(n, rng)
+        v = good.v.copy()
+        v[0] += 1.0
+        inp = TodaInput(n=n, w=good.w, v=v, x=1.1, zeta=0.7 + 0.2j)
         observed = [alpha_symmetry_residual(k, inp, require_antisymmetric=False)
                     for k in ("anti", "c_real")]
         return {"connection.negative_control": float(np.max(observed))}

@@ -224,6 +224,8 @@ def _candidate_passes(R1, R1p, n, rng, npts):
 
     cand = RootSetData(n=n, R1=R1, R1p=R1p, survivor_count=0)
     P = structural_matrices(n).cyclic
+    powers = [np.linalg.matrix_power(P, m) for m in range(1, n + 1)]
+    shifts = [(Pm, inverse(Pm)) for Pm in powers]
     for _ in range(npts):
         s = rand_s(rng, n)
         M = build_M(cand, s)
@@ -243,10 +245,9 @@ def _candidate_passes(R1, R1p, n, rng, npts):
         # (d) cyclic index shift matches conjugation along both chains
         for base_k in (n + 1, n + 2):
             Q0 = build_Q(cand, base_k, s)
-            for m in range(1, n + 1):
+            for m, (Pm, Pm_inv) in enumerate(shifts, start=1):
                 Qm = build_Q(cand, base_k + 2 * m, s)
-                Pm = np.linalg.matrix_power(P, m)
-                if np.max(np.abs(Qm - Pm @ Q0 @ inverse(Pm))) > 1e-8:
+                if np.max(np.abs(Qm - Pm @ Q0 @ Pm_inv)) > 1e-8:
                     return False
     return True
 

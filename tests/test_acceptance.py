@@ -343,9 +343,11 @@ def test_criterion_14_connection_symmetries():
             for kind in SYMMETRY_KINDS:
                 worst = max(worst, alpha_symmetry_residual(kind, inp))
         for _ in range(10):
-            w = rng.standard_normal(n + 1)
-            w[0] += 1.0
-            inp = TodaInput(n=n, w=w, v=rng.standard_normal(n + 1), x=1.1, zeta=0.7 + 0.2j)
+            # the suite's control: a defect in w alone is invisible at n = 1
+            good = random_antisymmetric_input(n, rng)
+            v = good.v.copy()
+            v[0] += 1.0
+            inp = TodaInput(n=n, w=good.w, v=v, x=1.1, zeta=0.7 + 0.2j)
             neg_min = min(neg_min, max(
                 alpha_symmetry_residual("anti", inp, require_antisymmetric=False),
                 alpha_symmetry_residual("c_real", inp, require_antisymmetric=False)))

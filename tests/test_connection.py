@@ -11,6 +11,7 @@ from ucgl.connection import (
 )
 from ucgl.core import structural_matrices
 from ucgl.errors import PreconditionError
+from ucgl.report import run_suite
 
 TOL_ID = 1e-11
 
@@ -76,18 +77,31 @@ def test_all_symmetries_random_inputs(n):
     assert worst < TOL_ID
 
 
+def _broken_residual(inp):
+    return max(alpha_symmetry_residual(k, inp, require_antisymmetric=False)
+               for k in ("anti", "c_real"))
+
+
 def test_negative_control_broken_antisymmetry():
     rng = np.random.default_rng(77)
     for n in (1, 2, 3):
-        w = rng.standard_normal(n + 1)
-        w[0] += 1.0
-        v = rng.standard_normal(n + 1)
-        inp = TodaInput(n=n, w=w, v=v, x=1.1, zeta=0.6 + 0.3j)
-        r = max(
-            alpha_symmetry_residual("anti", inp, require_antisymmetric=False),
-            alpha_symmetry_residual("c_real", inp, require_antisymmetric=False),
-        )
-        assert r > 1e-3
+        good = random_antisymmetric_input(n, rng)
+        v = good.v.copy()
+        v[0] += 1.0
+        assert _broken_residual(TodaInput(n=n, w=good.w, v=v, x=1.1, zeta=0.6 + 0.3j)) > 1e-3
+    # W ignores w -> w + c(1, ..., 1), and at n = 1 that shift takes any w to
+    # an anti-symmetric one, so a defect in w alone is invisible there
+    good = random_antisymmetric_input(1, rng)
+    w = good.w + np.array([1.0, 0.0])
+    assert _broken_residual(TodaInput(n=1, w=w, v=good.v, x=1.1, zeta=0.6 + 0.3j)) < 1e-12
+
+
+def test_negative_control_rank_one_seed_11():
+    """At n = 1, seed 11 (samples=100) the control once drew v_0 + v_1 = -2.9e-4
+    beside a w defect it could not see, and observed 3.9e-4 < 1e-3."""
+    rep = run_suite({"n": 1, "suite": "connection", "seed": 11, "samples": 100})
+    control = {c.name: c for c in rep.checks}["connection.negative_control"]
+    assert control.passed, control.details
 
 
 def test_precondition_enforced():
