@@ -7,6 +7,7 @@ here at the coefficient level with the Jacobian factor of the zeta
 substitution made explicit.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,7 +67,11 @@ def alpha_coeff(inp, zeta=None):
 
 
 def alpha_symmetry_residual(kind, inp, require_antisymmetric=True):
-    """Max-abs residual of one coefficient-level symmetry identity.
+    """Residual of one coefficient-level symmetry identity, relative to its scale.
+
+    The residual is max|lhs - rhs| / max(max|lhs|, max|rhs|): round-off in
+    A(zeta) is relative to its largest entry, which grows with e^{w_i - w_j},
+    x^2 and |zeta|^{-2}.  A zero coefficient has no scale and gives NaN.
 
     kind selects the identity:
       cyclic:     d^{-1} A(zeta) d               = omega * A(omega*zeta)
@@ -100,7 +105,8 @@ def alpha_symmetry_residual(kind, inp, require_antisymmetric=True):
     else:  # theta_real
         lhs = np.conj(A)
         rhs = alpha_coeff(inp, zeta=np.conj(z))
-    return float(np.max(np.abs(lhs - rhs)))
+    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
+    return float(np.max(np.abs(lhs - rhs)) / scale) if scale else math.nan
 
 
 def random_antisymmetric_input(n, rng):

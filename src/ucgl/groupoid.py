@@ -11,9 +11,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, null_space
 
-from .core import inverse, is_regular
+from .core import inverse, is_regular, kernel
 from .errors import (
     DegenerateTangentError,
     NotComposableError,
@@ -99,6 +98,14 @@ def _centralizer_basis(shape, data):
     E = Q.T.reshape(N - 1, N, N)
     E.flags.writeable = False
     return E
+
+
+def expm(X):
+    """scipy.linalg.expm, imported at the first call, so that a process that
+    samples nothing never loads scipy."""
+    import scipy.linalg
+
+    return scipy.linalg.expm(X)
 
 
 def _commutant_element(A, seed):
@@ -188,7 +195,7 @@ def tangent_space(rs, p):
     N = n + 1
     dM = dM_ds(rs, p.s)
     LX, LY, tr = _tangent_constraints(p, dM)
-    kern = null_space(np.block([[LX, LY], [tr, np.zeros((1, n))]]), rcond=KERNEL_CUTOFF).T
+    kern = kernel(np.block([[LX, LY], [tr, np.zeros((1, n))]]), KERNEL_CUTOFF)
     if len(kern) != 2 * n:
         raise DegenerateTangentError(f"kernel dimension {len(kern)}, expected {2 * n}")
     X = kern[:, : N * N].reshape(-1, N, N)

@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import bondal as bd
 from .connection import alpha_symmetry_residual, random_antisymmetric_input, TodaInput, SYMMETRY_KINDS
@@ -30,6 +29,7 @@ from .core import char_poly, determinant, inverse, is_regular
 from .errors import UcglError
 from .groupoid import (
     centralizer_basis,
+    expm,
     fiber_vector,
     groupoid_compose,
     groupoid_inverse,
@@ -188,7 +188,9 @@ def suite_connection(rs, rng, samples):
         return {"connection.negative_control": float(np.max(observed))}
 
     runs = _draw(samples, symmetric) | _draw(max(5, samples // 10), broken)
-    return _max_checks(runs, {f"connection.symmetry_{k}": 1e-11 for k in SYMMETRY_KINDS}) + [
+    # relative residuals: measured <= 3.0e-15 at samples=100, seeds 0..199, n = 1..6,
+    # a 33x margin; the control's smallest observation there is 1.7e-2, 17x its threshold
+    return _max_checks(runs, {f"connection.symmetry_{k}": 1e-13 for k in SYMMETRY_KINDS}) + [
         _control(runs, "connection.negative_control", 1e-3, 1e-9)]
 
 

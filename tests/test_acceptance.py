@@ -351,9 +351,10 @@ def test_criterion_14_connection_symmetries():
             neg_min = min(neg_min, max(
                 alpha_symmetry_residual("anti", inp, require_antisymmetric=False),
                 alpha_symmetry_residual("c_real", inp, require_antisymmetric=False)))
-    ok = worst < 1e-11 and neg_min > 1e-3
+    ok = worst < 1e-13 and neg_min > 1e-3
     msg = _line(14, "connection symmetries", ok,
-                f"max residual {worst:.2e} (tol 1e-11), negative control {neg_min:.2e} (> 1e-3)")
+                f"max relative residual {worst:.2e} (tol 1e-13), "
+                f"negative control {neg_min:.2e} (> 1e-3)")
     assert ok, msg
 
 
