@@ -1,6 +1,9 @@
 """Dense complex linear algebra at size (n+1) and the structural constant matrices.
 
 Everything here is plain numpy on small square complex arrays.  The
+matrix functions broadcast over leading axes: a stack of shape (..., N, N)
+is a stack of independent matrices, and a single matrix is a stack with no
+leading axes, so one code path serves both.  The
 structural matrices (cyclic shifts, roots of unity, flips) are the fixed
 scaffolding that the Stokes-factor and involution modules build on; they are
 built once per rank and shared read-only.
@@ -19,7 +22,7 @@ DET_EPS = 1e-12
 
 def _as_matrix(M):
     A = np.asarray(M, dtype=complex)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-2] != A.shape[-1]:
         raise InvalidDimensionError(f"expected a square matrix, got shape {A.shape}")
     return A
 
@@ -90,20 +93,48 @@ def _structural_set(n):
 
 
 def determinant(M):
-    """Determinant of a square complex matrix."""
-    return complex(np.linalg.det(_as_matrix(M)))
+    """Determinant of a square complex matrix, or of each in a stack."""
+    return np.linalg.det(_as_matrix(M))
 
 
 def inverse(M):
     """Matrix inverse by np.linalg.inv (LU factorization) at every size.
 
-    Raises SingularMatrixError when |det| falls below DET_EPS.
+    Raises SingularMatrixError when |det| falls below DET_EPS, naming the
+    first such matrix of a stack; a NaN determinant does not raise.
     """
     A = _as_matrix(M)
-    det = np.linalg.det(A)
-    if abs(det) < DET_EPS:
-        raise SingularMatrixError(f"|det| = {abs(det):.3e} below {DET_EPS:.1e}")
+    det = modulus(np.linalg.det(A))
+    small = det < DET_EPS
+    if np.count_nonzero(small):
+        raise SingularMatrixError(f"|det| = {det[small][0]:.3e} below {DET_EPS:.1e}")
     return np.linalg.inv(A)
+
+
+def matrix_axes_first(X, k):
+    """A view of X with its last k axes moved to the front.
+
+    For a stack it indexes the entries of every matrix at once; for a single
+    matrix it is X itself, and indexing gives numpy scalars, so one loop
+    over entries serves both without fancy indexing.
+    """
+    lead = X.ndim - k
+    return X.transpose(tuple(range(lead, X.ndim)) + tuple(range(lead)))
+
+
+def modulus(z):
+    """|z| elementwise, as abs() of one complex number computes it (C hypot).
+
+    numpy's abs of a complex array takes another route and differs from it
+    in the last bit for about a third of the values, so a residual read off
+    a stack would not equal the one read off a single call.
+    """
+    return np.hypot(z.real, z.imag)
+
+
+def max_abs(M):
+    """Largest |entry| of a matrix, or of each matrix in a stack; NaN propagates."""
+    return np.abs(M).max(axis=(-2, -1))
 
 
 def kernel(M, rcond):
@@ -123,7 +154,7 @@ def trace_form(X, Y):
     Y = _as_matrix(Y)
     if X.shape != Y.shape:
         raise InvalidDimensionError("trace form needs matching shapes")
-    return complex(np.trace(X @ Y))
+    return (X @ Y).trace(axis1=-2, axis2=-1)
 
 
 def char_poly(M):
@@ -134,33 +165,57 @@ def char_poly(M):
     coefficients are 1, a_1, ..., a_N.
     """
     A = _as_matrix(M)
-    N = A.shape[0]
-    coeffs_desc = np.zeros(N + 1, dtype=complex)
-    coeffs_desc[0] = 1.0
-    B = np.zeros((N, N), dtype=complex)
-    I = np.eye(N, dtype=complex)
+    N = A.shape[-1]
+    coeffs = np.empty(A.shape[:-2] + (N + 1,), dtype=complex)
+    a = matrix_axes_first(coeffs, 1)  # a[N - k] is a_k
+    a[N] = 1.0
+    B = np.zeros_like(A)
+    I = identity(N)
     for k in range(1, N + 1):
-        B = A @ (B + coeffs_desc[k - 1] * I)
-        coeffs_desc[k] = -np.trace(B) / k
-    return coeffs_desc[::-1].copy()
+        B = A @ (B + a[N - k + 1][..., None, None] * I)
+        a[N - k] = -B.trace(axis1=-2, axis2=-1) / k
+    return coeffs
+
+
+def identity(N):
+    """The complex identity of size N, built once per size and read-only."""
+    return _identity(int(N))
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(N):
+    I = np.eye(N, dtype=complex)
+    I.flags.writeable = False
+    return I
+
+
+def powers(M, k):
+    """I, M, M^2, ..., M^(k-1) stacked on a new first axis, for a matrix or
+    each matrix of a stack; M^1 is M itself, not I M."""
+    A = _as_matrix(M)
+    P = np.empty((k,) + A.shape, dtype=complex)
+    P[0] = identity(A.shape[-1])
+    for j in range(1, k):
+        P[j] = A if j == 1 else P[j - 1] @ A
+    return P
+
+
+def spans_powers(P):
+    """Whether the N powers P = powers(M, N) span an N-dimensional space, for
+    each matrix of a stack: the numerical rank of the flattened powers, with
+    singular-value cutoff 1e-8 times the largest singular value, is N."""
+    N = len(P)
+    rows = np.moveaxis(P.reshape(P.shape[:-2] + (N * N,)), 0, -2)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    rank = np.sum(sv > 1e-8 * sv[..., :1], axis=-1)
+    return rank == N
 
 
 def is_regular(M):
-    """Whether M is regular: {I, M, ..., M^n} spans an (n+1)-dimensional space.
-
-    Numerical rank of the flattened power stack with singular-value cutoff
-    1e-8 times the largest singular value.
-    """
+    """Whether M is regular: {I, M, ..., M^n} spans an (n+1)-dimensional space
+    (spans_powers); one flag per matrix of a stack."""
     A = _as_matrix(M)
-    N = A.shape[0]
-    P = np.eye(N, dtype=complex)
-    rows = []
-    for _ in range(N):
-        rows.append(P.ravel())
-        P = P @ A
-    sv = np.linalg.svd(np.array(rows), compute_uv=False)
-    rank = int(np.sum(sv > 1e-8 * sv[0]))
-    return rank == N
+    return spans_powers(powers(A, A.shape[-1]))
 
 
 def encode_matrix(M):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import inverse, is_regular, kernel
+from .core import identity, inverse, kernel, max_abs, powers, spans_powers
 from .errors import (
     DegenerateTangentError,
     NotComposableError,
@@ -38,7 +38,7 @@ class ComposablePair:
 
 
 def make_pair(p, q):
-    if np.max(np.abs(p.A - q.A)) > BASE_TOL:
+    if (max_abs(p.A - q.A) > BASE_TOL).any():
         raise NotComposableError("bases differ beyond tolerance")
     return ComposablePair(p=p, q=q)
 
@@ -55,9 +55,11 @@ def z_membership(rs, B, A, tol=POINT_TOL):
 
 
 def unit(rs, A):
-    """The identity arrow over a section element A."""
+    """The identity arrow over a section element A, or over each of a stack."""
     A = np.asarray(A, dtype=complex)
-    return make_point(rs, np.eye(A.shape[0], dtype=complex), A)
+    B = np.empty_like(A)
+    B[...] = identity(A.shape[-1])
+    return make_point(rs, B, A)
 
 
 def groupoid_inverse(rs, p):
@@ -75,9 +77,11 @@ def centralizer_basis(A):
     For regular A the commutant is the polynomials in A (Kostant, Amer. J.
     Math. 85, 1963), so its traceless part is spanned by the traceless
     powers A^j - (Tr A^j / N) I, j = 1..n; E is the QR of these, vectorised.
+    A stack of A, shape (..., N, N), gives a stack of bases (..., n, N, N).
 
     E is memoised by the shape and bytes of A (32 entries) and is
-    read-only; a non-regular A raises NotRegularError on every call.
+    read-only; a non-regular A, or a stack holding one, raises
+    NotRegularError on every call.
     """
     A = np.asarray(A, dtype=complex)
     return _centralizer_basis(A.shape, A.tobytes())
@@ -86,16 +90,14 @@ def centralizer_basis(A):
 @functools.lru_cache(maxsize=32)
 def _centralizer_basis(shape, data):
     A = np.frombuffer(data, dtype=complex).reshape(shape)
-    if not is_regular(A):
+    N = A.shape[-1]
+    P = powers(A, N)  # I, A, ..., A^n: is_regular's test, then the QR's input
+    if not spans_powers(P).all():
         raise NotRegularError("centralizer basis needs a regular element")
-    N = A.shape[0]
-    powers = [A]
-    for _ in range(2, N):
-        powers.append(powers[-1] @ A)
-    P = np.array(powers)
-    P -= np.trace(P, axis1=1, axis2=2)[:, None, None] / N * np.eye(N)
-    Q, _ = np.linalg.qr(P.reshape(N - 1, -1).T)
-    E = Q.T.reshape(N - 1, N, N)
+    P = np.moveaxis(P[1:], 0, -3)
+    P = P - P.trace(axis1=-2, axis2=-1)[..., None, None] / N * identity(N)
+    Q, _ = np.linalg.qr(np.swapaxes(P.reshape(P.shape[:-2] + (-1,)), -1, -2))
+    E = np.swapaxes(Q, -1, -2).reshape(P.shape)
     E.flags.writeable = False
     return E
 
@@ -108,15 +110,32 @@ def expm(X):
     return scipy.linalg.expm(X)
 
 
+def combine(c, E):
+    """sum_k c_k E_k for coefficients c of shape (..., n) and a basis E of shape
+    (..., n, N, N), one matrix at a time as np.tensordot(c, E, axes=1)
+    computes it: a (1, n) by (n, N^2) np.dot.  A batched product sums in
+    another order and moves the result at round-off."""
+    n, N = E.shape[-3], E.shape[-1]
+    c2 = np.reshape(c, (-1, 1, n))
+    E2 = E.reshape((-1, n, N * N))
+    xi = np.empty((len(E2), 1, N * N), dtype=complex)
+    for k in range(len(E2)):
+        np.dot(c2[k], E2[k], out=xi[k])
+    return xi.reshape(E.shape[:-3] + (N, N))
+
+
 def _commutant_element(A, seed):
-    """xi = sum_k c_k E_k over centralizer_basis(A), c complex standard normal from seed."""
+    """xi = sum_k c_k E_k over centralizer_basis(A), c complex standard normal from
+    seed; a stack of A takes a list of seeds, one per matrix."""
     E = centralizer_basis(A)
-    return np.tensordot(rand_s(np.random.default_rng(seed), len(E)), E, axes=1)
+    c = [rand_s(np.random.default_rng(int(t)), E.shape[-3]) for t in np.ravel(seed)]
+    return combine(c, E)
 
 
 def sample_commuting(A, seed):
     """Deterministic det-1 element expm(xi) of the centralizer of a regular A, xi from
-    _commutant_element: it commutes with A, and det = exp(Tr xi) = 1."""
+    _commutant_element: it commutes with A, and det = exp(Tr xi) = 1.  A stack
+    of A with a list of seeds gives the stack of the single calls."""
     return expm(_commutant_element(A, seed))
 
 
@@ -155,7 +174,18 @@ def random_point(rs, rng, A=None):
     """
     if A is None:
         A = build_M(rs, rand_s(rng, rs.n))
-    return make_point(rs, sample_commuting(A, int(rng.integers(0, 2 ** 31))), A, tol=1e-7)
+    return commuting_point(rs, A, draw_seed(rng))
+
+
+def draw_seed(rng):
+    """A sampler seed drawn from rng, as random_point and random_slocal_point draw it."""
+    return int(rng.integers(0, 2 ** 31))
+
+
+def commuting_point(rs, A, seed):
+    """The point (sample_commuting(A, seed), A), validated at tolerance 1e-7;
+    a stack of A takes a list of seeds."""
+    return make_point(rs, sample_commuting(A, seed), A, tol=1e-7)
 
 
 def random_slocal_point(rs, rng, A=None):
@@ -163,7 +193,7 @@ def random_slocal_point(rs, rng, A=None):
     real palindromic s; draws from rng as random_point does."""
     if A is None:
         A = build_M(rs, rand_palindromic_s(rng, rs.n))
-    return sample_slocal_fiber(rs, A, int(rng.integers(0, 2 ** 31)))
+    return sample_slocal_fiber(rs, A, draw_seed(rng))
 
 
 def _tangent_constraints(p, dM):
@@ -206,12 +236,14 @@ def tangent_space(rs, p):
 
 
 def fiber_vector(p, xi):
-    """The tangent (X, Y) = (B xi, 0) of the curve t -> (B e^{t xi}, A), for xi in the algebra."""
-    return np.array([p.B @ xi, np.zeros_like(p.B)], dtype=complex)
+    """The tangent (X, Y) = (B xi, 0) of the curve t -> (B e^{t xi}, A), for xi in the
+    algebra; over a stack of points, shape (..., 2, N, N)."""
+    return np.stack([p.B @ xi, np.zeros_like(p.B)], axis=-3)
 
 
 def horizontal_vector_at_unit(rs, p, sdot):
-    """At a unit, the tangent (0, Y) of the base curve s + t*sdot."""
+    """At a unit, the tangent (0, Y) of the base curve s + t*sdot; over a stack of
+    units sdot has shape (..., n)."""
     dM = dM_ds(rs, p.s)
-    Y = sum(sdot[d] * dM[d] for d in range(rs.n))
-    return np.array([np.zeros_like(p.B), Y], dtype=complex)
+    Y = sum(sdot[..., d, None, None] * dM[..., d, :, :] for d in range(rs.n))
+    return np.stack([np.zeros_like(p.B), Y], axis=-3)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import determinant, inverse, structural_matrices
+from .core import determinant, inverse, max_abs, modulus, structural_matrices
 from .errors import PreconditionError
 from .stokes import build_Q, build_S, factor_product_derivative, section_membership
 
@@ -33,7 +33,10 @@ POINT_TOL = 1e-9
 class GroupoidPoint:
     """A pair (B, A) with A on the section and B in its centralizer, det B = 1.
 
-    s caches the section parameters of A.
+    s caches the section parameters of A.  A point may hold a stack: B and A
+    of shape (..., N, N) and s of shape (..., n), one point per leading
+    index.  make_point, the involutions, point_distance and the groupoid
+    maps take a stack as they take one point and act on each independently.
     """
 
     B: np.ndarray
@@ -42,15 +45,21 @@ class GroupoidPoint:
 
 
 def make_point(rs, B, A, tol=POINT_TOL):
-    """Validate the pair invariants and build a GroupoidPoint."""
+    """Validate the pair invariants and build a GroupoidPoint.
+
+    On stacks each invariant is checked at every point before the next, so
+    a stack raises the error that a single call on a point breaking it
+    raises.  A NaN residual of commutation or det B passes, as it does for
+    one point.
+    """
     B = np.asarray(B, dtype=complex)
     A = np.asarray(A, dtype=complex)
-    if np.max(np.abs(B @ A - A @ B)) > tol:
+    if np.count_nonzero(max_abs(B @ A - A @ B) > tol):
         raise PreconditionError("B and A do not commute within tolerance")
-    if abs(determinant(B) - 1.0) > tol:
+    if np.count_nonzero(modulus(determinant(B) - 1.0) > tol):
         raise PreconditionError("det B differs from 1 beyond tolerance")
     mem = section_membership(rs, A, tol)
-    if not mem["in_section"]:
+    if np.count_nonzero(~mem["in_section"]):
         raise PreconditionError("A is not on the section within tolerance")
     return GroupoidPoint(B=B, A=A, s=mem["s"])
 
@@ -65,7 +74,7 @@ def F_sigma(rs, s):
     st = structural_matrices(rs.n)
     if rs.n % 2 == 1:
         return np.linalg.matrix_power(st.PiHat, (rs.n + 1) // 2)
-    return build_S(rs, 1, s).T
+    return np.swapaxes(build_S(rs, 1, s), -1, -2)
 
 
 def F_theta(rs, s):
@@ -85,8 +94,8 @@ def apply_sigma(rs, p, tol=POINT_TOL):
     """The involution (B, A) -> (F B^{-T} F^{-1}, F A^{-T} F^{-1})."""
     F = F_sigma(rs, p.s)
     Fi = inverse(F)
-    B2 = F @ inverse(p.B).T @ Fi
-    A2 = F @ inverse(p.A).T @ Fi
+    B2 = F @ np.swapaxes(inverse(p.B), -1, -2) @ Fi
+    A2 = F @ np.swapaxes(inverse(p.A), -1, -2) @ Fi
     return make_point(rs, B2, A2, tol)
 
 
@@ -133,10 +142,8 @@ def theta_differential(rs, p, U, sdot):
 
 
 def point_distance(p, q):
-    """Max-abs entrywise distance over both components."""
-    return float(
-        max(np.max(np.abs(p.B - q.B)), np.max(np.abs(p.A - q.A)))
-    )
+    """Max-abs entrywise distance over both components, one per point of a stack."""
+    return np.maximum(max_abs(p.B - q.B), max_abs(p.A - q.A))
 
 
 def slocal_membership(rs, p, tol=POINT_TOL):

@@ -2,11 +2,20 @@
 
 Each suite runs the property checks of one module at a configured rank and
 seed and returns named checks with residuals and tolerances.  A suite is
-trial functions plus a tolerance table.  One runner, _draw, calls a trial
-once per sample and lists each residual it returns by name.  A check's
-residual is the largest in its list (_max_checks); a negative control's is
-max(0, threshold - smallest observation) (_control), zero when the control
-misbehaves as it should.  A NaN propagates through both and so fails.
+trial functions plus a tolerance table.  A trial gives, under each name,
+one residual entry per sample.  Most trials take one sample, and one
+runner, _draw, calls them once per sample and lists each residual by name.
+The unit oracle, the involution laws and the groupoid axioms are batched:
+each is one call for all its samples.  It first draws from the suite's
+generator, in a short loop, exactly what its one-sample form drew, in the
+same order, and then evaluates every sample at once on stacks of points
+(see involutions.GroupoidPoint), returning arrays whose first axis is the
+sample.  Stacked numpy operations give each sample the bytes a single call
+gives, so the reports are those of the one-sample trials.  A check's
+residual is the largest of its entries (_max_checks); a negative control's
+is max(0, threshold - smallest observation) (_control), zero when the
+control misbehaves as it should.  A NaN propagates through both and so
+fails.
 
 Each suite draws from its own generator, seeded by the child of
 SeedSequence(seed) that belongs to the suite's name, so a (config, seed)
@@ -25,10 +34,13 @@ import numpy as np
 
 from . import bondal as bd
 from .connection import alpha_symmetry_residual, random_antisymmetric_input, TodaInput, SYMMETRY_KINDS
-from .core import char_poly, determinant, inverse, is_regular
+from .core import char_poly, determinant, inverse, is_regular, max_abs, modulus
 from .errors import UcglError
 from .groupoid import (
     centralizer_basis,
+    combine,
+    commuting_point,
+    draw_seed,
     expm,
     fiber_vector,
     groupoid_compose,
@@ -133,7 +145,8 @@ class VerificationReport:
 
 
 def _draw(trials, trial):
-    """Call trial(i) for i < trials; list each returned residual by name, in draw order."""
+    """Call the one-sample trial(i) for i < trials; list each returned residual
+    by name, in draw order."""
     runs = {}
     for i in range(trials):
         for name, residual in trial(i).items():
@@ -159,9 +172,13 @@ def _sup(X):
     return float(np.max(np.abs(X)))
 
 
-def _fiber_vector(p, E, rng):
-    """Fiber tangent at p along a random direction of the commutant basis E."""
-    return fiber_vector(p, np.tensordot(rand_s(rng, len(E)), E, axes=1))
+def _columns(*residuals):
+    """Per-sample residual arrays side by side, one row per sample."""
+    return np.stack(residuals, axis=1)
+
+
+def _compose(rs, p, q):
+    return groupoid_compose(rs, make_pair(p, q))
 
 
 # ---------------------------------------------------------------------------
@@ -237,31 +254,38 @@ def suite_stokes(rs, rng, samples):
     return checks
 
 
-def suite_involutions(rs, rng, samples):
-    def laws(_):
-        p = random_point(rs, rng)
-        sp, tp = apply_sigma(rs, p), apply_theta(rs, p)
-        # morphism law on a composable pair over the same base
-        q = random_point(rs, rng, p.A)
-        pq = groupoid_compose(rs, make_pair(p, q))
-        return {
-            "involutions.involutivity": (point_distance(apply_sigma(rs, sp), p),
-                                         point_distance(apply_theta(rs, tp), p)),
-            "involutions.commutation": point_distance(apply_sigma(rs, tp), apply_theta(rs, sp)),
-            "involutions.base_parameter_action": (_sup(sp.s - p.s[::-1]),
-                                                  _sup(tp.s - np.conj(p.s[::-1]))),
-            "involutions.groupoid_morphism": [
-                point_distance(f(rs, pq), groupoid_compose(rs, make_pair(fp, f(rs, q))))
-                for f, fp in ((apply_sigma, sp), (apply_theta, tp))
-            ],
-        }
+def involution_laws(rs, rng, count):
+    """The batched laws trial of suite_involutions: count samples of involutivity,
+    commutation, base action and the morphism law of sigma and theta."""
+    # per sample: the draws of p = random_point(rs, rng), then of
+    # q = random_point(rs, rng, p.A), a composable partner over the same base
+    s, seed_p, seed_q = zip(*[(rand_s(rng, rs.n), draw_seed(rng), draw_seed(rng))
+                              for _ in range(count)])
+    p = commuting_point(rs, build_M(rs, np.array(s)), seed_p)
+    sp, tp = apply_sigma(rs, p), apply_theta(rs, p)
+    q = commuting_point(rs, p.A, seed_q)
+    pq = _compose(rs, p, q)
+    return {
+        "involutions.involutivity": _columns(point_distance(apply_sigma(rs, sp), p),
+                                             point_distance(apply_theta(rs, tp), p)),
+        "involutions.commutation": point_distance(apply_sigma(rs, tp), apply_theta(rs, sp)),
+        "involutions.base_parameter_action": _columns(
+            np.max(np.abs(sp.s - p.s[:, ::-1]), axis=1),
+            np.max(np.abs(tp.s - np.conj(p.s[:, ::-1])), axis=1)),
+        "involutions.groupoid_morphism": _columns(*[
+            point_distance(f(rs, pq), _compose(rs, fp, f(rs, q)))
+            for f, fp in ((apply_sigma, sp), (apply_theta, tp))
+        ]),
+    }
 
+
+def suite_involutions(rs, rng, samples):
     def real_char_poly(_):
         # theta-fixed points have B with real characteristic polynomial
         c = char_poly(random_slocal_point(rs, rng).B)
         return {"involutions.fixed_point_char_poly_real": _sup(c.imag) / np.max(np.abs(c))}
 
-    runs = _draw(samples, laws) | _draw(max(5, samples // 10), real_char_poly)
+    runs = involution_laws(rs, rng, samples) | _draw(max(5, samples // 10), real_char_poly)
     return _max_checks(runs, {
         "involutions.involutivity": 1e-9,
         "involutions.commutation": 1e-9,
@@ -271,26 +295,30 @@ def suite_involutions(rs, rng, samples):
     })
 
 
+def groupoid_axioms(rs, rng, count):
+    """The batched axioms trial of suite_groupoid: count samples of associativity,
+    unit and inverse laws, and of the sampler's own invariants."""
+    # per sample: s, then the seeds of p1, p2, p3 = random_point(rs, rng, A)
+    s, *seeds = zip(*[(rand_s(rng, rs.n), draw_seed(rng), draw_seed(rng), draw_seed(rng))
+                      for _ in range(count)])
+    A = build_M(rs, np.array(s))
+    p1, p2, p3 = (commuting_point(rs, A, seed) for seed in seeds)
+    u = unit(rs, A)
+    return {
+        # associativity, unit, inverse
+        "groupoid.axioms": _columns(
+            point_distance(_compose(rs, _compose(rs, p1, p2), p3),
+                           _compose(rs, p1, _compose(rs, p2, p3))),
+            point_distance(_compose(rs, p1, u), p1),
+            point_distance(_compose(rs, p1, groupoid_inverse(rs, p1)), u),
+        ),
+        "groupoid.sampler_membership": _columns(max_abs(p1.B @ A - A @ p1.B),
+                                                modulus(determinant(p1.B) - 1.0)),
+    }
+
+
 def suite_groupoid(rs, rng, samples):
     n = rs.n
-
-    def compose(p, q):
-        return groupoid_compose(rs, make_pair(p, q))
-
-    def axioms(_):
-        A = build_M(rs, rand_s(rng, n))
-        p1, p2, p3 = (random_point(rs, rng, A) for _ in range(3))
-        u = unit(rs, A)
-        return {
-            # associativity, unit, inverse
-            "groupoid.axioms": (
-                point_distance(compose(compose(p1, p2), p3), compose(p1, compose(p2, p3))),
-                point_distance(compose(p1, u), p1),
-                point_distance(compose(p1, groupoid_inverse(rs, p1)), u),
-            ),
-            "groupoid.sampler_membership": (_sup(p1.B @ A - A @ p1.B),
-                                            abs(determinant(p1.B) - 1.0)),
-        }
 
     def fiber(_):
         mem = slocal_membership(rs, random_slocal_point(rs, rng), tol=1e-8)
@@ -300,7 +328,7 @@ def suite_groupoid(rs, rng, samples):
         U, _ = tangent_space(rs, random_point(rs, rng))
         return {"groupoid.tangent_dimension": abs(len(U) - 2 * n)}
 
-    runs = (_draw(samples, axioms) | _draw(max(5, samples // 5), fiber)
+    runs = (groupoid_axioms(rs, rng, samples) | _draw(max(5, samples // 5), fiber)
             | _draw(max(5, samples // 10), tangent))
     return _max_checks(runs, {
         "groupoid.axioms": 1e-10,
@@ -310,22 +338,28 @@ def suite_groupoid(rs, rng, samples):
     })
 
 
+def unit_blocks(rs, rng, count):
+    """The batched unit-oracle trial of suite_symplectic: count samples of the
+    four-block closed form of omega at units, and of its zero on the base."""
+    n = rs.n
+    # per sample: s, then the coefficients of uF and vF over the commutant
+    # basis, then the base velocities of uH and vH
+    draws = np.array([[rand_s(rng, n) for _ in range(5)] for _ in range(count)])
+    A = build_M(rs, draws[:, 0])
+    u0 = unit(rs, A)
+    E = centralizer_basis(A)
+    uF, vF = (fiber_vector(u0, combine(draws[:, k], E)) for k in (1, 2))
+    uH, vH = (horizontal_vector_at_unit(rs, u0, draws[:, k]) for k in (3, 4))
+    return {
+        "symplectic.unit_block_oracle": _columns(*[
+            modulus(omega(u0, a, b) - unit_block_values(A, a, b))
+            for a, b in ((uF, vF), (uH, vH), (uF, vH), (uH, vF))]),
+        "symplectic.unit_pullback_zero": modulus(omega(u0, uH, vH)),
+    }
+
+
 def suite_symplectic(rs, rng, samples):
     n = rs.n
-
-    def unit_blocks(_):
-        # four-block unit oracle plus the zero-form along units
-        A = build_M(rs, rand_s(rng, n))
-        u0 = unit(rs, A)
-        E = centralizer_basis(A)
-        uF, vF = _fiber_vector(u0, E, rng), _fiber_vector(u0, E, rng)
-        uH = horizontal_vector_at_unit(rs, u0, rand_s(rng, n))
-        vH = horizontal_vector_at_unit(rs, u0, rand_s(rng, n))
-        return {
-            "symplectic.unit_block_oracle": [abs(omega(u0, a, b) - unit_block_values(A, a, b))
-                                             for a, b in ((uF, vF), (uH, vH), (uF, vH), (uH, vF))],
-            "symplectic.unit_pullback_zero": abs(omega(u0, uH, vH)),
-        }
 
     def multiplicative(_):
         # multiplicativity over full composable-pair tangent bases
@@ -360,7 +394,7 @@ def suite_symplectic(rs, rng, samples):
         A = build_M(rs, semisimple_s(rs, rng))
         p = random_point(rs, rng, A)
         E = centralizer_basis(A)
-        uF, vF = _fiber_vector(p, E, rng), _fiber_vector(p, E, rng)
+        uF, vF = (fiber_vector(p, combine(rand_s(rng, n), E)) for _ in range(2))
         U, sdot = tangent_space(rs, p)
         return {
             "symplectic.poisson_brackets": poisson_bracket_residual(rs, p, U, sdot),
@@ -378,7 +412,7 @@ def suite_symplectic(rs, rng, samples):
     few = max(5, samples // 10)
     # at n = 1 the real frame spans one complex plane, on which every complex
     # alternating 3-form vanishes: closedness could not fail, so it is not drawn
-    runs = (_draw(2 * samples, unit_blocks) | _draw(max(10, samples // 2), multiplicative)
+    runs = (unit_blocks(rs, rng, 2 * samples) | _draw(max(10, samples // 2), multiplicative)
             | _draw(max(3, samples // 10) if n >= 2 else 0, closed) | _draw(few, nondegenerate)
             | _draw(3, pullbacks) | _draw(few, integrable) | _draw(3, real_form))
     return _max_checks(runs, {
@@ -425,7 +459,7 @@ def suite_bondal(rs, rng, samples):
         # the embedding intertwines composition and bases
         p = random_slocal_point(rs, rng)
         q = random_slocal_point(rs, rng, p.A)
-        pq = groupoid_compose(rs, make_pair(p, q))
+        pq = _compose(rs, p, q)
         e1, e2, epq = (bd.embed_slocal(rs, x) for x in (p, q, pq))
         comp = bd.compose(e1, e2, tol=1e-7)
         return {"bondal.embedding_intertwines": (_sup(comp.B - epq.B), _sup(comp.A - epq.A))}

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import char_poly, inverse, structural_matrices
+from .core import char_poly, identity, inverse, matrix_axes_first, max_abs, structural_matrices
 from .errors import (
     DegenerateSampleError,
     InvalidSectorError,
@@ -85,8 +85,10 @@ def build_Q(rs, k_num, s, route="roots"):
     """The Stokes factor at sector numerator k_num for parameters s.
 
     route="roots" places the signed parameter entries directly from the
-    shifted root set; route="shift" instead conjugates the base-sector factor
-    by the appropriate power of the cyclic matrix.  Both agree to roundoff.
+    shifted root set (_factor_entries); route="shift" instead conjugates the
+    base-sector factor by the appropriate power of the cyclic matrix.  Both
+    agree to roundoff.  A stack of s, shape (..., n), gives a stack of
+    factors, shape (..., n+1, n+1).
     """
     n = rs.n
     N = n + 1
@@ -97,16 +99,28 @@ def build_Q(rs, k_num, s, route="roots"):
         Pm = np.linalg.matrix_power(P, m) if m >= 0 else np.linalg.matrix_power(inverse(P), -m)
         Q0 = build_Q(rs, N if on_R1 else N + 1, s, route="roots")
         return Pm @ Q0 @ inverse(Pm)
-    R = delta_shift(rs.R1 if on_R1 else rs.R1p, n, m)
-    Q = np.eye(N, dtype=complex)
-    for (i, j) in R:
-        c, d = sign_coeff(i, j, n)
-        Q[i, j] += c * s[d - 1]
+    Q = np.empty(s.shape[:-1] + (N, N), dtype=complex)
+    Q[...] = identity(N)
+    entries, params = matrix_axes_first(Q, 2), matrix_axes_first(s, 1)
+    for i, j, c, d in _factor_entries(rs.R1 if on_R1 else rs.R1p, n, m):
+        entries[i, j] += c * params[d]
     return Q
 
 
+@functools.lru_cache(maxsize=None)
+def _factor_entries(pairs, n, m):
+    """The entries of a Stokes factor as (row, column, sign, parameter index
+    counted from 0): the pairs rotated by delta_shift(pairs, n, m), each with
+    sign_coeff's coefficient and index."""
+    return tuple((i, j, c, d - 1) for i, j in sorted(delta_shift(pairs, n, m))
+                 for c, d in [sign_coeff(i, j, n)])
+
+
 def build_M(rs, s):
-    """The section element: product of the two base Stokes factors and the cyclic twist."""
+    """The section element: product of the two base Stokes factors and the cyclic twist.
+
+    Like every function here that takes s, it broadcasts over leading axes of s.
+    """
     N = rs.n + 1
     return build_Q(rs, N, s) @ build_Q(rs, N + 1, s) @ structural_matrices(rs.n).cyclic
 
@@ -116,7 +130,7 @@ def build_S(rs, m, s):
     if m not in (1, 2):
         raise PreconditionError("m must be 1 or 2")
     N = rs.n + 1
-    S = np.eye(N, dtype=complex)
+    S = identity(N)
     for k_num in range(m * N, m * N + N):
         S = S @ build_Q(rs, k_num, s)
     return S
@@ -125,8 +139,8 @@ def build_S(rs, m, s):
 def stokes_params_of(A):
     """Read the section parameters off the characteristic polynomial of A."""
     A = np.asarray(A, dtype=complex)
-    n = A.shape[0] - 1
-    c = char_poly(A)[1 : n + 1]  # ascending, monic
+    n = A.shape[-1] - 1
+    c = char_poly(A)[..., 1 : n + 1]  # ascending, monic
     return c if n % 2 == 1 else (-1.0) ** np.arange(2, n + 2) * c
 
 
@@ -159,7 +173,7 @@ def section_membership(rs, A, tol=1e-9):
 
     Returns a dict with in_section, in_local and the read-off parameters s.
     in_local additionally requires s real and s_i = s_{n-i+1}.  A NaN
-    residual fails both.
+    residual fails both.  A stack of A gives one flag per matrix.
 
     The fit itself, s and its three residuals, is memoised by value in
     _section_fit: one entry per root set and the shape and bytes of A, 32
@@ -169,8 +183,8 @@ def section_membership(rs, A, tol=1e-9):
     """
     A = np.asarray(A, dtype=complex)
     s, gap, imag, asym = _section_fit(rs, A.shape, A.tobytes())
-    in_section = bool(gap < tol)
-    in_local = in_section and bool(imag < tol and asym < tol)
+    in_section = gap < tol
+    in_local = in_section & (imag < tol) & (asym < tol)
     return {"in_section": in_section, "in_local": in_local, "s": s}
 
 
@@ -181,8 +195,8 @@ def _section_fit(rs, shape, data):
     A = np.frombuffer(data, dtype=complex).reshape(shape)
     s = stokes_params_of(A)
     s.flags.writeable = False
-    return (s, np.max(np.abs(A - build_M(rs, s))), np.max(np.abs(s.imag)),
-            np.max(np.abs(s - s[::-1])))
+    return (s, max_abs(A - build_M(rs, s)), np.max(np.abs(s.imag), axis=-1),
+            np.max(np.abs(s - s[..., ::-1]), axis=-1))
 
 
 def factor_product_derivative(rs, factors, s, sdots):
@@ -190,23 +204,22 @@ def factor_product_derivative(rs, factors, s, sdots):
 
     A factor is a sector numerator k, standing for Q_k(s), or a constant
     matrix.  Q_k is affine in s, with derivative Q_k(sdot) - I along sdot.
+    sdots has shape (..., m, n) and a stack of s shape (..., n); the result
+    has shape (..., m, n+1, n+1).
     """
-    I = np.eye(rs.n + 1, dtype=complex)
+    I = identity(rs.n + 1)
     moving = [i for i, f in enumerate(factors) if np.isscalar(f)]
-    Q = [build_Q(rs, f, s) if i in moving else f for i, f in enumerate(factors)]
-    out = []
-    for sdot in sdots:
-        terms = [Q[:i] + [build_Q(rs, factors[i], sdot) - I] + Q[i + 1 :] for i in moving]
-        terms = [functools.reduce(np.matmul, term) for term in terms]
-        out.append(sum(terms[1:], terms[0]))
-    return np.array(out)
+    Q = [build_Q(rs, f, s)[..., None, :, :] if i in moving else f for i, f in enumerate(factors)]
+    terms = [Q[:i] + [build_Q(rs, factors[i], sdots) - I] + Q[i + 1 :] for i in moving]
+    terms = [functools.reduce(np.matmul, term) for term in terms]
+    return sum(terms[1:], terms[0])
 
 
 def dM_ds(rs, s):
     """Analytic partial derivatives of build_M with respect to each s_d.
 
     Each Stokes factor is affine in s, so the product rule over the three
-    factors gives the exact derivative.
+    factors gives the exact derivative, of shape (..., n, n+1, n+1).
     """
     n = rs.n
     N = n + 1

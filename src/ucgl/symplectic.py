@@ -3,12 +3,12 @@
 Every tangent vector is an array whose last three axes are (2, N, N): the
 pair (X, Y) at a point (g, a), X varying g and Y varying a.  Tangent bases
 and composable bases are stacks of them.  omega_gram evaluates omega over
-whole stacks via left/right translated slots and the trace pairing; omega on
-one pair is a view of it.  At a unit, omega has a closed form on any two
-tangents (unit_block_values), which acts as the convention oracle;
-multiplicativity, closedness, nondegeneracy, the involution pullback
-identities, the real sub-form behaviour and the integrable-system structure
-are all checked numerically on top of it.
+whole stacks via left/right translated slots and the trace pairing, and over
+leading axes of points too; omega on one pair is a view of it.  At a unit,
+omega has a closed form on any two tangents (unit_block_values), which acts
+as the convention oracle; multiplicativity, closedness, nondegeneracy, the
+involution pullback identities, the real sub-form behaviour and the
+integrable-system structure are all checked numerically on top of it.
 
 Those statements are pointwise tensor identities, so every check runs at
 the point itself on one frame: groupoid.tangent_space's kernel basis U with
@@ -45,10 +45,13 @@ def __getattr__(name):
 def _slots(gi, a, ai, W):
     """The trace slots (x, Ad_a x, a^{-1} Y + Y a^{-1}) of stacked tangents W.
 
-    Here x = g^{-1} X, and gi, ai are the inverses of g and a.
+    Here x = g^{-1} X, and gi, ai are the inverses of g and a.  Points of
+    shape (..., N, N) take tangents of shape (..., m, 2, N, N).
     """
-    x = gi @ W[:, 0]
-    return x, a @ x @ ai, ai @ W[:, 1] + W[:, 1] @ ai
+    gi, a, ai = (M[..., None, :, :] for M in (gi, a, ai))
+    x = gi @ W[..., 0, :, :]
+    Y = W[..., 1, :, :]
+    return x, a @ x @ ai, ai @ Y + Y @ ai
 
 
 def _K(P, Q):
@@ -69,16 +72,18 @@ def omega_gram(g, a, U, V=None):
     and a are inverted once and each trace term is one einsum over the stacks.
     With x = g^{-1} X, omega(u, v) = (K(u, v) - K(v, u)) / 2 (see _K).
     Without V the Gram of U with itself is (K - K^T) / 2, exactly
-    antisymmetric with a zero diagonal.
+    antisymmetric with a zero diagonal.  Over a stack of points, g and a of
+    shape (..., N, N) and U, V of shape (..., m, 2, N, N), it is a stack of
+    Grams, shape (..., m, m').
     """
     gi = inverse(g)
     ai = inverse(a)
     P = _slots(gi, a, ai, U)
     if V is None:
         KU = _K(P, P)
-        return 0.5 * (KU - KU.T)
+        return 0.5 * (KU - np.swapaxes(KU, -1, -2))
     Q = _slots(gi, a, ai, V)
-    return 0.5 * (_K(P, Q) - _K(Q, P).T)
+    return 0.5 * (_K(P, Q) - np.swapaxes(_K(Q, P), -1, -2))
 
 
 def omega(p, u, v):
@@ -88,8 +93,13 @@ def omega(p, u, v):
       omega(u, v) = 1/2 [ (Ad_a x_u, x_v) - (Ad_a x_v, x_u)
                           + (x_u, a^{-1} Y_v + Y_v a^{-1})
                           - (x_v, a^{-1} Y_u + Y_u a^{-1}) ]
+
+    A stack of points takes stacks of tangents, one each, shape (..., 2, N, N).
     """
-    return omega_gram(p.B, p.A, u[None], v[None])[0, 0]
+    one = np.s_[..., None, :, :, :]  # a tangent as a stack of one
+    # [()] makes one point's value a numpy scalar, not a 0-d array, whose abs()
+    # would take numpy's array route (see core.modulus)
+    return omega_gram(p.B, p.A, u[one], v[one])[..., 0, 0][()]
 
 
 def unit_block_values(a, u, v):
@@ -102,10 +112,12 @@ def unit_block_values(a, u, v):
       omega(u, v) = (X_u, a^{-1} Y_v) - (X_v, a^{-1} Y_u).
     On fiber vectors (X = xi, Y = 0) and horizontal ones (X = 0, Y = a rho)
     it gives the four blocks (H,H) -> 0, (F,F) -> 0, (H,F) -> -(xi_v, rho_u)
-    and (F,H) -> (xi_u, rho_v).
+    and (F,H) -> (xi_u, rho_v).  A stack of a, shape (..., N, N), takes
+    tangents of shape (..., 2, N, N).
     """
     ai = inverse(a)
-    return trace_form(u[0], ai @ v[1]) - trace_form(v[0], ai @ u[1])
+    X, Y = np.s_[..., 0, :, :], np.s_[..., 1, :, :]
+    return trace_form(u[X], ai @ v[Y]) - trace_form(v[X], ai @ u[Y])
 
 
 def type_20_residual(p, U):

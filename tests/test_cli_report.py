@@ -85,13 +85,14 @@ def test_memos_leave_the_report_unchanged(monkeypatch, n):
 
 
 def test_laws_trial_applies_sigma_five_times(roots, monkeypatch):
-    """sigma(p) and theta(p) are reused: sp, sigma(sp), sigma(tp), sigma(pq), sigma(q)."""
+    """sigma(p) and theta(p) are reused: sp, sigma(sp), sigma(tp), sigma(pq), sigma(q),
+    counted per point of each stacked call."""
     calls = []
     apply_sigma = report.apply_sigma
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return apply_sigma(*args, **kwargs)
+    def counted(rs, p, *args, **kwargs):
+        calls.extend([None] * len(p.B))
+        return apply_sigma(rs, p, *args, **kwargs)
 
     monkeypatch.setattr(report, "apply_sigma", counted)
     report.suite_involutions(roots[2], np.random.default_rng(42), samples=5)

@@ -41,8 +41,8 @@ MUTANTS = {
         "return (-(z ** -2)) * W.T - (z ** -1) * np.diag(inp.v).astype(complex)"
         " + inp.x ** 2 * W", "return 0 * W"),
     "stokes.round_trip": (
-        "stokes.stokes_params_of", "char_poly(A)[1 : n + 1]", "char_poly(A)[0:n]"),
-    "stokes.regularity": ("core.is_regular", "return rank == N", "return rank > N"),
+        "stokes.stokes_params_of", "char_poly(A)[..., 1 : n + 1]", "char_poly(A)[..., 0:n]"),
+    "stokes.regularity": ("core.spans_powers", "return rank == N", "return rank > N"),
     "stokes.power_identity": (
         "stokes.build_S", "range(m * N, m * N + N)", "range(m * N, m * N + N - 1)"),
     "stokes.factor_route_agreement": (
@@ -53,12 +53,12 @@ MUTANTS = {
         "stokes.rand_s", "return rng.standard_normal(n) + 1j * rng.standard_normal(n)",
         "return rand_palindromic_s(rng, n)"),
     "involutions.involutivity": (
-        "involutions.apply_sigma", "B2 = F @ inverse(p.B).T @ Fi",
-        "B2 = F @ inverse(p.B @ p.B).T @ Fi"),
+        "involutions.apply_sigma", "B2 = F @ np.swapaxes(inverse(p.B), -1, -2) @ Fi",
+        "B2 = F @ np.swapaxes(inverse(p.B @ p.B), -1, -2) @ Fi"),
     # a root of unity keeps det B = 1 and sigma involutive, but conj moves it
     "involutions.commutation": (
-        "involutions.apply_sigma", "B2 = F @ inverse(p.B).T @ Fi",
-        "B2 = np.exp(2j * np.pi / len(F)) * F @ inverse(p.B).T @ Fi"),
+        "involutions.apply_sigma", "B2 = F @ np.swapaxes(inverse(p.B), -1, -2) @ Fi",
+        "B2 = np.exp(2j * np.pi / F.shape[-1]) * F @ np.swapaxes(inverse(p.B), -1, -2) @ Fi"),
     "involutions.base_parameter_action": (
         "involutions.apply_sigma", "return make_point(rs, B2, A2, tol)", "return p"),
     "involutions.groupoid_morphism": (
@@ -81,8 +81,8 @@ MUTANTS = {
         "return np.stack([X, Y], axis=1)[1:], sdot"),
     "symplectic.unit_block_oracle": ("symplectic._K", ") + np.einsum(", ") - np.einsum("),
     "symplectic.unit_pullback_zero": (
-        "groupoid.horizontal_vector_at_unit", "np.array([np.zeros_like(p.B), Y]",
-        "np.array([p.A @ Y, Y]"),
+        "groupoid.horizontal_vector_at_unit", "np.stack([np.zeros_like(p.B), Y]",
+        "np.stack([p.A @ Y, Y]"),
     "symplectic.multiplicativity": (
         "symplectic.multiplicativity_residual", "p.B @ U2[:, 0]", "U2[:, 0]"),
     "symplectic.closedness": (
@@ -98,7 +98,8 @@ MUTANTS = {
     # gradients that are not functions of s alone, so not in involution
     "symplectic.poisson_brackets": (
         "symplectic.poisson_bracket_residual", "@ sdot.T", "@ np.conj(sdot).T"),
-    "symplectic.fiber_isotropy": ("groupoid.fiber_vector", "p.B @ xi,", "p.B @ xi.T,"),
+    "symplectic.fiber_isotropy": (
+        "groupoid.fiber_vector", "p.B @ xi,", "p.B @ np.swapaxes(xi, -1, -2),"),
     "symplectic.type_two_zero": (
         "symplectic._K", "P[1], Q[0]", "P[1].conj(), Q[0]"),
     "symplectic.real_form_re_omega": (
