@@ -7,12 +7,11 @@ here at the coefficient level with the Jacobian factor of the zeta
 substitution made explicit.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import structural_matrices
+from .core import identity, max_abs, structural_matrices
 from .errors import PreconditionError, InvalidDimensionError
 
 SYMMETRY_KINDS = ("cyclic", "anti", "c_real", "theta_real")
@@ -24,7 +23,9 @@ class TodaInput:
 
     w and v are real vectors of length n+1; x is a positive real scale and
     zeta a nonzero complex spectral parameter.  The symmetry identities need
-    w and v anti-symmetric: w_i + w_{n-i} = 0 and likewise for v.
+    w and v anti-symmetric: w_i + w_{n-i} = 0 and likewise for v.  A stack
+    of inputs holds w and v of shape (..., n+1) and x and zeta of shape
+    (...), one value per sample.
     """
 
     n: int
@@ -36,34 +37,56 @@ class TodaInput:
     def __post_init__(self):
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
         object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        if self.w.shape != (self.n + 1,) or self.v.shape != (self.n + 1,):
+        if self.w.shape[-1:] != (self.n + 1,) or self.v.shape != self.w.shape:
             raise InvalidDimensionError("w and v must have length n+1")
-        if self.x <= 0:
+        if np.shape(self.x) != self.w.shape[:-1] or np.shape(self.zeta) != self.w.shape[:-1]:
+            raise InvalidDimensionError("x and zeta must hold one value per sample")
+        if np.any(np.less_equal(self.x, 0)):
             raise PreconditionError("x must be positive")
-        if self.zeta == 0:
+        if np.any(np.equal(self.zeta, 0)):
             raise PreconditionError("zeta must be nonzero")
 
     def antisymmetry_residual(self):
-        rw = np.max(np.abs(self.w + self.w[::-1]))
-        rv = np.max(np.abs(self.v + self.v[::-1]))
-        return max(rw, rv)
+        rw = np.abs(self.w + self.w[..., ::-1]).max(axis=-1)
+        rv = np.abs(self.v + self.v[..., ::-1]).max(axis=-1)
+        return np.maximum(rw, rv)
+
+
+def _scalars(values):
+    """A number, or each number of an array, as a Python number, one per sample."""
+    return np.ravel(values).tolist()
+
+
+def _per_sample(values, inp):
+    """Per-sample scalars as an array that broadcasts against inp's stack of matrices."""
+    return np.reshape(values, inp.w.shape[:-1])[..., None, None]
 
 
 def build_W(w):
-    """W = e^{-w} Pi e^{w} for a real diagonal vector w."""
+    """W = e^{-w} Pi e^{w} for a real diagonal vector w, or for each of a stack."""
     w = np.asarray(w, dtype=float)
-    n = len(w) - 1
-    st = structural_matrices(n)
-    return np.diag(np.exp(-w)) @ st.Pi @ np.diag(np.exp(w))
+    st = structural_matrices(w.shape[-1] - 1)
+    return np.exp(-w)[..., :, None] * st.Pi * np.exp(w)[..., None, :]
 
 
 def alpha_coeff(inp, zeta=None):
-    """The dzeta-coefficient A(zeta) = -zeta^{-2} W^T - zeta^{-1} diag(v) + x^2 W."""
-    z = inp.zeta if zeta is None else zeta
-    if z == 0:
+    """The dzeta-coefficient A(zeta) = -zeta^{-2} W^T - zeta^{-1} diag(v) + x^2 W.
+
+    zeta defaults to inp.zeta.  A stacked input gives a stack of
+    coefficients, and a given zeta is then a sequence of one value per
+    sample.  The scalars -zeta^{-2}, zeta^{-1} and x^2 are computed one
+    sample at a time, each in the scalar type it comes in; inp.zeta and
+    inp.x are read as Python numbers (_scalars).  numpy's array power
+    differs from Python's complex ** in the last bit, so only this way does
+    a stack give each sample the bytes of a single call.
+    """
+    zs = _scalars(inp.zeta) if zeta is None else (list(zeta) if np.ndim(zeta) else [zeta])
+    if any(z == 0 for z in zs):
         raise PreconditionError("evaluation at the pole zeta = 0")
+    c2, c1 = (_per_sample(c, inp) for c in ([-(z ** -2) for z in zs], [z ** -1 for z in zs]))
+    x2 = _per_sample([x ** 2 for x in _scalars(inp.x)], inp)
     W = build_W(inp.w)
-    return (-(z ** -2)) * W.T - (z ** -1) * np.diag(inp.v).astype(complex) + inp.x ** 2 * W
+    return c2 * np.swapaxes(W, -1, -2) - c1 * (inp.v[..., None] * identity(inp.n + 1)) + x2 * W
 
 
 def alpha_symmetry_residual(kind, inp, require_antisymmetric=True):
@@ -82,31 +105,37 @@ def alpha_symmetry_residual(kind, inp, require_antisymmetric=True):
     The scalar factors on the right are the 1-form Jacobians of the zeta
     substitutions.  With require_antisymmetric=False the precondition check
     is skipped (used by the negative control, where the residual is expected
-    to be large).
+    to be large).  A stacked input gives one residual per sample; the
+    substituted zeta and the Jacobians are computed per sample, in the
+    scalar types of a single call (see alpha_coeff): Python complex for zeta
+    and -zeta, np.complex128 for omega*zeta, conj(zeta) and the c_real
+    substitution.
     """
     if kind not in SYMMETRY_KINDS:
         raise PreconditionError(f"unknown symmetry kind {kind!r}")
-    if require_antisymmetric and inp.antisymmetry_residual() > 1e-12:
+    if require_antisymmetric and np.count_nonzero(inp.antisymmetry_residual() > 1e-12):
         raise PreconditionError("w and v must be anti-symmetric")
     st = structural_matrices(inp.n)
-    z = inp.zeta
-    A = alpha_coeff(inp)
+    zs = _scalars(inp.zeta)
+    A = alpha_coeff(inp, zs)
     if kind == "cyclic":
         dinv = np.diag(1.0 / np.diag(st.d))
         lhs = dinv @ A @ st.d
-        rhs = st.omega_root * alpha_coeff(inp, zeta=st.omega_root * z)
+        rhs = st.omega_root * alpha_coeff(inp, [st.omega_root * z for z in zs])
     elif kind == "anti":
-        lhs = -st.Delta @ A.T @ st.Delta
-        rhs = -alpha_coeff(inp, zeta=-z)
+        lhs = -st.Delta @ np.swapaxes(A, -1, -2) @ st.Delta
+        rhs = -alpha_coeff(inp, [-z for z in zs])
     elif kind == "c_real":
-        zb = np.conj(z)
+        x2, zb = [x ** 2 for x in _scalars(inp.x)], [np.conj(z) for z in zs]
         lhs = st.Delta @ np.conj(A) @ st.Delta
-        rhs = (-1.0 / (inp.x ** 2 * zb ** 2)) * alpha_coeff(inp, zeta=1.0 / (inp.x ** 2 * zb))
+        jacobian = _per_sample([-1.0 / (a * b ** 2) for a, b in zip(x2, zb)], inp)
+        rhs = jacobian * alpha_coeff(inp, [1.0 / (a * b) for a, b in zip(x2, zb)])
     else:  # theta_real
         lhs = np.conj(A)
-        rhs = alpha_coeff(inp, zeta=np.conj(z))
-    scale = max(np.max(np.abs(lhs)), np.max(np.abs(rhs)))
-    return float(np.max(np.abs(lhs - rhs)) / scale) if scale else math.nan
+        rhs = alpha_coeff(inp, [np.conj(z) for z in zs])
+    scale = np.maximum(max_abs(lhs), max_abs(rhs))
+    with np.errstate(invalid="ignore"):  # 0 / 0 at a zero coefficient
+        return max_abs(lhs - rhs) / scale
 
 
 def random_antisymmetric_input(n, rng):

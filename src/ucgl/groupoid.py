@@ -111,17 +111,18 @@ def expm(X):
 
 
 def combine(c, E):
-    """sum_k c_k E_k for coefficients c of shape (..., n) and a basis E of shape
-    (..., n, N, N), one matrix at a time as np.tensordot(c, E, axes=1)
-    computes it: a (1, n) by (n, N^2) np.dot.  A batched product sums in
-    another order and moves the result at round-off."""
+    """sum_k c_k E_k for coefficients c of shape (..., n), or (..., m, n) for m
+    combinations at once, and a basis E of shape (..., n, N, N), one point at
+    a time as np.tensordot(c, E, axes=1) computes it: a (1, n) or (m, n) by
+    (n, N^2) np.dot.  A batched product sums in another order and moves the
+    result at round-off."""
     n, N = E.shape[-3], E.shape[-1]
-    c2 = np.reshape(c, (-1, 1, n))
     E2 = E.reshape((-1, n, N * N))
-    xi = np.empty((len(E2), 1, N * N), dtype=complex)
+    c2 = np.reshape(c, (len(E2), -1, n))
+    xi = np.empty(c2.shape[:2] + (N * N,), dtype=complex)
     for k in range(len(E2)):
         np.dot(c2[k], E2[k], out=xi[k])
-    return xi.reshape(E.shape[:-3] + (N, N))
+    return xi.reshape(np.shape(c)[:-1] + (N, N))
 
 
 def _commutant_element(A, seed):
@@ -129,7 +130,7 @@ def _commutant_element(A, seed):
     seed; a stack of A takes a list of seeds, one per matrix."""
     E = centralizer_basis(A)
     c = [rand_s(np.random.default_rng(int(t)), E.shape[-3]) for t in np.ravel(seed)]
-    return combine(c, E)
+    return combine(np.array(c).reshape(E.shape[:-2]), E)
 
 
 def sample_commuting(A, seed):
@@ -155,14 +156,17 @@ def sample_slocal_fiber(rs, A, seed):
     1 + beta_*, likewise for theta_*, beta_* and theta_* fix eta, so sigma
     and theta fix B; beta_* negates traces and theta_* conjugates them, so
     Tr eta = 0 and det B = 1.
+
+    A stack of A with a list of seeds gives the stack of the single calls; a
+    base off the slice, anywhere in the stack, raises the single call's error.
     """
     A = np.asarray(A, dtype=complex)
     mem = section_membership(rs, A)
-    if not mem["in_local"]:
+    if np.count_nonzero(~mem["in_local"]):
         raise PreconditionError("base must be on the real palindromic slice")
     F, G = F_sigma(rs, mem["s"]), F_theta(rs, mem["s"])
     xi = _commutant_element(A, seed)
-    xi = xi - F @ xi.T @ inverse(F)
+    xi = xi - F @ np.swapaxes(xi, -1, -2) @ inverse(F)
     eta = 0.5 * (xi + G @ np.conj(xi) @ inverse(G))
     return make_point(rs, expm(eta), A)
 
@@ -196,17 +200,26 @@ def random_slocal_point(rs, rng, A=None):
     return sample_slocal_fiber(rs, A, draw_seed(rng))
 
 
-def _tangent_constraints(p, dM):
+def _tangent_constraints(p, dM, LX, LY):
     """The linearized point constraints at p, on row-major flattened matrices.
 
-    Returns (LX, LY, tr): the (N^2, N^2) matrix of X -> [X, A], the (N^2, n)
-    matrix of sdot -> [B, Y(sdot)] with Y(sdot) = sum_d sdot_d dM[d], and the
-    (1, N^2) row of X -> Tr(B^{-1} X).
+    Writes into LX the (N^2, N^2) matrix kron(I, A^T) - kron(A, I) of
+    X -> [X, A], and into LY the (N^2, n) matrix of sdot -> [B, Y(sdot)]
+    with Y(sdot) = sum_d sdot_d dM[d]; returns the (1, N^2) row of
+    X -> Tr(B^{-1} X).  LX and LY are blocks of the caller's constraint
+    matrix, and LX is filled in place through a (N, N, N, N) view, with
+    np.kron's elementwise products by broadcasting.  At a stack of points,
+    with dM of shape (..., n, N, N), each is a stack.
     """
-    I = np.eye(p.A.shape[0])
-    LX = np.kron(I, p.A.T) - np.kron(p.A, I)
-    LY = np.stack([(p.B @ Y - Y @ p.B).ravel() for Y in dM], axis=1)
-    return LX, LY, inverse(p.B).T.reshape(1, -1)
+    A, B = p.A, p.B
+    N = A.shape[-1]
+    I = identity(N)
+    kron = LX.reshape(LX.shape[:-2] + (N, N, N, N))  # a view: only axes are split
+    np.multiply(I[:, None, :, None], np.swapaxes(A, -1, -2)[..., None, :, None, :], out=kron)
+    kron -= A[..., :, None, :, None] * I[None, :, None, :]
+    C = B[..., None, :, :] @ dM - dM @ B[..., None, :, :]
+    LY[...] = np.swapaxes(C.reshape(C.shape[:-2] + (N * N,)), -1, -2)
+    return np.swapaxes(inverse(B), -1, -2).reshape(B.shape[:-2] + (1, N * N))
 
 
 def tangent_space(rs, p):
@@ -224,8 +237,9 @@ def tangent_space(rs, p):
     n = rs.n
     N = n + 1
     dM = dM_ds(rs, p.s)
-    LX, LY, tr = _tangent_constraints(p, dM)
-    kern = kernel(np.block([[LX, LY], [tr, np.zeros((1, n))]]), KERNEL_CUTOFF)
+    L = np.zeros((N * N + 1, N * N + n), dtype=complex)
+    L[-1, : N * N] = _tangent_constraints(p, dM, L[:-1, : N * N], L[:-1, N * N :])
+    kern = kernel(L, KERNEL_CUTOFF)
     if len(kern) != 2 * n:
         raise DegenerateTangentError(f"kernel dimension {len(kern)}, expected {2 * n}")
     X = kern[:, : N * N].reshape(-1, N, N)

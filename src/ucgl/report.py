@@ -3,19 +3,22 @@
 Each suite runs the property checks of one module at a configured rank and
 seed and returns named checks with residuals and tolerances.  A suite is
 trial functions plus a tolerance table.  A trial gives, under each name,
-one residual entry per sample.  Most trials take one sample, and one
-runner, _draw, calls them once per sample and lists each residual by name.
-The unit oracle, the involution laws and the groupoid axioms are batched:
-each is one call for all its samples.  It first draws from the suite's
-generator, in a short loop, exactly what its one-sample form drew, in the
-same order, and then evaluates every sample at once on stacks of points
-(see involutions.GroupoidPoint), returning arrays whose first axis is the
-sample.  Stacked numpy operations give each sample the bytes a single call
-gives, so the reports are those of the one-sample trials.  A check's
-residual is the largest of its entries (_max_checks); a negative control's
-is max(0, threshold - smallest observation) (_control), zero when the
-control misbehaves as it should.  A NaN propagates through both and so
-fails.
+one residual entry per sample.  Most trials are batched: each is one call
+for all its samples.  It first draws from the suite's generator, in a
+short loop, exactly what its one-sample form drew, in the same order, and
+then evaluates every sample at once on stacks (of points, see
+involutions.GroupoidPoint, or of connection inputs), returning arrays whose
+first axis is the sample.  The connection, stokes, involutions, bondal and
+slocal-experiment suites are batched throughout.  The groupoid and
+symplectic suites batch their axioms, unit oracle and multiplicativity;
+their trials built on groupoid.tangent_space, and the fixed-locus fiber
+check, still take one sample, and one runner, _draw, calls them once per
+sample and lists each residual by name.  Stacked numpy operations give
+each sample the bytes a single call gives, so the reports are those of the
+one-sample trials.  A check's residual is the largest of its entries
+(_max_checks); a negative control's is max(0, threshold - smallest
+observation) (_control), zero when the control misbehaves as it should.  A
+NaN propagates through both and so fails.
 
 Each suite draws from its own generator, seeded by the child of
 SeedSequence(seed) that belongs to the suite's name, so a (config, seed)
@@ -34,7 +37,7 @@ import numpy as np
 
 from . import bondal as bd
 from .connection import alpha_symmetry_residual, random_antisymmetric_input, TodaInput, SYMMETRY_KINDS
-from .core import char_poly, determinant, inverse, is_regular, max_abs, modulus
+from .core import char_poly, determinant, identity, inverse, is_regular, max_abs, modulus
 from .errors import UcglError
 from .groupoid import (
     centralizer_basis,
@@ -49,6 +52,7 @@ from .groupoid import (
     make_pair,
     random_point,
     random_slocal_point,
+    sample_slocal_fiber,
     tangent_space,
     unit,
 )
@@ -168,10 +172,6 @@ def _control(runs, name, threshold, tol, key="min_observed", **details):
                  details={key: low, **details})
 
 
-def _sup(X):
-    return float(np.max(np.abs(X)))
-
-
 def _columns(*residuals):
     """Per-sample residual arrays side by side, one row per sample."""
     return np.stack(residuals, axis=1)
@@ -185,63 +185,75 @@ def _compose(rs, p, q):
 # suites: trial functions plus a tolerance table
 
 
+def _toda_inputs(n, rng, count):
+    """count draws of random_antisymmetric_input(n, rng), in draw order, as one stacked input."""
+    draws = [random_antisymmetric_input(n, rng) for _ in range(count)]
+    return TodaInput(n=n, **{key: np.array([getattr(d, key) for d in draws])
+                             for key in ("w", "v", "x", "zeta")})
+
+
+def connection_symmetries(rs, rng, count):
+    """The four coefficient symmetries at count anti-symmetric inputs."""
+    inp = _toda_inputs(rs.n, rng, count)
+    return {f"connection.symmetry_{k}": alpha_symmetry_residual(k, inp) for k in SYMMETRY_KINDS}
+
+
+def connection_control(rs, rng, count):
+    """count inputs with anti-symmetry broken: the anti and c_real identities
+    must fail.  A defect in w alone can be invisible (W ignores a constant
+    shift of w, so at n = 1 it is), but anti reads v_0 + v_n directly, here 1."""
+    good = _toda_inputs(rs.n, rng, count)
+    v = good.v.copy()
+    v[:, 0] += 1.0
+    inp = TodaInput(n=rs.n, w=good.w, v=v, x=np.full(count, 1.1), zeta=np.full(count, 0.7 + 0.2j))
+    return {"connection.negative_control": np.maximum(*[
+        alpha_symmetry_residual(k, inp, require_antisymmetric=False) for k in ("anti", "c_real")])}
+
+
 def suite_connection(rs, rng, samples):
-    n = rs.n
-
-    def symmetric(_):
-        inp = random_antisymmetric_input(n, rng)
-        return {f"connection.symmetry_{k}": alpha_symmetry_residual(k, inp) for k in SYMMETRY_KINDS}
-
-    def broken(_):
-        # break anti-symmetry: the anti/c_real identities must fail.  A defect
-        # in w alone can be invisible (W ignores a constant shift of w, so at
-        # n = 1 it is), but anti reads v_0 + v_n directly, here 1
-        good = random_antisymmetric_input(n, rng)
-        v = good.v.copy()
-        v[0] += 1.0
-        inp = TodaInput(n=n, w=good.w, v=v, x=1.1, zeta=0.7 + 0.2j)
-        observed = [alpha_symmetry_residual(k, inp, require_antisymmetric=False)
-                    for k in ("anti", "c_real")]
-        return {"connection.negative_control": float(np.max(observed))}
-
-    runs = _draw(samples, symmetric) | _draw(max(5, samples // 10), broken)
+    runs = connection_symmetries(rs, rng, samples) | connection_control(rs, rng, max(5, samples // 10))
     # relative residuals: measured <= 3.0e-15 at samples=100, seeds 0..199, n = 1..6,
     # a 33x margin; the control's smallest observation there is 1.7e-2, 17x its threshold
     return _max_checks(runs, {f"connection.symmetry_{k}": 1e-13 for k in SYMMETRY_KINDS}) + [
         _control(runs, "connection.negative_control", 1e-3, 1e-9)]
 
 
-def suite_stokes(rs, rng, samples):
+def stokes_section(rs, rng, count):
+    """Round trip, regularity, power identity and factor routes at count random s."""
     n = rs.n
+    s = np.array([rand_s(rng, n) for _ in range(count)])
+    M = build_M(rs, s)
+    Mp = np.linalg.matrix_power(M, n + 1)
+    S12 = build_S(rs, 1, s) @ build_S(rs, 2, s)
     sign = -1.0 if n % 2 == 1 else 1.0
+    return {
+        "stokes.round_trip": np.abs(stokes_params_of(M) - s).max(axis=-1),
+        "stokes.regularity": (~is_regular(M)).astype(float),
+        "stokes.power_identity": max_abs(Mp - sign * S12) / np.maximum(1.0, max_abs(Mp)),
+        "stokes.factor_route_agreement": _columns(*[
+            max_abs(build_Q(rs, k, s) - build_Q(rs, k, s, route="shift"))
+            for k in range(n + 1, 3 * (n + 1))]),
+    }
 
-    def section(_):
-        s = rand_s(rng, n)
-        M = build_M(rs, s)
-        Mp = np.linalg.matrix_power(M, n + 1)
-        S12 = build_S(rs, 1, s) @ build_S(rs, 2, s)
-        return {
-            "stokes.round_trip": _sup(stokes_params_of(M) - s),
-            "stokes.regularity": float(not is_regular(M)),
-            "stokes.power_identity": _sup(Mp - sign * S12) / max(1.0, np.max(np.abs(Mp))),
-            "stokes.factor_route_agreement": [
-                _sup(build_Q(rs, k, s) - build_Q(rs, k, s, route="shift"))
-                for k in range(n + 1, 3 * (n + 1))
-            ],
-        }
+
+def stokes_chains(rs, rng, count):
+    """Palindromic s make consecutive factors inverse-transposes, generic s do not."""
+    n = rs.n
+    sp, sg = (np.array(x) for x in zip(*[(rand_palindromic_s(rng, n), rand_s(rng, n))
+                                        for _ in range(count)]))
 
     def chain(s):
         # k = 1 and k = 1 + 1/(n+1); k+1 adds n+1
-        return [_sup(build_Q(rs, k + n + 1, s) - inverse(build_Q(rs, k, s)).T)
-                for k in (n + 1, n + 2)]
+        return _columns(*[
+            max_abs(build_Q(rs, k + n + 1, s) - np.swapaxes(inverse(build_Q(rs, k, s)), -1, -2))
+            for k in (n + 1, n + 2)])
 
-    def palindromic(_):
-        # palindromic parameters make consecutive factors inverse-transposes
-        sp, sg = rand_palindromic_s(rng, n), rand_s(rng, n)
-        return {"stokes.antisymmetry_equivalence": chain(sp),
-                "stokes.antisymmetry_negative_control": float(np.max(chain(sg)))}
+    return {"stokes.antisymmetry_equivalence": chain(sp),
+            "stokes.antisymmetry_negative_control": chain(sg).max(axis=1)}
 
-    runs = _draw(samples, section) | _draw(max(10, samples // 5), palindromic)
+
+def suite_stokes(rs, rng, samples):
+    runs = stokes_section(rs, rng, samples) | stokes_chains(rs, rng, max(10, samples // 5))
     checks = _max_checks(runs, {
         "stokes.round_trip": 1e-10,
         "stokes.regularity": 0.5,
@@ -249,9 +261,15 @@ def suite_stokes(rs, rng, samples):
         "stokes.factor_route_agreement": 1e-13,
         "stokes.antisymmetry_equivalence": 1e-10,
     })
-    if n > 1:  # at rank 1 the palindromic condition is vacuous
+    if rs.n > 1:  # at rank 1 the palindromic condition is vacuous
         checks.append(_control(runs, "stokes.antisymmetry_negative_control", 1e-3, 1e-9))
     return checks
+
+
+def _slocal_points(rs, rng, count):
+    """count draws of random_slocal_point(rs, rng), in draw order, as one stacked point."""
+    s, seeds = zip(*[(rand_palindromic_s(rng, rs.n), draw_seed(rng)) for _ in range(count)])
+    return sample_slocal_fiber(rs, build_M(rs, np.array(s)), seeds)
 
 
 def involution_laws(rs, rng, count):
@@ -279,13 +297,14 @@ def involution_laws(rs, rng, count):
     }
 
 
-def suite_involutions(rs, rng, samples):
-    def real_char_poly(_):
-        # theta-fixed points have B with real characteristic polynomial
-        c = char_poly(random_slocal_point(rs, rng).B)
-        return {"involutions.fixed_point_char_poly_real": _sup(c.imag) / np.max(np.abs(c))}
+def real_char_poly(rs, rng, count):
+    """theta-fixed points have B with real characteristic polynomial (count of them)."""
+    c = char_poly(_slocal_points(rs, rng, count).B)
+    return {"involutions.fixed_point_char_poly_real": np.abs(c.imag).max(axis=-1) / np.abs(c).max(axis=-1)}
 
-    runs = involution_laws(rs, rng, samples) | _draw(max(5, samples // 10), real_char_poly)
+
+def suite_involutions(rs, rng, samples):
+    runs = involution_laws(rs, rng, samples) | real_char_poly(rs, rng, max(5, samples // 10))
     return _max_checks(runs, {
         "involutions.involutivity": 1e-9,
         "involutions.commutation": 1e-9,
@@ -358,15 +377,18 @@ def unit_blocks(rs, rng, count):
     }
 
 
+def multiplicative(rs, rng, count):
+    """Multiplicativity at count composable pairs, over full composable tangent bases."""
+    # per sample: s, then the seeds of the two random_point(rs, rng, A)
+    s, *seeds = zip(*[(rand_s(rng, rs.n), draw_seed(rng), draw_seed(rng)) for _ in range(count)])
+    A = build_M(rs, np.array(s))
+    pair = make_pair(*(commuting_point(rs, A, seed) for seed in seeds))
+    return {"symplectic.multiplicativity":
+            multiplicativity_residual(rs, pair, composable_tangent_basis(rs, pair))}
+
+
 def suite_symplectic(rs, rng, samples):
     n = rs.n
-
-    def multiplicative(_):
-        # multiplicativity over full composable-pair tangent bases
-        A = build_M(rs, rand_s(rng, n))
-        pair = make_pair(random_point(rs, rng, A), random_point(rs, rng, A))
-        return {"symplectic.multiplicativity":
-                multiplicativity_residual(rs, pair, composable_tangent_basis(rs, pair))}
 
     def closed(_):
         # closedness, exact on the first-order tangent frame
@@ -412,7 +434,7 @@ def suite_symplectic(rs, rng, samples):
     few = max(5, samples // 10)
     # at n = 1 the real frame spans one complex plane, on which every complex
     # alternating 3-form vanishes: closedness could not fail, so it is not drawn
-    runs = (unit_blocks(rs, rng, 2 * samples) | _draw(max(10, samples // 2), multiplicative)
+    runs = (unit_blocks(rs, rng, 2 * samples) | multiplicative(rs, rng, max(10, samples // 2))
             | _draw(max(3, samples // 10) if n >= 2 else 0, closed) | _draw(few, nondegenerate)
             | _draw(3, pullbacks) | _draw(few, integrable) | _draw(3, real_form))
     return _max_checks(runs, {
@@ -435,45 +457,54 @@ def suite_symplectic(rs, rng, samples):
     ]
 
 
-def suite_bondal(rs, rng, samples):
+def bondal_axioms(rs, rng, count):
+    """Axioms on count orthogonal-over-identity triples, plus sign-diagonal probes."""
     N = rs.n + 1
-    I = np.eye(N, dtype=complex)
+    I = identity(N)
+    # per sample: the generators of p1, p2, p3 (expm of their antisymmetric
+    # parts), then the strict upper part of a non-identity base
+    G = np.array([[rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)) for _ in range(4)]
+                  for _ in range(count)])
+    S = G[:, :3]
+    O = expm(0.5 * (S - np.swapaxes(S, -1, -2)))
+    p1, p2, p3 = (bd.make_bondal_point(O[:, i], I, tol=1e-8) for i in range(3))
+    # a non-identity base with a sign-diagonal arrow
+    q = bd.make_bondal_point(np.diag([1.0] * (N - 1) + [(-1.0) ** (N - 1)]),
+                             np.triu(G[:, 3], 1) + I, tol=1e-8)
+    return {"bondal.axioms": _columns(
+        max_abs(bd.compose(bd.compose(p1, p2), p3).B - bd.compose(p1, bd.compose(p2, p3)).B),
+        max_abs(bd.compose(p1, bd.unit(bd.source(p1))).B - p1.B),
+        max_abs(bd.compose(q, bd.unit(q.A)).B - q.B),
+    )}
 
-    def rand_orth():
-        S = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-        return expm(0.5 * (S - S.T))
 
-    def axioms(_):
-        # groupoid axioms on orthogonal-over-identity members plus sign-diagonal probes
-        p1, p2, p3 = (bd.make_bondal_point(rand_orth(), I, tol=1e-8) for _ in range(3))
-        # a non-identity base with a sign-diagonal arrow
-        Aut = np.triu(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)), 1) + I
-        q = bd.make_bondal_point(np.diag([1.0] * (N - 1) + [(-1.0) ** (N - 1)]), Aut, tol=1e-8)
-        return {"bondal.axioms": (
-            _sup(bd.compose(bd.compose(p1, p2), p3).B - bd.compose(p1, bd.compose(p2, p3)).B),
-            _sup(bd.compose(p1, bd.unit(bd.source(p1))).B - p1.B),
-            _sup(bd.compose(q, bd.unit(q.A)).B - q.B),
-        )}
+def bondal_embedding(rs, rng, count):
+    """The embedding intertwines composition and bases, at count fixed-locus pairs."""
+    # per sample: the draws of p = random_slocal_point(rs, rng), then the
+    # seed of q = random_slocal_point(rs, rng, p.A)
+    s, seed_p, seed_q = zip(*[(rand_palindromic_s(rng, rs.n), draw_seed(rng), draw_seed(rng))
+                              for _ in range(count)])
+    p = sample_slocal_fiber(rs, build_M(rs, np.array(s)), seed_p)
+    q = sample_slocal_fiber(rs, p.A, seed_q)
+    e1, e2, epq = (bd.embed_slocal(rs, x) for x in (p, q, _compose(rs, p, q)))
+    comp = bd.compose(e1, e2, tol=1e-7)
+    return {"bondal.embedding_intertwines": _columns(max_abs(comp.B - epq.B),
+                                                     max_abs(comp.A - epq.A))}
 
-    def embedding(_):
-        # the embedding intertwines composition and bases
-        p = random_slocal_point(rs, rng)
-        q = random_slocal_point(rs, rng, p.A)
-        pq = _compose(rs, p, q)
-        e1, e2, epq = (bd.embed_slocal(rs, x) for x in (p, q, pq))
-        comp = bd.compose(e1, e2, tol=1e-7)
-        return {"bondal.embedding_intertwines": (_sup(comp.B - epq.B), _sup(comp.A - epq.A))}
 
-    runs = _draw(samples, axioms) | _draw(max(10, samples // 5), embedding)
+def suite_bondal(rs, rng, samples):
+    runs = bondal_axioms(rs, rng, samples) | bondal_embedding(rs, rng, max(10, samples // 5))
     return _max_checks(runs, {"bondal.axioms": 1e-10, "bondal.embedding_intertwines": 1e-9})
 
 
-def suite_slocal_experiment(rs, rng, samples):
-    def reality(_):
-        B = random_slocal_point(rs, rng).B
-        return {"hits": _sup(B @ np.conj(B) - np.eye(rs.n + 1)) < 1e-8}
+def c_reality(rs, rng, count):
+    """Whether B conj(B) = I, at count fixed-locus points."""
+    B = _slocal_points(rs, rng, count).B
+    return {"hits": max_abs(B @ np.conj(B) - identity(rs.n + 1)) < 1e-8}
 
-    frac = sum(_draw(samples, reality)["hits"]) / samples
+
+def suite_slocal_experiment(rs, rng, samples):
+    frac = np.count_nonzero(c_reality(rs, rng, samples)["hits"]) / samples
     return [Check("slocal.c_reality_fraction", samples, 1.0 - frac, 1.1,  # reported, never asserted
                   details={"fraction": frac, "expected": 1.0})]
 
@@ -513,9 +544,10 @@ def run_suite(config):
 
     config keys: n (required), suite (default 'all'), seed (default 42),
     samples (default 100, at least 1); other keys are ignored.  A suite that
-    raises a UcglError is recorded as one failed check '<suite>.error'
-    (samples 0, the exception's type and message in details) and the
-    remaining suites still run.
+    raises a UcglError, or a numpy LinAlgError (an SVD that does not
+    converge on a NaN matrix, say), is recorded as one failed check
+    '<suite>.error' (samples 0, the exception's type and message in details)
+    and the remaining suites still run.
     """
     n = _setting(config, "n", int)
     suite = config.get("suite", "all")
@@ -534,7 +566,7 @@ def run_suite(config):
         try:
             checks.extend(_SUITE_FUNCS[name](rs, np.random.default_rng(streams[name]),
                                              samples=samples))
-        except UcglError as exc:
+        except (UcglError, np.linalg.LinAlgError) as exc:
             checks.append(Check(f"{name}.error", 0, 1.0, 0.5,
                                 details={"type": type(exc).__name__, "message": str(exc)}))
     return VerificationReport(n=n, seed=seed, suite=suite, checks=checks,

@@ -25,8 +25,8 @@ parametrisation.
 import numpy as np
 
 from .core import char_poly, inverse, kernel, trace_form
-from .errors import DegenerateFormError, NotComposableError, ProjectionFailureError
-from .groupoid import KERNEL_CUTOFF, _tangent_constraints, tangent_space
+from .errors import DegenerateFormError, DegenerateTangentError, NotComposableError, ProjectionFailureError
+from .groupoid import KERNEL_CUTOFF, _tangent_constraints, combine, tangent_space
 from .involutions import apply_sigma, apply_theta, sigma_differential, theta_differential
 from .stokes import build_M, dM_ds
 
@@ -135,23 +135,33 @@ def composable_tangent_basis(rs, pair):
 
     Unknowns (X1, X2, sdot) with the shared base variation Y(sdot); the
     kernel, cut off as in groupoid.tangent_space, has complex dimension 3n at
-    regular points.  Returns an array of shape (3n, 2, 2, N, N) whose entry i
-    is the pair (u1, u2), each a stacked tangent (X, Y), with equal
-    Y-components.
+    regular points, and any other dimension raises DegenerateTangentError.
+    Returns an array of shape (3n, 2, 2, N, N) whose entry i is the pair
+    (u1, u2), each a stacked tangent (X, Y), with equal Y-components.  A
+    stack of pairs gives a stack of bases, shape (..., 3n, 2, 2, N, N); its
+    kernels are taken one pair at a time, so that only one SVD's factors
+    are held at once, and a pair of another dimension, anywhere in the
+    stack, raises the single call's error.
     """
     n = rs.n
     N = n + 1
+    NN = N * N
     p, q = pair.p, pair.q
     dM = dM_ds(rs, p.s)
-    LX1, LY1, tr1 = _tangent_constraints(p, dM)
-    LX2, LY2, tr2 = _tangent_constraints(q, dM)
-    Z, z, zs = np.zeros((N * N, N * N)), np.zeros((1, N * N)), np.zeros((1, n))
-    L = np.block([[LX1, Z, LY1], [Z, LX2, LY2], [tr1, z, zs], [z, tr2, zs]])
-    W = kernel(L, KERNEL_CUTOFF)
-    Y = np.tensordot(W[:, 2 * N * N :], dM, axes=1)
-    X1 = W[:, : N * N].reshape(-1, N, N)
-    X2 = W[:, N * N : 2 * N * N].reshape(-1, N, N)
-    return np.stack([np.stack([X1, Y], axis=1), np.stack([X2, Y], axis=1)], axis=1)
+    L = np.zeros(p.B.shape[:-2] + (2 * NN + 2, 2 * NN + n), dtype=complex)
+    for i, x in enumerate((p, q)):
+        block = np.s_[i * NN : (i + 1) * NN]
+        tr = _tangent_constraints(x, dM, L[..., block, block], L[..., block, 2 * NN :])
+        L[..., 2 * NN + i, block] = tr[..., 0, :]
+    W = [kernel(M, KERNEL_CUTOFF) for M in L.reshape((-1,) + L.shape[-2:])]
+    del L
+    found = [len(w) for w in W if len(w) != 3 * n]
+    if found:
+        raise DegenerateTangentError(f"kernel dimension {found[0]}, expected {3 * n}")
+    W = np.reshape(W, p.B.shape[:-2] + (3 * n, 2 * NN + n))
+    Y = combine(W[..., 2 * NN :], dM)
+    X1, X2 = (W[..., : NN].reshape(Y.shape), W[..., NN : 2 * NN].reshape(Y.shape))
+    return np.stack([np.stack([X1, Y], axis=-3), np.stack([X2, Y], axis=-3)], axis=-4)
 
 
 def multiplicativity_residual(rs, pair, basis):
@@ -160,15 +170,18 @@ def multiplicativity_residual(rs, pair, basis):
     basis stacks tangent pairs (u1, u2) with equal Y-components, as returned
     by composable_tangent_basis; u and v run over all of it.  The
     differential of composition is exact: dm(u1, u2) = (X1 B2 + B1 X2, Y).
+    A stack of pairs takes a stack of bases and gives one residual per pair.
     """
     p, q = pair.p, pair.q
-    U1, U2 = basis[:, 0], basis[:, 1]
-    if np.max(np.abs(U1[:, 1] - U2[:, 1])) > 1e-8:
+    U1, U2 = basis[..., 0, :, :, :], basis[..., 1, :, :, :]
+    X, Y = np.s_[..., 0, :, :], np.s_[..., 1, :, :]
+    if np.max(np.abs(U1[Y] - U2[Y])) > 1e-8:
         raise NotComposableError("tangent pairs must share the base variation")
-    dm = np.stack([U1[:, 0] @ q.B + p.B @ U2[:, 0], U1[:, 1]], axis=1)
+    B1, B2 = p.B[..., None, :, :], q.B[..., None, :, :]  # against the basis axis
+    dm = np.stack([U1[X] @ B2 + B1 @ U2[X], U1[Y]], axis=-3)
     lhs = omega_gram(p.B @ q.B, p.A, dm)
     rhs = omega_gram(p.B, p.A, U1) + omega_gram(q.B, q.A, U2)
-    return float(np.max(np.abs(lhs - rhs)))
+    return np.abs(lhs - rhs).max(axis=(-2, -1))
 
 
 # ---------------------------------------------------------------------------

@@ -1,32 +1,53 @@
 """Batched trials and stacked primitives give the bytes of their one-sample forms.
 
-The unit oracle, the involution laws and the groupoid axioms of ucgl.report
-evaluate all their samples at once, on stacks of points.  The one-sample
-trial bodies they replaced are kept here as references and run through
-report._draw: each batched trial must return byte-equal residual arrays and
-leave its generator in the same state, so it drew the same numbers in the
-same order.  The primitives they call broadcast over leading axes, and each
-is checked against single calls on every matrix of a stack of 20, errors
-included.
+Every trial of ucgl.report except those built on groupoid.tangent_space, and
+the groupoid fiber check, evaluates all its samples at once, on stacks of
+points or of connection inputs.  The one-sample trial bodies they replaced
+are kept here as references and run through report._draw: each batched
+trial must return byte-equal residual arrays and leave its generator in the
+same state, so it drew the same numbers in the same order.  The primitives
+they call broadcast over leading axes, and each is checked against single
+calls on every matrix of a stack of 20, errors included.
 """
+
+import sys
 
 import numpy as np
 import pytest
 
+from ucgl import bondal as bd
 from ucgl import report
-from ucgl.core import char_poly, determinant, inverse
-from ucgl.errors import NotRegularError, SingularMatrixError
+from ucgl.connection import (
+    SYMMETRY_KINDS,
+    TodaInput,
+    alpha_coeff,
+    alpha_symmetry_residual,
+    build_W,
+    random_antisymmetric_input,
+)
+from ucgl.core import char_poly, determinant, inverse, is_regular, structural_matrices
+from ucgl.errors import (
+    DegenerateTangentError,
+    NotComposableError,
+    NotRegularError,
+    PreconditionError,
+    SingularMatrixError,
+)
 from ucgl.groupoid import (
+    _tangent_constraints,
     centralizer_basis,
     combine,
     commuting_point,
+    expm,
     fiber_vector,
     groupoid_compose,
     groupoid_inverse,
     horizontal_vector_at_unit,
     make_pair,
     random_point,
+    random_slocal_point,
     sample_commuting,
+    sample_slocal_fiber,
     unit,
 )
 from ucgl.involutions import (
@@ -38,17 +59,25 @@ from ucgl.involutions import (
     make_point,
     point_distance,
 )
+from ucgl.report import run_suite
 from ucgl.stokes import (
     build_M,
     build_Q,
     build_S,
     dM_ds,
     factor_product_derivative,
+    rand_palindromic_s,
     rand_s,
     section_membership,
     stokes_params_of,
 )
-from ucgl.symplectic import omega, omega_gram, unit_block_values
+from ucgl.symplectic import (
+    composable_tangent_basis,
+    multiplicativity_residual,
+    omega,
+    omega_gram,
+    unit_block_values,
+)
 
 STACK = 20
 
@@ -116,11 +145,112 @@ def reference_unit_blocks(rs, rng):
     }
 
 
+def reference_multiplicative(rs, rng):
+    A = build_M(rs, rand_s(rng, rs.n))
+    pair = make_pair(random_point(rs, rng, A), random_point(rs, rng, A))
+    return {"symplectic.multiplicativity":
+            multiplicativity_residual(rs, pair, composable_tangent_basis(rs, pair))}
+
+
+def reference_section(rs, rng):
+    n = rs.n
+    sign = -1.0 if n % 2 == 1 else 1.0
+    s = rand_s(rng, n)
+    M = build_M(rs, s)
+    Mp = np.linalg.matrix_power(M, n + 1)
+    S12 = build_S(rs, 1, s) @ build_S(rs, 2, s)
+    return {
+        "stokes.round_trip": _sup(stokes_params_of(M) - s),
+        "stokes.regularity": float(not is_regular(M)),
+        "stokes.power_identity": _sup(Mp - sign * S12) / max(1.0, np.max(np.abs(Mp))),
+        "stokes.factor_route_agreement": [
+            _sup(build_Q(rs, k, s) - build_Q(rs, k, s, route="shift"))
+            for k in range(n + 1, 3 * (n + 1))
+        ],
+    }
+
+
+def reference_chains(rs, rng):
+    n = rs.n
+
+    def chain(s):
+        return [_sup(build_Q(rs, k + n + 1, s) - inverse(build_Q(rs, k, s)).T)
+                for k in (n + 1, n + 2)]
+
+    sp, sg = rand_palindromic_s(rng, n), rand_s(rng, n)
+    return {"stokes.antisymmetry_equivalence": chain(sp),
+            "stokes.antisymmetry_negative_control": float(np.max(chain(sg)))}
+
+
+def reference_real_char_poly(rs, rng):
+    c = char_poly(random_slocal_point(rs, rng).B)
+    return {"involutions.fixed_point_char_poly_real": _sup(c.imag) / np.max(np.abs(c))}
+
+
+def reference_c_reality(rs, rng):
+    B = random_slocal_point(rs, rng).B
+    return {"hits": _sup(B @ np.conj(B) - np.eye(rs.n + 1)) < 1e-8}
+
+
+def reference_bondal_axioms(rs, rng):
+    N = rs.n + 1
+    I = np.eye(N, dtype=complex)
+
+    def rand_orth():
+        S = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        return expm(0.5 * (S - S.T))
+
+    p1, p2, p3 = (bd.make_bondal_point(rand_orth(), I, tol=1e-8) for _ in range(3))
+    Aut = np.triu(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)), 1) + I
+    q = bd.make_bondal_point(np.diag([1.0] * (N - 1) + [(-1.0) ** (N - 1)]), Aut, tol=1e-8)
+    return {"bondal.axioms": (
+        _sup(bd.compose(bd.compose(p1, p2), p3).B - bd.compose(p1, bd.compose(p2, p3)).B),
+        _sup(bd.compose(p1, bd.unit(bd.source(p1))).B - p1.B),
+        _sup(bd.compose(q, bd.unit(q.A)).B - q.B),
+    )}
+
+
+def reference_embedding(rs, rng):
+    p = random_slocal_point(rs, rng)
+    q = random_slocal_point(rs, rng, p.A)
+    pq = groupoid_compose(rs, make_pair(p, q))
+    e1, e2, epq = (bd.embed_slocal(rs, x) for x in (p, q, pq))
+    comp = bd.compose(e1, e2, tol=1e-7)
+    return {"bondal.embedding_intertwines": (_sup(comp.B - epq.B), _sup(comp.A - epq.A))}
+
+
+def reference_symmetries(rs, rng):
+    inp = random_antisymmetric_input(rs.n, rng)
+    return {f"connection.symmetry_{k}": alpha_symmetry_residual(k, inp) for k in SYMMETRY_KINDS}
+
+
+def reference_control(rs, rng):
+    good = random_antisymmetric_input(rs.n, rng)
+    v = good.v.copy()
+    v[0] += 1.0
+    inp = TodaInput(n=rs.n, w=good.w, v=v, x=1.1, zeta=0.7 + 0.2j)
+    observed = [alpha_symmetry_residual(k, inp, require_antisymmetric=False)
+                for k in ("anti", "c_real")]
+    return {"connection.negative_control": float(np.max(observed))}
+
+
 TRIALS = {
     "laws": ("involutions", report.involution_laws, reference_laws),
     "axioms": ("groupoid", report.groupoid_axioms, reference_axioms),
     "unit_blocks": ("symplectic", report.unit_blocks, reference_unit_blocks),
+    "multiplicative": ("symplectic", report.multiplicative, reference_multiplicative),
+    "section": ("stokes", report.stokes_section, reference_section),
+    "chains": ("stokes", report.stokes_chains, reference_chains),
+    "real_char_poly": ("involutions", report.real_char_poly, reference_real_char_poly),
+    "c_reality": ("slocal-experiment", report.c_reality, reference_c_reality),
+    "bondal_axioms": ("bondal", report.bondal_axioms, reference_bondal_axioms),
+    "embedding": ("bondal", report.bondal_embedding, reference_embedding),
+    "symmetries": ("connection", report.connection_symmetries, reference_symmetries),
+    "control": ("connection", report.connection_control, reference_control),
 }
+
+#: the trials batched after the first three
+LATER = [t for t in TRIALS if t not in ("laws", "axioms", "unit_blocks")]
 
 
 def _stream(seed, suite):
@@ -136,7 +266,9 @@ def _assert_trial_matches(rs, trial, seed, samples):
     want = report._draw(samples, lambda _: reference(rs, ref_rng))
     assert sorted(got) == sorted(want)
     for name, runs in want.items():
-        expected = np.array(runs, dtype=float)
+        expected = np.array(runs)
+        if expected.dtype != bool:  # residuals, as floats; c_reality's hits stay flags
+            expected = expected.astype(float)
         assert got[name].shape == expected.shape, name
         assert got[name].dtype == expected.dtype, name
         assert got[name].tobytes() == expected.tobytes(), name
@@ -147,6 +279,26 @@ def _assert_trial_matches(rs, trial, seed, samples):
 @pytest.mark.parametrize("trial", TRIALS)
 def test_batched_trial_equals_per_sample(roots, trial, n):
     _assert_trial_matches(roots[n], trial, 42, 10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("trial", LATER)
+def test_batched_trial_equals_per_sample_at_100(roots, trial, n):
+    _assert_trial_matches(roots[n], trial, 35, 100)
+
+
+def test_draw_serves_only_the_tangent_space_suites(roots, monkeypatch):
+    """Only suite_groupoid and suite_symplectic still run one-sample trials."""
+    callers = set()
+    draw = report._draw
+
+    def recording(trials, trial):
+        callers.add(sys._getframe(1).f_code.co_name)
+        return draw(trials, trial)
+
+    monkeypatch.setattr(report, "_draw", recording)
+    run_suite({"n": 2, "suite": "all", "seed": 42, "samples": 10})
+    assert callers == {"suite_groupoid", "suite_symplectic"}
 
 
 @pytest.mark.parametrize("seed", [7, 35, 37])
@@ -301,3 +453,158 @@ def test_a_nan_matrix_does_not_make_inverse_raise():
         np.testing.assert_array_equal(inv[7], inverse(M[7]))
     assert np.isnan(inv[7]).all()
     _same(np.delete(inv, 7, axis=0), [inverse(m) for m in np.delete(M, 7, axis=0)])
+
+
+def _toda_stack(n, rng):
+    """STACK anti-symmetric inputs as one stacked TodaInput, and each alone."""
+    singles = [random_antisymmetric_input(n, rng) for _ in range(STACK)]
+    stacked = TodaInput(n=n, **{key: np.array([getattr(x, key) for x in singles])
+                                for key in ("w", "v", "x", "zeta")})
+    return stacked, singles
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_connection_primitives_broadcast(n):
+    inp, singles = _toda_stack(n, np.random.default_rng(600 + n))
+    _same(build_W(inp.w), [build_W(x.w) for x in singles])
+    _same(alpha_coeff(inp), [alpha_coeff(x) for x in singles])
+    zetas = [np.complex128(0.3 - 1.1j) * x.zeta for x in singles]
+    _same(alpha_coeff(inp, zetas), [alpha_coeff(x, z) for x, z in zip(singles, zetas)])
+    _same(inp.antisymmetry_residual(), [x.antisymmetry_residual() for x in singles])
+    for kind in SYMMETRY_KINDS:
+        _same(alpha_symmetry_residual(kind, inp), [alpha_symmetry_residual(kind, x) for x in singles])
+    # one input alone (Python complex zeta, float x): the formula as written
+    x, z = singles[0], singles[0].zeta
+    W = np.diag(np.exp(-x.w)) @ structural_matrices(n).Pi @ np.diag(np.exp(x.w))
+    _same(alpha_coeff(x), (-(z ** -2)) * W.T - (z ** -1) * np.diag(x.v).astype(complex)
+          + x.x ** 2 * W)
+
+
+def test_an_unsymmetric_input_in_a_stack_raises_as_a_single_call():
+    inp, _ = _toda_stack(3, np.random.default_rng(700))
+    w = inp.w.copy()
+    w[7, 0] += 1.0
+    broken = TodaInput(n=3, w=w, v=inp.v, x=inp.x, zeta=inp.zeta)
+    single = TodaInput(n=3, w=w[7], v=inp.v[7], x=inp.x[7], zeta=inp.zeta[7])
+    for kind in SYMMETRY_KINDS:
+        with pytest.raises(PreconditionError) as one:
+            alpha_symmetry_residual(kind, single)
+        with pytest.raises(PreconditionError) as stacked:
+            alpha_symmetry_residual(kind, broken)
+        assert str(stacked.value) == str(one.value)
+
+
+def _orthogonal(rng, N, count):
+    S = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+    return expm(0.5 * (S - np.swapaxes(S, -1, -2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bondal_primitives_broadcast(roots, n):
+    rs, N = roots[n], n + 1
+    rng = np.random.default_rng(800 + n)
+    B1, B2 = _orthogonal(rng, N, STACK), _orthogonal(rng, N, STACK)
+    Aut = np.triu(rng.standard_normal((STACK, N, N)) + 1j * rng.standard_normal((STACK, N, N)), 1)
+    Aut += np.eye(N)
+    _same(bd._unit_upper(Aut, 1e-9), [bd._unit_upper(a, 1e-9) for a in Aut])
+    _same(bd.membership(B1, Aut), [bd.membership(b, a) for b, a in zip(B1, Aut)])
+    I = np.broadcast_to(np.eye(N, dtype=complex), B1.shape)
+    p, q = bd.make_bondal_point(B1, I), bd.make_bondal_point(B2, I)
+    ps = [bd.make_bondal_point(b, np.eye(N)) for b in B1]
+    qs = [bd.make_bondal_point(b, np.eye(N)) for b in B2]
+    for field in ("B", "A"):
+        _same(getattr(p, field), [getattr(x, field) for x in ps])
+        _same(getattr(bd.unit(Aut), field), [getattr(bd.unit(a), field) for a in Aut])
+        _same(getattr(bd.compose(p, q), field),
+              [getattr(bd.compose(x, y), field) for x, y in zip(ps, qs)])
+    _same(bd.target(bd.BondalPoint(B=B1, A=Aut)),
+          [bd.target(bd.BondalPoint(B=b, A=a)) for b, a in zip(B1, Aut)])
+    s = np.array([rand_palindromic_s(rng, n) for _ in range(STACK)])
+    seeds = [int(x) for x in rng.integers(0, 2 ** 31, STACK)]
+    x = sample_slocal_fiber(rs, build_M(rs, s), seeds)
+    xs = [sample_slocal_fiber(rs, build_M(rs, si), t) for si, t in zip(s, seeds)]
+    _same_points(x, xs)
+    e = bd.embed_slocal(rs, x)
+    for field in ("B", "A"):
+        _same(getattr(e, field), [getattr(bd.embed_slocal(rs, y), field) for y in xs])
+
+
+def test_one_bad_bondal_pair_raises_as_a_single_call(roots):
+    rng = np.random.default_rng(900)
+    N = 4
+    B1, B2 = _orthogonal(rng, N, STACK), _orthogonal(rng, N, STACK)
+    I = np.broadcast_to(np.eye(N, dtype=complex), B1.shape)
+    A = I.copy()
+    A[7, 2, 0] = 1.0  # below the diagonal
+
+    def point(B, A):
+        return bd.make_bondal_point(B, A)
+
+    assert isinstance(_raises_like_single(point, 7, B1, A), PreconditionError)
+    off = B2.copy()
+    off[7] = rng.standard_normal((N, N))
+
+    def compose(B1, B2):
+        return bd.compose(bd.BondalPoint(B=B1, A=np.eye(N)), bd.BondalPoint(B=B2, A=np.eye(N)))
+
+    assert isinstance(_raises_like_single(compose, 7, B1, off), NotComposableError)
+
+
+def test_a_base_off_the_real_slice_raises_as_a_single_call(roots):
+    rs = roots[3]
+    rng = np.random.default_rng(1000)
+    s = np.array([rand_palindromic_s(rng, 3) for _ in range(STACK)])
+    s[7] = rand_s(rng, 3)
+    seeds = [int(x) for x in rng.integers(0, 2 ** 31, STACK)]
+    err = _raises_like_single(lambda A, t: sample_slocal_fiber(rs, A, t), 7, build_M(rs, s), seeds)
+    assert isinstance(err, PreconditionError) and "slice" in str(err)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_composable_primitives_broadcast(roots, n):
+    rs, N = roots[n], n + 1
+    rng = np.random.default_rng(1100 + n)
+    s, A, p, q = _stacks(rs, rng)
+    ps, qs = _points(p), _points(q)
+    dM = dM_ds(rs, s)
+    LX, LY = np.zeros((STACK, N * N, N * N), complex), np.zeros((STACK, N * N, n), complex)
+    tr = _tangent_constraints(p, dM, LX, LY)
+    singles = []
+    for x, d in zip(ps, dM):
+        lx, ly = np.zeros((N * N, N * N), complex), np.zeros((N * N, n), complex)
+        singles.append((lx, ly, _tangent_constraints(x, d, lx, ly)))
+        # the Kronecker form as np.kron builds it
+        _same(lx, np.kron(np.eye(N), x.A.T) - np.kron(x.A, np.eye(N)))
+    for i, got in enumerate((LX, LY, tr)):
+        _same(got, [single[i] for single in singles])
+    c = rng.standard_normal((STACK, 3 * n, n)) + 0j
+    _same(combine(c, dM), [np.tensordot(ci, d, axes=1) for ci, d in zip(c, dM)])
+    pair = make_pair(p, q)
+    basis = composable_tangent_basis(rs, pair)
+    bases = [composable_tangent_basis(rs, make_pair(x, y)) for x, y in zip(ps, qs)]
+    _same(basis, bases)
+    _same(multiplicativity_residual(rs, pair, basis),
+          [multiplicativity_residual(rs, make_pair(x, y), b) for x, y, b in zip(ps, qs, bases)])
+    for k in range(N, 3 * N):
+        _same(build_Q(rs, k, s, route="shift"), [build_Q(rs, k, x, route="shift") for x in s])
+    _same(np.linalg.matrix_power(A, N), [np.linalg.matrix_power(a, N) for a in A])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_degenerate_pair_raises_the_kernel_dimension(roots, n):
+    """A pair over a non-regular base (B = A = I, never a section element) has a
+    composable kernel of dimension 2N^2 + n - 2, not 3n: alone, and as one
+    point of a stack."""
+    rs = roots[n]
+    rng = np.random.default_rng(1200 + n)
+    s, _, p, q = _stacks(rs, rng)
+    B, A = p.B.copy(), p.A.copy()
+    B[7] = A[7] = np.eye(n + 1)
+    expected = f"kernel dimension {2 * (n + 1) ** 2 + n - 2}, expected {3 * n}"
+
+    def basis(B, A, s):
+        x = GroupoidPoint(B=B, A=A, s=s)
+        return composable_tangent_basis(rs, make_pair(x, x))
+
+    err = _raises_like_single(basis, 7, B, A, s)
+    assert isinstance(err, DegenerateTangentError) and str(err) == expected

@@ -7,6 +7,7 @@ import pytest
 from ucgl.cli import main
 from ucgl.errors import PreconditionError, SearchFailureError, UcglError
 from ucgl import groupoid, report, stokes
+from ucgl.involutions import GroupoidPoint
 from ucgl.report import Check, run_suite
 from ucgl.stokes import derive_root_sets
 
@@ -197,6 +198,30 @@ def test_cli_verify_writes_report_when_a_suite_raises(tmp_path, monkeypatch, cap
     assert not data["all_pass"]
 
 
+def test_cli_verify_writes_report_when_an_svd_fails(tmp_path, monkeypatch, capsys):
+    """A NaN point makes np.linalg.svd raise LinAlgError in the groupoid suite's
+    tangent trial: the report is still written, with groupoid.error, and the
+    exit code is 1, as for a UcglError."""
+    real = report.random_point
+
+    def nan_point(rs, rng, A=None):
+        p = real(rs, rng, A)
+        return GroupoidPoint(B=np.full_like(p.B, np.nan), A=p.A, s=p.s)
+
+    monkeypatch.setattr(report, "random_point", nan_point)
+    out = tmp_path / "rep.json"
+    with np.errstate(invalid="ignore"):
+        code = main(["verify", "--n", "2", "--suite", "groupoid", "--samples", "5",
+                     "--out", str(out)])
+    assert code == 1
+    assert "error: SVD did not converge" in capsys.readouterr().err
+    data = json.loads(out.read_text())
+    checks = {c["name"]: c for c in data["checks"]}
+    assert checks["groupoid.error"]["details"] == {"type": "LinAlgError",
+                                                   "message": "SVD did not converge"}
+    assert not data["all_pass"]
+
+
 def test_cli_verify_search_failure_still_exits_3(monkeypatch):
     def no_survivor(n, cache_dir=None, force=False):
         raise SearchFailureError("no closed-form root-set orientation confirmed")
@@ -206,7 +231,9 @@ def test_cli_verify_search_failure_still_exits_3(monkeypatch):
 
 
 def test_nan_residual_fails_checks_and_controls(monkeypatch):
-    monkeypatch.setattr(report, "alpha_symmetry_residual", lambda *a, **k: math.nan)
+    # one NaN residual per sample of the stacked input
+    monkeypatch.setattr(report, "alpha_symmetry_residual",
+                        lambda kind, inp, **k: np.full(np.shape(inp.zeta), math.nan))
     rs = derive_root_sets(1)
     checks = {c.name: c for c in report.suite_connection(rs, np.random.default_rng(3), samples=5)}
     assert all(math.isnan(c.max_residual) for c in checks.values())
