@@ -200,26 +200,40 @@ def random_slocal_point(rs, rng, A=None):
     return sample_slocal_fiber(rs, A, draw_seed(rng))
 
 
-def _tangent_constraints(p, dM, LX, LY):
-    """The linearized point constraints at p, on row-major flattened matrices.
+def _tangent_kernel(rs, points, dM):
+    """Kernel rows (X_1, ..., X_k, sdot) of the linearized constraints of k = 1
+    or 2 points over one base, whose section derivatives are dM.
 
-    Writes into LX the (N^2, N^2) matrix kron(I, A^T) - kron(A, I) of
-    X -> [X, A], and into LY the (N^2, n) matrix of sdot -> [B, Y(sdot)]
-    with Y(sdot) = sum_d sdot_d dM[d]; returns the (1, N^2) row of
-    X -> Tr(B^{-1} X).  LX and LY are blocks of the caller's constraint
-    matrix, and LX is filled in place through a (N, N, N, N) view, with
-    np.kron's elementwise products by broadcasting.  At a stack of points,
-    with dM of shape (..., n, N, N), each is a stack.
+    On row-major flattened matrices point i gives the block kron(I, A^T) -
+    kron(A, I) of X_i -> [X_i, A], filled in place through a (N, N, N, N)
+    view, the block of sdot -> [B_i, Y(sdot)], Y(sdot) = sum_d sdot_d dM[d],
+    and the row of X_i -> Tr(B_i^{-1} X_i).  The kernel, by SVD with cutoff
+    KERNEL_CUTOFF times the largest singular value, has complex dimension
+    (k + 1) n at regular points; any other raises DegenerateTangentError.
+    Over a stack of points the kernels are taken one point at a time, so
+    that only one SVD's factors are held at once, and a point of another
+    dimension, anywhere in the stack, raises the single call's error.
     """
-    A, B = p.A, p.B
-    N = A.shape[-1]
+    n, k = rs.n, len(points)
+    N = n + 1
+    NN = N * N
     I = identity(N)
-    kron = LX.reshape(LX.shape[:-2] + (N, N, N, N))  # a view: only axes are split
-    np.multiply(I[:, None, :, None], np.swapaxes(A, -1, -2)[..., None, :, None, :], out=kron)
-    kron -= A[..., :, None, :, None] * I[None, :, None, :]
-    C = B[..., None, :, :] @ dM - dM @ B[..., None, :, :]
-    LY[...] = np.swapaxes(C.reshape(C.shape[:-2] + (N * N,)), -1, -2)
-    return np.swapaxes(inverse(B), -1, -2).reshape(B.shape[:-2] + (1, N * N))
+    lead = points[0].B.shape[:-2]
+    L = np.zeros(lead + (k * NN + k, k * NN + n), dtype=complex)
+    for i, x in enumerate(points):
+        rows = np.s_[i * NN : (i + 1) * NN]
+        kron = L[..., rows, rows].reshape(lead + (N, N, N, N))  # a view: only axes are split
+        np.multiply(I[:, None, :, None], np.swapaxes(x.A, -1, -2)[..., None, :, None, :], out=kron)
+        kron -= x.A[..., :, None, :, None] * I[None, :, None, :]
+        C = x.B[..., None, :, :] @ dM - dM @ x.B[..., None, :, :]
+        L[..., rows, k * NN :] = np.swapaxes(C.reshape(C.shape[:-2] + (NN,)), -1, -2)
+        L[..., k * NN + i, rows] = np.swapaxes(inverse(x.B), -1, -2).reshape(lead + (NN,))
+    W = [kernel(M, KERNEL_CUTOFF) for M in L.reshape((-1,) + L.shape[-2:])]
+    del L
+    found = [len(w) for w in W if len(w) != (k + 1) * n]
+    if found:
+        raise DegenerateTangentError(f"kernel dimension {found[0]}, expected {(k + 1) * n}")
+    return np.reshape(W, lead + ((k + 1) * n, k * NN + n))
 
 
 def tangent_space(rs, p):
@@ -229,24 +243,18 @@ def tangent_space(rs, p):
     and Y varying A.  The constraints linearize to ([X, A] + [B, Y(sdot)],
     Tr(B^{-1} X)) = 0 where Y(sdot) is the analytic derivative of the section
     element, so the kernel's unknowns are (X, sdot) and sdot, shape (2n, n),
-    is the velocity of s along each U_i.  The kernel is computed by SVD with
-    cutoff KERNEL_CUTOFF times the largest singular value and has complex
-    dimension 2n at regular points; a different dimension raises
-    DegenerateTangentError.  Returns (U, sdot).
+    is the velocity of s along each U_i; see _tangent_kernel.  A stack of
+    points gives stacks, shapes (..., 2n, 2, N, N) and (..., 2n, n).
     """
-    n = rs.n
-    N = n + 1
+    N = rs.n + 1
     dM = dM_ds(rs, p.s)
-    L = np.zeros((N * N + 1, N * N + n), dtype=complex)
-    L[-1, : N * N] = _tangent_constraints(p, dM, L[:-1, : N * N], L[:-1, N * N :])
-    kern = kernel(L, KERNEL_CUTOFF)
-    if len(kern) != 2 * n:
-        raise DegenerateTangentError(f"kernel dimension {len(kern)}, expected {2 * n}")
-    X = kern[:, : N * N].reshape(-1, N, N)
-    # one product per vector: a batched one sums in another order (round-off)
-    sdot = kern[:, N * N :]
-    Y = [np.tensordot(v, dM, axes=1) for v in sdot]
-    return np.stack([X, Y], axis=1), sdot
+    kern = _tangent_kernel(rs, (p,), dM)
+    X = kern[..., : N * N].reshape(kern.shape[:-1] + (N, N))
+    sdot = kern[..., N * N :]
+    # one (1, n) product per vector: a batched one sums in another order (round-off)
+    each = np.broadcast_to(dM[..., None, :, :, :], X.shape[:-2] + dM.shape[-3:])
+    Y = combine(sdot[..., None, :], each)[..., 0, :, :]
+    return np.stack([X, Y], axis=-3), sdot
 
 
 def fiber_vector(p, xi):

@@ -109,36 +109,40 @@ def apply_theta(rs, p, tol=POINT_TOL):
 
 
 def _twisted_differential(F, dF, W, dW):
-    """d(F W F^{-1}) = F dW F^{-1} + [dF F^{-1}, F W F^{-1}] over stacked dW and dF."""
+    """d(F W F^{-1}) = F dW F^{-1} + [dF F^{-1}, F W F^{-1}] over stacked dW and dF;
+    W, the pair at each point, has a unit axis against the m variations."""
     Fi = inverse(F)
-    K, Z = (dF @ Fi)[:, None], F @ W @ Fi
+    F, Fi = F[..., None, None, :, :], Fi[..., None, None, :, :]  # against the (m, 2) axes
+    K, Z = dF[..., None, :, :] @ Fi, F @ W @ Fi
     return F @ dW @ Fi + K @ Z - Z @ K
 
 
 def sigma_differential(rs, p, U, sdot):
     """Image tangents at apply_sigma(p) of tangents U at p with base velocities sdot.
 
-    U is stacked (m, 2, N, N), U[i] = (dB, dA), sdot is (m, n); d(Z^{-T}) =
-    -Z^{-T} dZ^T Z^{-T}, and F = S_1(s)^T moves with s at even rank only.
+    U is stacked (..., m, 2, N, N), U[i] = (dB, dA), sdot is (..., m, n), with
+    a leading axis per point of a stack; d(Z^{-T}) = -Z^{-T} dZ^T Z^{-T}, and
+    F = S_1(s)^T moves with s at even rank only.
     """
     N = rs.n + 1
-    W = np.stack([inverse(p.B), inverse(p.A)]).transpose(0, 2, 1)
-    dF = np.zeros_like(U[:, 0])
+    W = np.swapaxes(np.stack([inverse(p.B), inverse(p.A)], axis=-3), -1, -2)[..., None, :, :, :]
+    dF = np.zeros_like(U[..., 0, :, :])
     if rs.n % 2 == 0:
-        dF = factor_product_derivative(rs, range(N, 2 * N), p.s, sdot).transpose(0, 2, 1)
-    return _twisted_differential(F_sigma(rs, p.s), dF, W, -W @ U.transpose(0, 1, 3, 2) @ W)
+        dF = np.swapaxes(factor_product_derivative(rs, range(N, 2 * N), p.s, sdot), -1, -2)
+    return _twisted_differential(F_sigma(rs, p.s), dF, W, -W @ np.swapaxes(U, -1, -2) @ W)
 
 
 def theta_differential(rs, p, U, sdot):
     """As sigma_differential, for apply_theta; G = Ctilde conj(Q_n(s)) moves at odd rank only."""
-    Ai = inverse(np.conj(p.A))
+    Ai = inverse(np.conj(p.A))[..., None, :, :]  # against the tangent axis
     dW = np.conj(U)
-    dW[:, 1] = -Ai @ dW[:, 1] @ Ai
-    dF = np.zeros_like(U[:, 0])
+    dW[..., 1, :, :] = -Ai @ dW[..., 1, :, :] @ Ai
+    dF = np.zeros_like(U[..., 0, :, :])
     if rs.n % 2 == 1:
         dQ = factor_product_derivative(rs, (rs.n,), p.s, sdot)
         dF = structural_matrices(rs.n).Ctilde @ np.conj(dQ)
-    return _twisted_differential(F_theta(rs, p.s), dF, np.stack([np.conj(p.B), Ai]), dW)
+    W = np.stack([np.conj(p.B)[..., None, :, :], Ai], axis=-3)
+    return _twisted_differential(F_theta(rs, p.s), dF, W, dW)
 
 
 def point_distance(p, q):
@@ -167,16 +171,16 @@ def slocal_membership(rs, p, tol=POINT_TOL):
     through sigma(p) and theta(p).
 
     The one flag is returned under both fixed_route and direct_route, for
-    callers that read either key.  c_reality reports whether B conj(B) = I
-    holds; it is a diagnostic, never a membership requirement.
+    callers that read either key.  It is a Python bool for one point and an
+    array of flags, one per point, for a stack.
     """
     F, G = F_sigma(rs, p.s), F_theta(rs, p.s)
     BA = np.stack([p.B, p.A])
     residuals = (
-        np.max(np.abs(BA @ F @ BA.transpose(0, 2, 1) - F)) / np.max(np.abs(F)),
-        np.max(np.abs(G @ np.conj(p.B) - p.B @ G)) / np.max(np.abs(G)),
-        np.max(np.abs(p.A @ G @ np.conj(p.A) - G)) / np.max(np.abs(G)),
+        max_abs(BA @ F @ np.swapaxes(BA, -1, -2) - F).max(axis=0) / max_abs(F),
+        max_abs(G @ np.conj(p.B) - p.B @ G) / max_abs(G),
+        max_abs(p.A @ G @ np.conj(p.A) - G) / max_abs(G),
     )
-    member = bool(np.max(residuals) < tol)
-    c_reality = np.max(np.abs(p.B @ np.conj(p.B) - np.eye(p.B.shape[0]))) < tol
-    return {"fixed_route": member, "direct_route": member, "c_reality": bool(c_reality)}
+    member = np.max(residuals, axis=0) < tol
+    member = member if member.ndim else bool(member)
+    return {"fixed_route": member, "direct_route": member}

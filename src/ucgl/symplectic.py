@@ -24,9 +24,9 @@ parametrisation.
 
 import numpy as np
 
-from .core import char_poly, inverse, kernel, trace_form
-from .errors import DegenerateFormError, DegenerateTangentError, NotComposableError, ProjectionFailureError
-from .groupoid import KERNEL_CUTOFF, _tangent_constraints, combine, tangent_space
+from .core import char_poly, inverse, max_abs, trace_form
+from .errors import DegenerateFormError, NotComposableError, ProjectionFailureError
+from .groupoid import _tangent_kernel, combine, tangent_space
 from .involutions import apply_sigma, apply_theta, sigma_differential, theta_differential
 from .stokes import build_M, dM_ds
 
@@ -123,7 +123,14 @@ def unit_block_values(a, u, v):
 def type_20_residual(p, U):
     """Max |omega(J U_a, U_b) - i omega(U_a, U_b)| over stacked tangents U, with J
     the ambient complex structure: zero when omega is complex bilinear."""
-    return float(np.max(np.abs(omega_gram(p.B, p.A, 1j * U, U) - 1j * omega_gram(p.B, p.A, U))))
+    return max_abs(omega_gram(p.B, p.A, 1j * U, U) - 1j * omega_gram(p.B, p.A, U))
+
+
+def _real_frame(rs, p):
+    """The real frame [U, iU] at p with its base velocities [sdot, i sdot], from
+    tangent_space; over a stack of points, a stack of frames."""
+    U, sdot = tangent_space(rs, p)
+    return np.concatenate([U, 1j * U], axis=-4), np.concatenate([sdot, 1j * sdot], axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -134,33 +141,17 @@ def composable_tangent_basis(rs, pair):
     """Kernel basis of the tangent space to the set of composable pairs.
 
     Unknowns (X1, X2, sdot) with the shared base variation Y(sdot); the
-    kernel, cut off as in groupoid.tangent_space, has complex dimension 3n at
-    regular points, and any other dimension raises DegenerateTangentError.
-    Returns an array of shape (3n, 2, 2, N, N) whose entry i is the pair
-    (u1, u2), each a stacked tangent (X, Y), with equal Y-components.  A
-    stack of pairs gives a stack of bases, shape (..., 3n, 2, 2, N, N); its
-    kernels are taken one pair at a time, so that only one SVD's factors
-    are held at once, and a pair of another dimension, anywhere in the
-    stack, raises the single call's error.
+    kernel is groupoid._tangent_kernel's for the two points, of complex
+    dimension 3n at regular points.  Returns an array of shape
+    (3n, 2, 2, N, N) whose entry i is the pair (u1, u2), each a stacked
+    tangent (X, Y), with equal Y-components.  A stack of pairs gives a stack
+    of bases, shape (..., 3n, 2, 2, N, N).
     """
-    n = rs.n
-    N = n + 1
-    NN = N * N
-    p, q = pair.p, pair.q
-    dM = dM_ds(rs, p.s)
-    L = np.zeros(p.B.shape[:-2] + (2 * NN + 2, 2 * NN + n), dtype=complex)
-    for i, x in enumerate((p, q)):
-        block = np.s_[i * NN : (i + 1) * NN]
-        tr = _tangent_constraints(x, dM, L[..., block, block], L[..., block, 2 * NN :])
-        L[..., 2 * NN + i, block] = tr[..., 0, :]
-    W = [kernel(M, KERNEL_CUTOFF) for M in L.reshape((-1,) + L.shape[-2:])]
-    del L
-    found = [len(w) for w in W if len(w) != 3 * n]
-    if found:
-        raise DegenerateTangentError(f"kernel dimension {found[0]}, expected {3 * n}")
-    W = np.reshape(W, p.B.shape[:-2] + (3 * n, 2 * NN + n))
+    NN = (rs.n + 1) ** 2
+    dM = dM_ds(rs, pair.p.s)
+    W = _tangent_kernel(rs, (pair.p, pair.q), dM)
     Y = combine(W[..., 2 * NN :], dM)
-    X1, X2 = (W[..., : NN].reshape(Y.shape), W[..., NN : 2 * NN].reshape(Y.shape))
+    X1, X2 = (W[..., i * NN : (i + 1) * NN].reshape(Y.shape) for i in (0, 1))
     return np.stack([np.stack([X1, Y], axis=-3), np.stack([X2, Y], axis=-3)], axis=-4)
 
 
@@ -222,7 +213,8 @@ def _exterior_derivative(g, a, U):
 
 
 def closedness_residual(rs, p):
-    """Max |d omega| over all triples of the real frame [U, iU] at p, U from tangent_space.
+    """Max |d omega| over all triples of the real frame [U, iU] at p, U from
+    tangent_space; one residual per point of a stack.
 
     This is exact.  Let phi be a chart through p whose coordinate fields
     (which commute) are the frame at p.  Then d omega(U_i, U_j, U_k) is the
@@ -234,8 +226,14 @@ def closedness_residual(rs, p):
     with a linear change of coordinates.  So only the first-order frame at p
     enters, and tangent_space's basis serves.
     """
-    U, _ = tangent_space(rs, p)
-    return float(np.max(np.abs(_exterior_derivative(p.B, p.A, np.concatenate([U, 1j * U])))))
+    F, _ = _real_frame(rs, p)
+    # the derivative one point at a time: over a stack of 10 frames at n = 4
+    # its (w, v) products hold about 1 MB each, and a verify round's peak
+    # memory rose by 2 MB
+    out = np.empty(F.shape[:-4])
+    for k in np.ndindex(out.shape):
+        out[k] = np.max(np.abs(_exterior_derivative(p.B[k], p.A[k], F[k])))
+    return out[()]
 
 
 # ---------------------------------------------------------------------------
@@ -249,23 +247,23 @@ def gram_matrix(p, U):
     The realified form is Re(omega) on the doubled basis (u_j, i u_j); omega
     is complex bilinear, so its Gram is [[Re G, -Im G], [-Im G, -Re G]].
     Its smallest singular value certifies nondegeneracy of the complex form.
-    Returns (G, min_singular).
+    Returns (G, min_singular); over a stack of points, a stack of each.
     """
     G = omega_gram(p.B, p.A, U)
     GR = np.block([[G.real, -G.imag], [-G.imag, -G.real]])
-    return G, float(np.linalg.svd(GR, compute_uv=False)[-1])
+    return G, np.linalg.svd(GR, compute_uv=False)[..., -1]
 
 
 # ---------------------------------------------------------------------------
 # involution pullbacks
 
 
-def involution_pullback_residual(kind, rs, p):
-    """Pullback defect of omega under one involution at a point.
+def involution_pullback_residual(rs, p):
+    """Pullback defects (sigma, theta) of omega at a point; shape (..., 2) at a stack.
 
     sigma: max |omega(ds u, ds v) - omega(u, v)|;
     theta: max |omega(dt u, dt v) + conj(omega(u, v))|, both over all pairs
-    from the real frame [U, iU] at p, mapped by the exact differential.
+    from the real frame [U, iU] at p, mapped by the exact differentials.
 
     It cannot see the commutator term [dF F^{-1}, .] of the differentials:
     with K = dF F^{-1} that term adds the conjugation direction ([K, B'],
@@ -274,17 +272,12 @@ def involution_pullback_residual(kind, rs, p):
     leaves this residual at round-off.  real_form_fixed_gap and
     test_involution_differentials_exact see that term.
     """
-    if kind not in ("sigma", "theta"):
-        raise ProjectionFailureError(f"unknown involution kind {kind!r}")
-    apply, differential = {
-        "sigma": (apply_sigma, sigma_differential), "theta": (apply_theta, theta_differential)
-    }[kind]
-    # the real frame [U, iU] with its base velocities [sdot, i sdot]
-    F, Fs = (np.concatenate([S, 1j * S]) for S in tangent_space(rs, p))
-    img = apply(rs, p, tol=np.inf)
+    F, Fs = _real_frame(rs, p)
     w = omega_gram(p.B, p.A, F)
-    wi = omega_gram(img.B, img.A, differential(rs, p, F, Fs))
-    return float(np.max(np.abs(wi - w if kind == "sigma" else wi + np.conj(w))))
+    sp, tp = apply_sigma(rs, p, tol=np.inf), apply_theta(rs, p, tol=np.inf)
+    ws = omega_gram(sp.B, sp.A, sigma_differential(rs, p, F, Fs))
+    wt = omega_gram(tp.B, tp.A, theta_differential(rs, p, F, Fs))
+    return np.stack([max_abs(ws - w), max_abs(wt + np.conj(w))], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +321,15 @@ def poisson_bracket_residual(rs, p, U, sdot):
     Jacobian applied to U_k's base velocity sdot_k.  One solve against the
     Gram G of U gives the coefficients a of every gradient, one column per
     character, and the brackets are the entries of a^T G a above the
-    diagonal.
+    diagonal; at a stack of points, one row per point.
     """
     G = omega_gram(p.B, p.A, U)
-    if np.linalg.cond(G) > 1e10:
+    if np.count_nonzero(np.linalg.cond(G) > 1e10):
         raise DegenerateFormError("Gram matrix numerically singular")
-    grads = _character_jacobian(rs, p.s) @ sdot.T
-    a = np.linalg.solve(G, grads.T)
-    return np.abs((a.T @ G @ a)[np.triu_indices(rs.n, 1)])
+    grads = _character_jacobian(rs, p.s) @ np.swapaxes(sdot, -1, -2)
+    a = np.linalg.solve(G, np.swapaxes(grads, -1, -2))
+    i, j = np.triu_indices(rs.n, 1)
+    return np.abs((np.swapaxes(a, -1, -2) @ G @ a)[..., i, j])
 
 
 # ---------------------------------------------------------------------------
@@ -373,19 +367,21 @@ def real_form_checks(rs, p):
     and the joint (sigma, theta)-fixed one 2 ceil(n/2).  Reports the max
     |Re omega| on the first, the minimum singular value of the Gram of
     Im omega (exactly antisymmetric, as omega_gram's is) on the second, and
-    the larger of the two spectral gaps of _fixed_subspace.
+    the larger of the two spectral gaps of _fixed_subspace.  At a stack of
+    points the frames are stacks; np.linalg.lstsq does not broadcast, so the
+    rest runs one point at a time.
     """
-    # the real frame [U, iU] with its base velocities [sdot, i sdot]
-    F, Fs = (np.concatenate([S, 1j * S]) for S in tangent_space(rs, p))
-    Tt = _involution_matrix(F, theta_differential(rs, p, F, Fs))
-    Ts = _involution_matrix(F, sigma_differential(rs, p, F, Fs))
-
-    Vt, gap_t = _fixed_subspace(2 * rs.n, Tt)
-    Gt = omega_gram(p.B, p.A, np.tensordot(Vt.T, F, axes=1))
-    joint, gap_joint = _fixed_subspace(2 * ((rs.n + 1) // 2), Ts, Tt)
-    G2 = omega_gram(p.B, p.A, np.tensordot(joint.T, F, axes=1)).imag
-    return {
-        "re_omega_residual": float(np.max(np.abs(Gt.real))),
-        "omega2_min_singular": float(np.linalg.svd(G2, compute_uv=False)[-1]),
-        "fixed_gap": float(np.maximum(gap_t, gap_joint)),  # a NaN gap propagates
-    }
+    F, Fs = _real_frame(rs, p)
+    dt, ds = theta_differential(rs, p, F, Fs), sigma_differential(rs, p, F, Fs)
+    out = np.empty(F.shape[:-4] + (3,))
+    for k in np.ndindex(F.shape[:-4]):
+        Tt, Ts = _involution_matrix(F[k], dt[k]), _involution_matrix(F[k], ds[k])
+        Vt, gap_t = _fixed_subspace(2 * rs.n, Tt)
+        Gt = omega_gram(p.B[k], p.A[k], np.tensordot(Vt.T, F[k], axes=1))
+        joint, gap_joint = _fixed_subspace(2 * ((rs.n + 1) // 2), Ts, Tt)
+        G2 = omega_gram(p.B[k], p.A[k], np.tensordot(joint.T, F[k], axes=1)).imag
+        # a NaN gap propagates
+        out[k] = (np.max(np.abs(Gt.real)), np.linalg.svd(G2, compute_uv=False)[-1],
+                  np.maximum(gap_t, gap_joint))
+    re_omega, omega2, gap = np.moveaxis(out, -1, 0)
+    return {"re_omega_residual": re_omega, "omega2_min_singular": omega2, "fixed_gap": gap}

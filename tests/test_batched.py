@@ -1,22 +1,19 @@
 """Batched trials and stacked primitives give the bytes of their one-sample forms.
 
-Every trial of ucgl.report except those built on groupoid.tangent_space, and
-the groupoid fiber check, evaluates all its samples at once, on stacks of
+Every trial of ucgl.report evaluates all its samples at once, on stacks of
 points or of connection inputs.  The one-sample trial bodies they replaced
-are kept here as references and run through report._draw: each batched
-trial must return byte-equal residual arrays and leave its generator in the
-same state, so it drew the same numbers in the same order.  The primitives
-they call broadcast over leading axes, and each is checked against single
-calls on every matrix of a stack of 20, errors included.
+are kept here as references and run through _draw, one call per sample:
+each batched trial must return byte-equal residual arrays and leave its
+generator in the same state, so it drew the same numbers in the same order.
+The primitives they call broadcast over leading axes, and each is checked
+against single calls on every matrix of a stack of 20, errors included.
 """
-
-import sys
 
 import numpy as np
 import pytest
 
 from ucgl import bondal as bd
-from ucgl import report
+from ucgl import groupoid, report
 from ucgl.connection import (
     SYMMETRY_KINDS,
     TodaInput,
@@ -25,8 +22,9 @@ from ucgl.connection import (
     build_W,
     random_antisymmetric_input,
 )
-from ucgl.core import char_poly, determinant, inverse, is_regular, structural_matrices
+from ucgl.core import char_poly, determinant, inverse, is_regular, kernel, structural_matrices
 from ucgl.errors import (
+    DegenerateFormError,
     DegenerateTangentError,
     NotComposableError,
     NotRegularError,
@@ -34,7 +32,6 @@ from ucgl.errors import (
     SingularMatrixError,
 )
 from ucgl.groupoid import (
-    _tangent_constraints,
     centralizer_basis,
     combine,
     commuting_point,
@@ -48,6 +45,7 @@ from ucgl.groupoid import (
     random_slocal_point,
     sample_commuting,
     sample_slocal_fiber,
+    tangent_space,
     unit,
 )
 from ucgl.involutions import (
@@ -58,6 +56,9 @@ from ucgl.involutions import (
     apply_theta,
     make_point,
     point_distance,
+    sigma_differential,
+    slocal_membership,
+    theta_differential,
 )
 from ucgl.report import run_suite
 from ucgl.stokes import (
@@ -69,13 +70,20 @@ from ucgl.stokes import (
     rand_palindromic_s,
     rand_s,
     section_membership,
+    semisimple_s,
     stokes_params_of,
 )
 from ucgl.symplectic import (
+    closedness_residual,
     composable_tangent_basis,
+    gram_matrix,
+    involution_pullback_residual,
     multiplicativity_residual,
     omega,
     omega_gram,
+    poisson_bracket_residual,
+    real_form_checks,
+    type_20_residual,
     unit_block_values,
 )
 
@@ -84,6 +92,16 @@ STACK = 20
 
 # ---------------------------------------------------------------------------
 # the one-sample trial bodies the batched trials replaced
+
+
+def _draw(trials, trial):
+    """Call the one-sample trial(i) for i < trials; list each returned residual
+    by name, in draw order."""
+    runs = {}
+    for i in range(trials):
+        for name, residual in trial(i).items():
+            runs.setdefault(name, []).append(residual)
+    return runs
 
 
 def _sup(X):
@@ -183,13 +201,11 @@ def reference_chains(rs, rng):
 
 
 def reference_real_char_poly(rs, rng):
-    c = char_poly(random_slocal_point(rs, rng).B)
-    return {"involutions.fixed_point_char_poly_real": _sup(c.imag) / np.max(np.abs(c))}
-
-
-def reference_c_reality(rs, rng):
     B = random_slocal_point(rs, rng).B
-    return {"hits": _sup(B @ np.conj(B) - np.eye(rs.n + 1)) < 1e-8}
+    c = char_poly(B)
+    return {"involutions.fixed_point_char_poly_real": _sup(c.imag) / np.max(np.abs(c)),
+            "involutions.fixed_point_c_reality":
+            _sup(B @ np.conj(B) - np.eye(rs.n + 1)) / max(1.0, np.linalg.norm(B, 2) ** 2)}
 
 
 def reference_bondal_axioms(rs, rng):
@@ -234,23 +250,109 @@ def reference_control(rs, rng):
     return {"connection.negative_control": float(np.max(observed))}
 
 
+# The closures that suite_groupoid and suite_symplectic ran one sample at a
+# time, each in its suite's scope (rs, rng, n); the pullbacks closure called
+# involution_pullback_residual once per kind, which now returns both kinds.
+
+
+def closures_groupoid(rs, rng):
+    n = rs.n
+
+    def fiber(_):
+        mem = slocal_membership(rs, random_slocal_point(rs, rng), tol=1e-8)
+        return {"groupoid.slocal_fiber_membership": float(not mem["fixed_route"])}
+
+    def tangent(_):
+        U, _ = tangent_space(rs, random_point(rs, rng))
+        return {"groupoid.tangent_dimension": abs(len(U) - 2 * n)}
+
+    return fiber, tangent
+
+
+def closures_symplectic(rs, rng):
+    n = rs.n
+
+    def closed(_):
+        # closedness, exact on the first-order tangent frame
+        return {"symplectic.closedness": closedness_residual(rs, random_point(rs, rng))}
+
+    def nondegenerate(i):
+        # nondegeneracy at units over well-separated spectra and at random points
+        A = build_M(rs, semisimple_s(rs, rng))
+        p = unit(rs, A) if i % 2 == 0 else random_point(rs, rng, A)
+        U, _ = tangent_space(rs, p)
+        return {"symplectic.nondegeneracy": gram_matrix(p, U)[1]}
+
+    def pullbacks(_):
+        # involution pullbacks at units and at random points
+        u0 = unit(rs, build_M(rs, rand_s(rng, n)))
+        p = random_point(rs, rng)
+        return {
+            "symplectic.pullback_units": list(involution_pullback_residual(rs, u0)),
+            "symplectic.pullback_random": list(involution_pullback_residual(rs, p)),
+        }
+
+    def integrable(_):
+        # integrable-system structure
+        A = build_M(rs, semisimple_s(rs, rng))
+        p = random_point(rs, rng, A)
+        E = centralizer_basis(A)
+        uF, vF = (fiber_vector(p, combine(rand_s(rng, n), E)) for _ in range(2))
+        U, sdot = tangent_space(rs, p)
+        return {
+            "symplectic.poisson_brackets": poisson_bracket_residual(rs, p, U, sdot),
+            "symplectic.fiber_isotropy": abs(omega(p, uF, vF)),
+            "symplectic.type_two_zero": type_20_residual(p, U),
+        }
+
+    def real_form(_):
+        # real sub-form behaviour on involution-fixed tangents
+        rep = real_form_checks(rs, random_slocal_point(rs, rng))
+        return {"symplectic.real_form_re_omega": rep["re_omega_residual"],
+                "symplectic.real_form_omega2": rep["omega2_min_singular"],
+                "symplectic.real_form_fixed_gap": rep["fixed_gap"]}
+
+    return closed, nondegenerate, pullbacks, integrable, real_form
+
+
+def _each(reference):
+    """A one-sample trial that ignores its index, from reference(rs, rng)."""
+    return lambda rs, rng: lambda _: reference(rs, rng)
+
+
+def _closure(closures, k):
+    """The k-th closure of closures(rs, rng)."""
+    return lambda rs, rng: closures(rs, rng)[k]
+
+
+#: trial -> (suite, batched trial, (rs, rng) -> its one-sample form of the sample index)
 TRIALS = {
-    "laws": ("involutions", report.involution_laws, reference_laws),
-    "axioms": ("groupoid", report.groupoid_axioms, reference_axioms),
-    "unit_blocks": ("symplectic", report.unit_blocks, reference_unit_blocks),
-    "multiplicative": ("symplectic", report.multiplicative, reference_multiplicative),
-    "section": ("stokes", report.stokes_section, reference_section),
-    "chains": ("stokes", report.stokes_chains, reference_chains),
-    "real_char_poly": ("involutions", report.real_char_poly, reference_real_char_poly),
-    "c_reality": ("slocal-experiment", report.c_reality, reference_c_reality),
-    "bondal_axioms": ("bondal", report.bondal_axioms, reference_bondal_axioms),
-    "embedding": ("bondal", report.bondal_embedding, reference_embedding),
-    "symmetries": ("connection", report.connection_symmetries, reference_symmetries),
-    "control": ("connection", report.connection_control, reference_control),
+    "laws": ("involutions", report.involution_laws, _each(reference_laws)),
+    "axioms": ("groupoid", report.groupoid_axioms, _each(reference_axioms)),
+    "unit_blocks": ("symplectic", report.unit_blocks, _each(reference_unit_blocks)),
+    "multiplicative": ("symplectic", report.multiplicative, _each(reference_multiplicative)),
+    "section": ("stokes", report.stokes_section, _each(reference_section)),
+    "chains": ("stokes", report.stokes_chains, _each(reference_chains)),
+    "real_char_poly": ("involutions", report.real_char_poly, _each(reference_real_char_poly)),
+    "bondal_axioms": ("bondal", report.bondal_axioms, _each(reference_bondal_axioms)),
+    "embedding": ("bondal", report.bondal_embedding, _each(reference_embedding)),
+    "symmetries": ("connection", report.connection_symmetries, _each(reference_symmetries)),
+    "control": ("connection", report.connection_control, _each(reference_control)),
+    "fiber": ("groupoid", report.slocal_fiber, _closure(closures_groupoid, 0)),
+    "tangent": ("groupoid", report.tangent_dimension, _closure(closures_groupoid, 1)),
+    "closed": ("symplectic", report.closedness, _closure(closures_symplectic, 0)),
+    "nondegenerate": ("symplectic", report.nondegeneracy, _closure(closures_symplectic, 1)),
+    "pullbacks": ("symplectic", report.pullbacks, _closure(closures_symplectic, 2)),
+    "integrable": ("symplectic", report.integrable, _closure(closures_symplectic, 3)),
+    "real_form": ("symplectic", report.real_form, _closure(closures_symplectic, 4)),
 }
 
 #: the trials batched after the first three
 LATER = [t for t in TRIALS if t not in ("laws", "axioms", "unit_blocks")]
+
+#: residuals that trials return at rank 1 and no check reads there: the
+#: palindromic condition and the Poisson brackets are vacuous at rank 1
+UNREAD_AT_RANK_ONE = {"stokes.antisymmetry_negative_control", "symplectic.poisson_brackets"}
 
 
 def _stream(seed, suite):
@@ -263,12 +365,10 @@ def _assert_trial_matches(rs, trial, seed, samples):
     suite, batched, reference = TRIALS[trial]
     rng, ref_rng = _stream(seed, suite), _stream(seed, suite)
     got = batched(rs, rng, samples)
-    want = report._draw(samples, lambda _: reference(rs, ref_rng))
+    want = _draw(samples, reference(rs, ref_rng))
     assert sorted(got) == sorted(want)
     for name, runs in want.items():
-        expected = np.array(runs)
-        if expected.dtype != bool:  # residuals, as floats; c_reality's hits stay flags
-            expected = expected.astype(float)
+        expected = np.array(runs, dtype=float)
         assert got[name].shape == expected.shape, name
         assert got[name].dtype == expected.dtype, name
         assert got[name].tobytes() == expected.tobytes(), name
@@ -287,18 +387,22 @@ def test_batched_trial_equals_per_sample_at_100(roots, trial, n):
     _assert_trial_matches(roots[n], trial, 35, 100)
 
 
-def test_draw_serves_only_the_tangent_space_suites(roots, monkeypatch):
-    """Only suite_groupoid and suite_symplectic still run one-sample trials."""
-    callers = set()
-    draw = report._draw
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trials_give_every_check(roots, monkeypatch, n):
+    """The names that TRIALS' batched functions return inside run_suite are the
+    check names it reports: each suite is these trials plus a tolerance table,
+    and no check comes from a trial without a one-sample reference here."""
+    returned = set()
+    for _, batched, _ in TRIALS.values():
+        def recording(rs, rng, count, batched=batched):
+            runs = batched(rs, rng, count)
+            returned.update(runs)
+            return runs
 
-    def recording(trials, trial):
-        callers.add(sys._getframe(1).f_code.co_name)
-        return draw(trials, trial)
-
-    monkeypatch.setattr(report, "_draw", recording)
-    run_suite({"n": 2, "suite": "all", "seed": 42, "samples": 10})
-    assert callers == {"suite_groupoid", "suite_symplectic"}
+        monkeypatch.setattr(report, batched.__name__, recording)
+    reported = {c.name for c in run_suite({"n": n, "suite": "all", "seed": 42,
+                                           "samples": 10}).checks}
+    assert reported == returned - (UNREAD_AT_RANK_ONE if n == 1 else set())
 
 
 @pytest.mark.parametrize("seed", [7, 35, 37])
@@ -560,29 +664,38 @@ def test_a_base_off_the_real_slice_raises_as_a_single_call(roots):
     assert isinstance(err, PreconditionError) and "slice" in str(err)
 
 
+def _recording_kernel(monkeypatch):
+    """The constraint matrices passed to kernel from now on, in call order."""
+    seen = []
+
+    def recording(M, rcond):
+        seen.append(np.array(M))
+        return kernel(M, rcond)
+
+    monkeypatch.setattr(groupoid, "kernel", recording)
+    return seen
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_composable_primitives_broadcast(roots, n):
+def test_composable_primitives_broadcast(roots, monkeypatch, n):
     rs, N = roots[n], n + 1
     rng = np.random.default_rng(1100 + n)
     s, A, p, q = _stacks(rs, rng)
     ps, qs = _points(p), _points(q)
     dM = dM_ds(rs, s)
-    LX, LY = np.zeros((STACK, N * N, N * N), complex), np.zeros((STACK, N * N, n), complex)
-    tr = _tangent_constraints(p, dM, LX, LY)
-    singles = []
-    for x, d in zip(ps, dM):
-        lx, ly = np.zeros((N * N, N * N), complex), np.zeros((N * N, n), complex)
-        singles.append((lx, ly, _tangent_constraints(x, d, lx, ly)))
-        # the Kronecker form as np.kron builds it
-        _same(lx, np.kron(np.eye(N), x.A.T) - np.kron(x.A, np.eye(N)))
-    for i, got in enumerate((LX, LY, tr)):
-        _same(got, [single[i] for single in singles])
     c = rng.standard_normal((STACK, 3 * n, n)) + 0j
     _same(combine(c, dM), [np.tensordot(ci, d, axes=1) for ci, d in zip(c, dM)])
+    seen = _recording_kernel(monkeypatch)
     pair = make_pair(p, q)
     basis = composable_tangent_basis(rs, pair)
     bases = [composable_tangent_basis(rs, make_pair(x, y)) for x, y in zip(ps, qs)]
     _same(basis, bases)
+    # the constraint matrices, stacked and alone, with the Kronecker blocks as np.kron builds them
+    _same(seen[:STACK], seen[STACK:])
+    for L, x, y in zip(seen[STACK:], ps, qs):
+        for i, z in enumerate((x, y)):
+            block = np.s_[i * N * N : (i + 1) * N * N]
+            _same(L[block, block], np.kron(np.eye(N), z.A.T) - np.kron(z.A, np.eye(N)))
     _same(multiplicativity_residual(rs, pair, basis),
           [multiplicativity_residual(rs, make_pair(x, y), b) for x, y, b in zip(ps, qs, bases)])
     for k in range(N, 3 * N):
@@ -608,3 +721,80 @@ def test_a_degenerate_pair_raises_the_kernel_dimension(roots, n):
 
     err = _raises_like_single(basis, 7, B, A, s)
     assert isinstance(err, DegenerateTangentError) and str(err) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tangent_space_checks_broadcast(roots, monkeypatch, n):
+    """tangent_space and the checks on its frame, at a stack of 20 points, give
+    the bytes of 20 single calls; so do the membership flags and the real
+    sub-form checks at 20 fixed-locus points."""
+    rs = roots[n]
+    rng = np.random.default_rng(1300 + n)
+    _, _, p, _ = _stacks(rs, rng)
+    ps = _points(p)
+    seen = _recording_kernel(monkeypatch)
+    U, sdot = tangent_space(rs, p)
+    singles = [tangent_space(rs, x) for x in ps]
+    _same(seen[:STACK], seen[STACK:])
+    _same(U, [u for u, _ in singles])
+    _same(sdot, [d for _, d in singles])
+    # Y per vector as the one-point product np.tensordot(sdot_i, dM) gives it
+    _same(U[:, :, 1], [[np.tensordot(v, dM_ds(rs, x.s), axes=1) for v in d]
+                       for x, (_, d) in zip(ps, singles)])
+    _same(closedness_residual(rs, p), [closedness_residual(rs, x) for x in ps])
+    G, low = gram_matrix(p, U)
+    _same(G, [gram_matrix(x, u)[0] for x, (u, _) in zip(ps, singles)])
+    _same(low, [gram_matrix(x, u)[1] for x, (u, _) in zip(ps, singles)])
+    _same(poisson_bracket_residual(rs, p, U, sdot),
+          [poisson_bracket_residual(rs, x, u, d) for x, (u, d) in zip(ps, singles)])
+    _same(type_20_residual(p, U), [type_20_residual(x, u) for x, (u, _) in zip(ps, singles)])
+    _same(involution_pullback_residual(rs, p), [involution_pullback_residual(rs, x) for x in ps])
+    F = np.concatenate([U, 1j * U], axis=1)
+    Fs = np.concatenate([sdot, 1j * sdot], axis=1)
+    for differential in (sigma_differential, theta_differential):
+        _same(differential(rs, p, F, Fs),
+              [differential(rs, x, f, fs) for x, f, fs in zip(ps, F, Fs)])
+
+    s = np.array([rand_palindromic_s(rng, n) for _ in range(STACK)])
+    seeds = [int(x) for x in rng.integers(0, 2 ** 31, STACK)]
+    fixed = sample_slocal_fiber(rs, build_M(rs, s), seeds)
+    rep = real_form_checks(rs, fixed)
+    reps = [real_form_checks(rs, x) for x in _points(fixed)]
+    for key in ("re_omega_residual", "omega2_min_singular", "fixed_gap"):
+        _same(rep[key], [r[key] for r in reps])
+    # members and, with B scaled, non-members in one stack
+    mixed = GroupoidPoint(B=fixed.B * np.where(np.arange(STACK) % 3 == 0, 1.5, 1.0)[:, None, None],
+                          A=fixed.A, s=fixed.s)
+    flags = [slocal_membership(rs, x, tol=1e-8) for x in _points(mixed)]
+    mem = slocal_membership(rs, mixed, tol=1e-8)
+    for key in ("fixed_route", "direct_route"):
+        assert all(type(f[key]) is bool for f in flags)
+        _same(mem[key], [f[key] for f in flags])
+    assert mem["fixed_route"].tolist() == [i % 3 != 0 for i in range(STACK)]
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_a_bad_tangent_frame_raises_as_a_single_call(roots, n):
+    """A point with B = A = I has a tangent kernel of dimension N^2 + n - 1, not
+    2n; a frame with a repeated vector has a singular Gram.  Each raises in a
+    stack the single call's error."""
+    rs = roots[n]
+    rng = np.random.default_rng(1400 + n)
+    s, _, p, _ = _stacks(rs, rng)
+    B, A = p.B.copy(), p.A.copy()
+    B[7] = A[7] = np.eye(n + 1)
+
+    def tangent(B, A, s):
+        return tangent_space(rs, GroupoidPoint(B=B, A=A, s=s))
+
+    err = _raises_like_single(tangent, 7, B, A, s)
+    assert isinstance(err, DegenerateTangentError)
+    assert str(err) == f"kernel dimension {(n + 1) ** 2 + n - 1}, expected {2 * n}"
+    U, sdot = tangent_space(rs, p)
+    U[7, 1] = U[7, 0]
+
+    def brackets(B, A, s, U, sdot):
+        return poisson_bracket_residual(rs, GroupoidPoint(B=B, A=A, s=s), U, sdot)
+
+    err = _raises_like_single(brackets, 7, p.B, p.A, p.s, U, sdot)
+    assert isinstance(err, DegenerateFormError)

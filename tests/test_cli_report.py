@@ -202,13 +202,13 @@ def test_cli_verify_writes_report_when_an_svd_fails(tmp_path, monkeypatch, capsy
     """A NaN point makes np.linalg.svd raise LinAlgError in the groupoid suite's
     tangent trial: the report is still written, with groupoid.error, and the
     exit code is 1, as for a UcglError."""
-    real = report.random_point
+    real = report._random_points
 
-    def nan_point(rs, rng, A=None):
-        p = real(rs, rng, A)
+    def nan_points(rs, rng, count):
+        p = real(rs, rng, count)
         return GroupoidPoint(B=np.full_like(p.B, np.nan), A=p.A, s=p.s)
 
-    monkeypatch.setattr(report, "random_point", nan_point)
+    monkeypatch.setattr(report, "_random_points", nan_points)
     out = tmp_path / "rep.json"
     with np.errstate(invalid="ignore"):
         code = main(["verify", "--n", "2", "--suite", "groupoid", "--samples", "5",

@@ -55,7 +55,6 @@ def test_kernel_equals_null_space_bit_for_bit(roots, monkeypatch, n):
         return kernel(M, rcond)
 
     monkeypatch.setattr(groupoid, "kernel", recording)
-    monkeypatch.setattr(symplectic, "kernel", recording)
     rs, rng = roots[n], np.random.default_rng(500 + n)
     for _ in range(100):
         p = groupoid.random_point(rs, rng)
