@@ -19,7 +19,7 @@ from .errors import (
     NotRegularError,
     PreconditionError,
 )
-from .involutions import POINT_TOL, F_sigma, F_theta, GroupoidPoint, make_point
+from .involutions import POINT_TOL, GroupoidPoint, make_point, twists
 from .stokes import build_M, dM_ds, rand_palindromic_s, rand_s, section_membership
 
 #: base-equality tolerance for composability
@@ -164,10 +164,10 @@ def sample_slocal_fiber(rs, A, seed):
     mem = section_membership(rs, A)
     if np.count_nonzero(~mem["in_local"]):
         raise PreconditionError("base must be on the real palindromic slice")
-    F, G = F_sigma(rs, mem["s"]), F_theta(rs, mem["s"])
+    F, Fi, G, Gi = twists(rs, mem["s"])
     xi = _commutant_element(A, seed)
-    xi = xi - F @ np.swapaxes(xi, -1, -2) @ inverse(F)
-    eta = 0.5 * (xi + G @ np.conj(xi) @ inverse(G))
+    xi = xi - F @ np.swapaxes(xi, -1, -2) @ Fi
+    eta = 0.5 * (xi + G @ np.conj(xi) @ Gi)
     return make_point(rs, expm(eta), A)
 
 

@@ -15,8 +15,14 @@ sigma_differential and theta_differential push stacked tangents forward
 exactly, by d(F Z F^{-1}) = F dZ F^{-1} + [dF F^{-1}, F Z F^{-1}].  The
 twist moves with s in two cases only: F_sigma = S_1(s)^T at even rank and
 F_theta = Ctilde conj(Q_n(s)) at odd rank; everywhere else dF = 0.
+
+Every caller takes F, G and their inverses from twists(rs, s), which
+memoises the twist that moves with s by value and builds the constant one
+once per rank, so a fixed-locus sample and its membership test build each
+twist once.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,10 +96,49 @@ def F_theta(rs, s):
     return st.C
 
 
+def twists(rs, s):
+    """(F, F^{-1}, G, G^{-1}) with F = F_sigma(rs, s) and G = F_theta(rs, s), read-only.
+
+    The twist that moves with s (F at even rank, G at odd rank) and its
+    inverse are memoised by value in _moving_twist: one entry per root set
+    and the shape and bytes of s, 32 entries.  The constant one depends on
+    the rank alone; it and its inverse are built once per rank.  Each array
+    has the bytes of the builder, or of inverse of it, called on s.
+    """
+    s = np.asarray(s, dtype=complex)
+    moving = _moving_twist(rs, s.shape, s.tobytes())
+    constant = _constant_twist(rs)
+    return moving + constant if rs.n % 2 == 0 else constant + moving
+
+
+def _with_inverse(F):
+    """F and inverse(F), both read-only."""
+    F.flags.writeable = False
+    Fi = inverse(F)
+    Fi.flags.writeable = False
+    return F, Fi
+
+
+@functools.lru_cache(maxsize=32)
+def _moving_twist(rs, shape, data):
+    """F_sigma at even rank, F_theta at odd rank, and its inverse, at s from its shape and bytes."""
+    s = np.frombuffer(data, dtype=complex).reshape(shape)
+    return _with_inverse((F_sigma if rs.n % 2 == 0 else F_theta)(rs, s))
+
+
+_constant_twists = {}
+
+
+def _constant_twist(rs):
+    """F_sigma at odd rank, F_theta at even rank, and its inverse, kept per rank."""
+    if rs.n not in _constant_twists:
+        _constant_twists[rs.n] = _with_inverse((F_sigma if rs.n % 2 == 1 else F_theta)(rs, None))
+    return _constant_twists[rs.n]
+
+
 def apply_sigma(rs, p, tol=POINT_TOL):
     """The involution (B, A) -> (F B^{-T} F^{-1}, F A^{-T} F^{-1})."""
-    F = F_sigma(rs, p.s)
-    Fi = inverse(F)
+    F, Fi, _, _ = twists(rs, p.s)
     B2 = F @ np.swapaxes(inverse(p.B), -1, -2) @ Fi
     A2 = F @ np.swapaxes(inverse(p.A), -1, -2) @ Fi
     return make_point(rs, B2, A2, tol)
@@ -101,17 +146,16 @@ def apply_sigma(rs, p, tol=POINT_TOL):
 
 def apply_theta(rs, p, tol=POINT_TOL):
     """The involution (B, A) -> (G conj(B) G^{-1}, G conj(A)^{-1} G^{-1})."""
-    G = F_theta(rs, p.s)
-    Gi = inverse(G)
+    _, _, G, Gi = twists(rs, p.s)
     B2 = G @ np.conj(p.B) @ Gi
     A2 = G @ inverse(np.conj(p.A)) @ Gi
     return make_point(rs, B2, A2, tol)
 
 
-def _twisted_differential(F, dF, W, dW):
-    """d(F W F^{-1}) = F dW F^{-1} + [dF F^{-1}, F W F^{-1}] over stacked dW and dF;
-    W, the pair at each point, has a unit axis against the m variations."""
-    Fi = inverse(F)
+def _twisted_differential(F, Fi, dF, W, dW):
+    """d(F W F^{-1}) = F dW F^{-1} + [dF F^{-1}, F W F^{-1}] over stacked dW and dF,
+    with Fi = F^{-1}; W, the pair at each point, has a unit axis against the
+    m variations."""
     F, Fi = F[..., None, None, :, :], Fi[..., None, None, :, :]  # against the (m, 2) axes
     K, Z = dF[..., None, :, :] @ Fi, F @ W @ Fi
     return F @ dW @ Fi + K @ Z - Z @ K
@@ -129,7 +173,8 @@ def sigma_differential(rs, p, U, sdot):
     dF = np.zeros_like(U[..., 0, :, :])
     if rs.n % 2 == 0:
         dF = np.swapaxes(factor_product_derivative(rs, range(N, 2 * N), p.s, sdot), -1, -2)
-    return _twisted_differential(F_sigma(rs, p.s), dF, W, -W @ np.swapaxes(U, -1, -2) @ W)
+    F, Fi, _, _ = twists(rs, p.s)
+    return _twisted_differential(F, Fi, dF, W, -W @ np.swapaxes(U, -1, -2) @ W)
 
 
 def theta_differential(rs, p, U, sdot):
@@ -142,7 +187,8 @@ def theta_differential(rs, p, U, sdot):
         dQ = factor_product_derivative(rs, (rs.n,), p.s, sdot)
         dF = structural_matrices(rs.n).Ctilde @ np.conj(dQ)
     W = np.stack([np.conj(p.B)[..., None, :, :], Ai], axis=-3)
-    return _twisted_differential(F_theta(rs, p.s), dF, W, dW)
+    _, _, G, Gi = twists(rs, p.s)
+    return _twisted_differential(G, Gi, dF, W, dW)
 
 
 def point_distance(p, q):
@@ -174,7 +220,7 @@ def slocal_membership(rs, p, tol=POINT_TOL):
     callers that read either key.  It is a Python bool for one point and an
     array of flags, one per point, for a stack.
     """
-    F, G = F_sigma(rs, p.s), F_theta(rs, p.s)
+    F, _, G, _ = twists(rs, p.s)
     BA = np.stack([p.B, p.A])
     residuals = (
         max_abs(BA @ F @ np.swapaxes(BA, -1, -2) - F).max(axis=0) / max_abs(F),

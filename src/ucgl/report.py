@@ -361,8 +361,9 @@ def unit_blocks(rs, rng, count):
     four-block closed form of omega at units, and of its zero on the base."""
     n = rs.n
     # per sample: s, then the coefficients of uF and vF over the commutant
-    # basis, then the base velocities of uH and vH
-    draws = np.array([[rand_s(rng, n) for _ in range(5)] for _ in range(count)])
+    # basis, then the base velocities of uH and vH, each as rand_s draws it
+    x = rng.standard_normal((count, 5, 2, n))
+    draws = x[..., 0, :] + 1j * x[..., 1, :]
     A = build_M(rs, draws[:, 0])
     u0 = unit(rs, A)
     E = centralizer_basis(A)
@@ -482,9 +483,10 @@ def bondal_axioms(rs, rng, count):
     N = rs.n + 1
     I = identity(N)
     # per sample: the generators of p1, p2, p3 (expm of their antisymmetric
-    # parts), then the strict upper part of a non-identity base
-    G = np.array([[rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)) for _ in range(4)]
-                  for _ in range(count)])
+    # parts), then the strict upper part of a non-identity base; real parts
+    # before imaginary parts, one matrix after another, as in one-matrix draws
+    x = rng.standard_normal((count, 4, 2, N, N))
+    G = x[..., 0, :, :] + 1j * x[..., 1, :, :]
     S = G[:, :3]
     O = expm(0.5 * (S - np.swapaxes(S, -1, -2)))
     p1, p2, p3 = (bd.make_bondal_point(O[:, i], I, tol=1e-8) for i in range(3))

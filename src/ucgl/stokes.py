@@ -233,12 +233,10 @@ def dM_ds(rs, s):
 
 def _candidate_passes(R1, R1p, n, rng, npts):
     """Check the four closure constraints at npts random parameter vectors."""
-    from .involutions import F_sigma, F_theta  # deferred: involutions imports us
+    from .involutions import twists  # deferred: involutions imports us
 
     cand = RootSetData(n=n, R1=R1, R1p=R1p, survivor_count=0)
-    P = structural_matrices(n).cyclic
-    powers = [np.linalg.matrix_power(P, m) for m in range(1, n + 1)]
-    shifts = [(Pm, inverse(Pm)) for Pm in powers]
+    shifts = _cyclic_shifts(n)
     for _ in range(npts):
         s = rand_s(rng, n)
         M = build_M(cand, s)
@@ -246,13 +244,12 @@ def _candidate_passes(R1, R1p, n, rng, npts):
         if np.max(np.abs(stokes_params_of(M) - s)) > SEARCH_TOL:
             return False
         # (b) closure under the parameter-reversing involution
-        Fs = F_sigma(cand, s)
-        T = Fs @ inverse(M).T @ inverse(Fs)
+        Fs, Fs_inv, Ft, Ft_inv = twists(cand, s)
+        T = Fs @ inverse(M).T @ Fs_inv
         if np.max(np.abs(T - build_M(cand, s[::-1]))) > 1e-8:
             return False
         # (c) closure under the conjugate-reversing involution
-        Ft = F_theta(cand, s)
-        T = Ft @ inverse(np.conj(M)) @ inverse(Ft)
+        T = Ft @ inverse(np.conj(M)) @ Ft_inv
         if np.max(np.abs(T - build_M(cand, np.conj(s[::-1])))) > 1e-8:
             return False
         # (d) cyclic index shift matches conjugation along both chains
@@ -263,6 +260,14 @@ def _candidate_passes(R1, R1p, n, rng, npts):
                 if np.max(np.abs(Qm - Pm @ Q0 @ Pm_inv)) > 1e-8:
                     return False
     return True
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclic_shifts(n):
+    """The powers P^m, m = 1..n, of the cyclic factor with their inverses, built once per rank."""
+    P = structural_matrices(n).cyclic
+    powers = [np.linalg.matrix_power(P, m) for m in range(1, n + 1)]
+    return tuple((Pm, inverse(Pm)) for Pm in powers)
 
 
 def _transposed_lex_key(cand):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ucgl.groupoid import _centralizer_basis
+from ucgl.involutions import _constant_twists, _moving_twist
 from ucgl.stokes import _section_fit, derive_root_sets
 
 
@@ -17,6 +18,8 @@ def cold_memos():
     test monkeypatches a function they call would hide the patch."""
     _section_fit.cache_clear()
     _centralizer_basis.cache_clear()
+    _moving_twist.cache_clear()
+    _constant_twists.clear()
 
 
 @pytest.fixture()

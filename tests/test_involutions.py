@@ -23,6 +23,7 @@ from ucgl.involutions import (
     sigma_differential,
     slocal_membership,
     theta_differential,
+    twists,
 )
 from ucgl.stokes import build_M, build_S, dM_ds, derive_root_sets, rand_s
 
@@ -47,6 +48,51 @@ def test_F_theta_values(roots):
     Ft = F_theta(roots[1], np.array([sig]))
     assert np.allclose(Ft, [[1, np.conj(sig)], [0, -1]])
     assert np.allclose(Ft @ Ft, np.eye(2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_twists_are_the_builders_and_their_inverses(roots, n):
+    """Byte for byte, for one s and for a stack, on a first call and on a memo hit."""
+    rs = roots[n] if n in roots else derive_root_sets(n)
+    rng = np.random.default_rng(700 + n)
+    for s in (rand_s(rng, n), np.array([rand_s(rng, n) for _ in range(3)])):
+        F, G = F_sigma(rs, s), F_theta(rs, s)
+        expected = (F, inverse(F), G, inverse(G))
+        for _ in range(2):
+            got = twists(rs, s)
+            assert [(x.shape, x.tobytes()) for x in got] == [
+                (x.shape, x.tobytes()) for x in expected]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_twists_are_read_only(roots, n):
+    s = rand_s(np.random.default_rng(n), n)
+    for x in twists(roots[n], s):
+        with pytest.raises(ValueError):
+            x[0, 0] = 2.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_each_twist_is_built_once_per_fixed_locus_point(roots, monkeypatch, n):
+    """Sampling k fixed-locus points and testing each builds the twist that
+    moves with s k times and the constant twist once."""
+    rs, k = roots[n], 5
+    calls = {"F_sigma": 0, "F_theta": 0}
+
+    def counted(name, builder):
+        def build(*args):
+            calls[name] += 1
+            return builder(*args)
+        return build
+
+    for name, builder in (("F_sigma", F_sigma), ("F_theta", F_theta)):
+        monkeypatch.setattr(involutions, name, counted(name, builder))
+    rng = np.random.default_rng(800 + n)
+    for _ in range(k):
+        p = random_slocal_point(rs, rng)
+        assert slocal_membership(rs, p)["fixed_route"]
+    moving, constant = ("F_sigma", "F_theta") if n % 2 == 0 else ("F_theta", "F_sigma")
+    assert (calls[moving], calls[constant]) == (k, 1)
 
 
 def test_apply_sigma_examples(roots):

@@ -62,11 +62,11 @@ MUTANTS = {
         "involutions.apply_theta", "B2 = G @ np.conj(p.B) @ Gi",
         "B2 = G @ np.conj(p.B) @ inverse(np.conj(p.A)) @ Gi"),
     "involutions.fixed_point_char_poly_real": (
-        "groupoid.sample_slocal_fiber", "eta = 0.5 * (xi + G @ np.conj(xi) @ inverse(G))",
+        "groupoid.sample_slocal_fiber", "eta = 0.5 * (xi + G @ np.conj(xi) @ Gi)",
         "eta = xi"),
     # theta-fixed points that sigma does not fix
     "involutions.fixed_point_c_reality": (
-        "groupoid.sample_slocal_fiber", "xi = xi - F @ np.swapaxes(xi, -1, -2) @ inverse(F)",
+        "groupoid.sample_slocal_fiber", "xi = xi - F @ np.swapaxes(xi, -1, -2) @ Fi",
         "xi = xi"),
     "groupoid.axioms": (
         "groupoid.groupoid_inverse", "make_point(rs, inverse(p.B), p.A)",
@@ -76,7 +76,7 @@ MUTANTS = {
         "groupoid.sample_commuting", "return expm(_commutant_element(A, seed))",
         "return expm(_commutant_element(A, seed)) * (1 + 1e-10)"),
     "groupoid.slocal_fiber_membership": (
-        "groupoid.sample_slocal_fiber", "xi = xi - F @ np.swapaxes(xi, -1, -2) @ inverse(F)",
+        "groupoid.sample_slocal_fiber", "xi = xi - F @ np.swapaxes(xi, -1, -2) @ Fi",
         "xi = xi"),
     "groupoid.tangent_dimension": (
         "groupoid.tangent_space", "return np.stack([X, Y], axis=-3), sdot",
