@@ -222,8 +222,3 @@ def encode_matrix(M):
     """Row-major nested list with [re, im] entry pairs, for JSON output."""
     A = _as_matrix(M)
     return [[[float(z.real), float(z.imag)] for z in row] for row in A]
-
-
-def decode_matrix(data):
-    """Inverse of encode_matrix."""
-    return np.array([[complex(re, im) for re, im in row] for row in data])

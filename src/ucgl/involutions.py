@@ -7,9 +7,9 @@ B commuting with A, det B = 1.  The involutions act by
     theta(B, A) = (G conj(B) G^{-1}, G conj(A)^{-1} G^{-1})  with G = F_theta(s)
 
 where s is always read off the base of the *input* point.  Their joint fixed
-set is the monodromy-data locus; slocal_membership tests it by the
-inverse-free identities B F B^T = F, A F A^T = F, G conj(B) = B G and
-A G conj(A) = G.
+set is the monodromy-data locus; slocal_membership tests it, inverting
+neither B nor A, by the identities B F B^T = F, A F A^T = F,
+G conj(B) = B G and A G conj(A) = G.
 
 sigma_differential and theta_differential push stacked tangents forward
 exactly, by d(F Z F^{-1}) = F dZ F^{-1} + [dF F^{-1}, F Z F^{-1}].  The
@@ -197,7 +197,7 @@ def point_distance(p, q):
 
 
 def slocal_membership(rs, p, tol=POINT_TOL):
-    """Membership of the joint fixed set of sigma and theta, without inverses.
+    """Membership of the joint fixed set of sigma and theta; inverts neither B nor A.
 
     With F = F_sigma(s) and G = F_theta(s) at p.s, sigma(p) = p exactly when
     B F B^T = F and A F A^T = F, and theta(p) = p exactly when

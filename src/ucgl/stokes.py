@@ -95,16 +95,24 @@ def build_Q(rs, k_num, s, route="roots"):
     s = np.asarray(s, dtype=complex)
     on_R1, m = _chain_base(n, k_num)
     if route == "shift":
-        P = structural_matrices(n).cyclic
-        Pm = np.linalg.matrix_power(P, m) if m >= 0 else np.linalg.matrix_power(inverse(P), -m)
+        Pm = _cyclic_power(n, m % (2 * N))
         Q0 = build_Q(rs, N if on_R1 else N + 1, s, route="roots")
-        return Pm @ Q0 @ inverse(Pm)
+        return Pm @ Q0 @ Pm.T
     Q = np.empty(s.shape[:-1] + (N, N), dtype=complex)
     Q[...] = identity(N)
     entries, params = matrix_axes_first(Q, 2), matrix_axes_first(s, 1)
     for i, j, c, d in _factor_entries(rs.R1 if on_R1 else rs.R1p, n, m):
         entries[i, j] += c * params[d]
     return Q
+
+
+@functools.lru_cache(maxsize=None)
+def _cyclic_power(n, m):
+    """P^m for the cyclic factor P, read-only.  P is a signed permutation with
+    P^(2(n+1)) = I, so P^-1 = P^T exactly and m need only run over 0..2n+1."""
+    Pm = np.linalg.matrix_power(structural_matrices(n).cyclic, m)
+    Pm.flags.writeable = False
+    return Pm
 
 
 @functools.lru_cache(maxsize=None)
@@ -232,42 +240,31 @@ def dM_ds(rs, s):
 
 
 def _candidate_passes(R1, R1p, n, rng, npts):
-    """Check the four closure constraints at npts random parameter vectors."""
+    """Check the four closure constraints on one stack of npts random parameter
+    vectors, drawn one rand_s at a time; any point above tolerance rejects."""
     from .involutions import twists  # deferred: involutions imports us
 
     cand = RootSetData(n=n, R1=R1, R1p=R1p, survivor_count=0)
-    shifts = _cyclic_shifts(n)
-    for _ in range(npts):
-        s = rand_s(rng, n)
-        M = build_M(cand, s)
-        # (a) characteristic-polynomial identity
-        if np.max(np.abs(stokes_params_of(M) - s)) > SEARCH_TOL:
+    s = np.stack([rand_s(rng, n) for _ in range(npts)])
+    M = build_M(cand, s)
+    # (a) characteristic-polynomial identity
+    if np.any(np.max(np.abs(stokes_params_of(M) - s), axis=-1) > SEARCH_TOL):
+        return False
+    # (b) closure under the parameter-reversing involution
+    Fs, Fs_inv, Ft, Ft_inv = twists(cand, s)
+    T = Fs @ np.swapaxes(inverse(M), -1, -2) @ Fs_inv
+    if np.any(max_abs(T - build_M(cand, s[:, ::-1])) > 1e-8):
+        return False
+    # (c) closure under the conjugate-reversing involution
+    T = Ft @ inverse(np.conj(M)) @ Ft_inv
+    if np.any(max_abs(T - build_M(cand, np.conj(s[:, ::-1]))) > 1e-8):
+        return False
+    # (d) cyclic index shift matches conjugation: build_Q's two routes agree at
+    # shift counts 1..n along both chains
+    for k in range(n + 3, 3 * n + 3):
+        if np.any(max_abs(build_Q(cand, k, s) - build_Q(cand, k, s, route="shift")) > 1e-8):
             return False
-        # (b) closure under the parameter-reversing involution
-        Fs, Fs_inv, Ft, Ft_inv = twists(cand, s)
-        T = Fs @ inverse(M).T @ Fs_inv
-        if np.max(np.abs(T - build_M(cand, s[::-1]))) > 1e-8:
-            return False
-        # (c) closure under the conjugate-reversing involution
-        T = Ft @ inverse(np.conj(M)) @ Ft_inv
-        if np.max(np.abs(T - build_M(cand, np.conj(s[::-1])))) > 1e-8:
-            return False
-        # (d) cyclic index shift matches conjugation along both chains
-        for base_k in (n + 1, n + 2):
-            Q0 = build_Q(cand, base_k, s)
-            for m, (Pm, Pm_inv) in enumerate(shifts, start=1):
-                Qm = build_Q(cand, base_k + 2 * m, s)
-                if np.max(np.abs(Qm - Pm @ Q0 @ Pm_inv)) > 1e-8:
-                    return False
     return True
-
-
-@functools.lru_cache(maxsize=None)
-def _cyclic_shifts(n):
-    """The powers P^m, m = 1..n, of the cyclic factor with their inverses, built once per rank."""
-    P = structural_matrices(n).cyclic
-    powers = [np.linalg.matrix_power(P, m) for m in range(1, n + 1)]
-    return tuple((Pm, inverse(Pm)) for Pm in powers)
 
 
 def _transposed_lex_key(cand):
@@ -296,11 +293,14 @@ def derive_root_sets(n, cache_dir=None, force=False):
     the pairs with i + j = floor(n/2) - 1, always with i != j, and each
     unordered pair is oriented so that the parameter indices
     d = (j-i) mod (n+1) run through 1..n once (_orientations).  Each
-    orientation is confirmed by all four closure constraints at 1 + 2(n+2)
-    random points (_candidate_passes).  survivor_count is the number
-    confirmed: 2 at every rank, transposes of each other, of which the
-    transposed-pair lexicographic minimum is returned.  If none is
-    confirmed, SearchFailureError is raised.
+    orientation is confirmed by all four closure constraints on one stack
+    of 1 + 2(n+2) random points (_candidate_passes); the cyclic-shift
+    constraint is build_Q's two routes agreeing.  survivor_count is the
+    number confirmed: 2 at every rank, transposes of each other, of which
+    the transposed-pair lexicographic minimum is returned.  If none is
+    confirmed, SearchFailureError is raised.  A derivation takes 1.2 / 1.8
+    / 3.2 / 4.2 / 7.3 / 10.2 ms at n = 1..6 (median of 9 in one process,
+    2 CPUs).
 
     The rule is a conjecture; no proof that it satisfies the constraints at
     every n is written.  The tests check it against the candidates it

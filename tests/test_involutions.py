@@ -16,6 +16,8 @@ from ucgl.groupoid import (
 from ucgl.involutions import (
     F_sigma,
     F_theta,
+    _constant_twists,
+    _moving_twist,
     apply_sigma,
     apply_theta,
     make_point,
@@ -220,18 +222,28 @@ def test_membership_regression_point(roots):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_membership_inverts_nothing(roots, monkeypatch, n):
-    """slocal_membership reads the twists only: it builds neither sigma(p) nor
-    theta(p), validates no point and inverts nothing."""
+def test_membership_inverts_neither_B_nor_A(roots, monkeypatch, n):
+    """slocal_membership builds neither sigma(p) nor theta(p), validates no
+    point and inverts neither B nor A.  The twist memos are emptied after
+    sampling, so the twists are built, and inverted, by the call itself."""
     rs = roots[n]
     p = random_slocal_point(rs, np.random.default_rng(n))
+    _moving_twist.cache_clear()
+    _constant_twists.clear()
 
     def forbidden(*args, **kwargs):
         raise AssertionError("slocal_membership must not call this")
 
-    for name in ("inverse", "apply_sigma", "apply_theta", "make_point"):
+    def inverse_of_neither(M):
+        if any(np.shape(M) == X.shape and np.array_equal(M, X) for X in (p.B, p.A)):
+            raise AssertionError("slocal_membership must not invert B or A")
+        return inverse(M)
+
+    for name in ("apply_sigma", "apply_theta", "make_point"):
         monkeypatch.setattr(involutions, name, forbidden)
+    monkeypatch.setattr(involutions, "inverse", inverse_of_neither)
     assert slocal_membership(rs, p)["fixed_route"]
+    assert _moving_twist.cache_info().misses == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -17,7 +17,9 @@ import sys
 
 import pytest
 
+from ucgl.errors import SearchFailureError
 from ucgl.report import run_suite
+from ucgl.stokes import derive_root_sets
 
 #: F_sigma moves with s at even rank and F_theta at odd rank, so each row runs at one of each
 RANKS = (2, 3)
@@ -43,7 +45,7 @@ MUTANTS = {
     "stokes.power_identity": (
         "stokes.build_S", "range(m * N, m * N + N)", "range(m * N, m * N + N - 1)"),
     "stokes.factor_route_agreement": (
-        "stokes.build_Q", "Pm @ Q0 @ inverse(Pm)", "inverse(Pm) @ Q0 @ Pm"),
+        "stokes.build_Q", "Pm @ Q0 @ Pm.T", "Pm.T @ Q0 @ Pm"),
     "stokes.antisymmetry_equivalence": (
         "stokes.rand_palindromic_s", "half[: n // 2][::-1]", "-half[: n // 2][::-1]"),
     "stokes.antisymmetry_negative_control": (
@@ -152,3 +154,12 @@ def test_every_check_has_a_mutant(roots):
     names = {c.name for n in RANKS
              for c in run_suite({"n": n, "suite": "all", "seed": 42, "samples": 5}).checks}
     assert names == set(MUTANTS)
+
+
+@pytest.mark.parametrize("n", RANKS)
+def test_route_mutant_breaks_the_root_derivation(monkeypatch, n):
+    """Constraint (d) of the root-set confirmation is build_Q's shift route, so
+    the route's mutant also leaves no orientation confirmed."""
+    _mutate(monkeypatch, *MUTANTS["stokes.factor_route_agreement"])
+    with pytest.raises(SearchFailureError):
+        derive_root_sets(n, force=True)

@@ -189,12 +189,14 @@ def test_power_identity(roots, n):
         assert np.max(np.abs(Mp - sign * S12)) < 1e-9 * max(1.0, np.max(np.abs(Mp)))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_factor_routes_agree(roots, n):
-    rs = roots[n]
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_factor_routes_agree(n):
+    """Also below k = n + 1, where the shift count m is negative and the shift
+    route takes P^m as P^(m mod 2(n+1))."""
+    rs = derive_root_sets(n)
     rng = np.random.default_rng(70 + n)
     s = rand_s(rng, n)
-    for k_num in range(n + 1, 4 * (n + 1)):
+    for k_num in range(-2 * (n + 1), 4 * (n + 1)):
         direct = build_Q(rs, k_num, s)
         shifted = build_Q(rs, k_num, s, route="shift")
         assert np.max(np.abs(direct - shifted)) < 1e-13
