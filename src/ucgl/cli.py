@@ -6,8 +6,11 @@ Subcommands:
   sample-slocal draw deterministic samples of the monodromy locus
 
 Exit codes: 0 all checks pass, 1 a check failed or a suite raised (the
-report is still written), 2 usage error, 3 root-set failure (no orientation of
-the closed-form rule is confirmed).
+report is still written), 2 usage error (a seed below 0 among them) or an
+--out that cannot be written, 3 root-set failure (no orientation of the
+closed-form rule is confirmed).  sample-slocal samples one stack, which
+raises the first invariant that any point breaks: with two bad points the
+message may differ from point-by-point sampling, the exit code does not.
 """
 
 import argparse
@@ -18,7 +21,7 @@ import numpy as np
 
 from .core import encode_matrix
 from .errors import SearchFailureError, UcglError
-from .groupoid import random_slocal_point
+from .groupoid import random_slocal_points
 from .involutions import slocal_membership
 from .report import SUITES, run_suite
 from .stokes import derive_root_sets, root_sets_to_dict
@@ -53,11 +56,14 @@ def _build_parser():
 
 
 def _emit(text, out):
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
-    else:
-        print(text)
+    except OSError as exc:
+        raise UcglError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def cmd_derive_roots(args):
@@ -105,20 +111,15 @@ def cmd_verify(args):
 def cmd_sample_slocal(args):
     if args.count < 1:
         raise UcglError(f"count must be at least 1, got {args.count}")
+    if args.seed < 0:
+        raise UcglError(f"seed must be at least 0, got {args.seed}")
     rs = derive_root_sets(args.n)
-    rng = np.random.default_rng(args.seed)
-    records = []
-    for _ in range(args.count):
-        p = random_slocal_point(rs, rng)
-        flags = slocal_membership(rs, p, tol=1e-8)
-        records.append(
-            {
-                "B": encode_matrix(p.B),
-                "A": encode_matrix(p.A),
-                "s": [[float(z.real), float(z.imag)] for z in p.s],
-                "flags": flags,
-            }
-        )
+    p = random_slocal_points(rs, np.random.default_rng(args.seed), args.count)
+    member = slocal_membership(rs, p, tol=1e-8)
+    records = [{"B": encode_matrix(q.B), "A": encode_matrix(q.A),
+                "s": [[float(z.real), float(z.imag)] for z in q.s],
+                "flags": {key: bool(flag[i]) for key, flag in member.items()}}
+               for i, q in enumerate(p)]
     _emit(json.dumps({"n": args.n, "seed": args.seed, "points": records},
                      sort_keys=True, indent=2), args.out)
     return 0

@@ -171,18 +171,8 @@ def sample_slocal_fiber(rs, A, seed):
     return make_point(rs, expm(eta), A)
 
 
-def random_point(rs, rng, A=None):
-    """A random point over A, by default over build_M of random complex s.
-
-    Draws s (when A is None), then the sample_commuting seed, from rng.
-    """
-    if A is None:
-        A = build_M(rs, rand_s(rng, rs.n))
-    return commuting_point(rs, A, draw_seed(rng))
-
-
 def draw_seed(rng):
-    """A sampler seed drawn from rng, as random_point and random_slocal_point draw it."""
+    """A sampler seed drawn from rng, as random_points and random_slocal_points draw it."""
     return int(rng.integers(0, 2 ** 31))
 
 
@@ -192,12 +182,18 @@ def commuting_point(rs, A, seed):
     return make_point(rs, sample_commuting(A, seed), A, tol=1e-7)
 
 
-def random_slocal_point(rs, rng, A=None):
-    """A random fixed-locus point over A, by default over build_M of random
-    real palindromic s; draws from rng as random_point does."""
-    if A is None:
-        A = build_M(rs, rand_palindromic_s(rng, rs.n))
-    return sample_slocal_fiber(rs, A, draw_seed(rng))
+def random_points(rs, rng, count):
+    """count random points, stacked: per point, the s of build_M from rand_s,
+    then the sample_commuting seed, drawn from rng in that order."""
+    s, seeds = zip(*[(rand_s(rng, rs.n), draw_seed(rng)) for _ in range(count)])
+    return commuting_point(rs, build_M(rs, np.array(s)), seeds)
+
+
+def random_slocal_points(rs, rng, count):
+    """count random fixed-locus points, stacked: per point, the s of build_M
+    from rand_palindromic_s, then the sample_slocal_fiber seed."""
+    s, seeds = zip(*[(rand_palindromic_s(rng, rs.n), draw_seed(rng)) for _ in range(count)])
+    return sample_slocal_fiber(rs, build_M(rs, np.array(s)), seeds)
 
 
 def _tangent_kernel(rs, points, dM):

@@ -49,6 +49,10 @@ class GroupoidPoint:
     A: np.ndarray
     s: np.ndarray
 
+    def __getitem__(self, index):
+        """The point, or the sub-stack, at index of a stack."""
+        return GroupoidPoint(B=self.B[index], A=self.A[index], s=self.s[index])
+
 
 def make_point(rs, B, A, tol=POINT_TOL):
     """Validate the pair invariants and build a GroupoidPoint.

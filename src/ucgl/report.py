@@ -44,6 +44,8 @@ from .groupoid import (
     groupoid_inverse,
     horizontal_vector_at_unit,
     make_pair,
+    random_points,
+    random_slocal_points,
     sample_slocal_fiber,
     tangent_space,
     unit,
@@ -248,23 +250,11 @@ def suite_stokes(rs, rng, samples):
     return checks
 
 
-def _slocal_points(rs, rng, count):
-    """count draws of random_slocal_point(rs, rng), in draw order, as one stacked point."""
-    s, seeds = zip(*[(rand_palindromic_s(rng, rs.n), draw_seed(rng)) for _ in range(count)])
-    return sample_slocal_fiber(rs, build_M(rs, np.array(s)), seeds)
-
-
-def _random_points(rs, rng, count):
-    """count draws of random_point(rs, rng), in draw order, as one stacked point."""
-    s, seeds = zip(*[(rand_s(rng, rs.n), draw_seed(rng)) for _ in range(count)])
-    return commuting_point(rs, build_M(rs, np.array(s)), seeds)
-
-
 def involution_laws(rs, rng, count):
     """The batched laws trial of suite_involutions: count samples of involutivity,
     commutation, base action and the morphism law of sigma and theta."""
-    # per sample: the draws of p = random_point(rs, rng), then of
-    # q = random_point(rs, rng, p.A), a composable partner over the same base
+    # per sample: s and the seed of p, as random_points draws them, then the
+    # seed of q, a composable partner over the same base
     s, seed_p, seed_q = zip(*[(rand_s(rng, rs.n), draw_seed(rng), draw_seed(rng))
                               for _ in range(count)])
     p = commuting_point(rs, build_M(rs, np.array(s)), seed_p)
@@ -288,7 +278,7 @@ def involution_laws(rs, rng, count):
 def real_char_poly(rs, rng, count):
     """Fixed-locus points (count of them) have B with real characteristic
     polynomial, and B conj(B) = I, relative to max(1, |B|_2^2)."""
-    B = _slocal_points(rs, rng, count).B
+    B = random_slocal_points(rs, rng, count).B
     c = char_poly(B)
     return {"involutions.fixed_point_char_poly_real": np.abs(c.imag).max(axis=-1) / np.abs(c).max(axis=-1),
             "involutions.fixed_point_c_reality": max_abs(B @ np.conj(B) - identity(rs.n + 1))
@@ -314,7 +304,7 @@ def suite_involutions(rs, rng, samples):
 def groupoid_axioms(rs, rng, count):
     """The batched axioms trial of suite_groupoid: count samples of associativity,
     unit and inverse laws, and of the sampler's own invariants."""
-    # per sample: s, then the seeds of p1, p2, p3 = random_point(rs, rng, A)
+    # per sample: s, then the commuting_point seeds of p1, p2, p3 over its base
     s, *seeds = zip(*[(rand_s(rng, rs.n), draw_seed(rng), draw_seed(rng), draw_seed(rng))
                       for _ in range(count)])
     A = build_M(rs, np.array(s))
@@ -335,13 +325,13 @@ def groupoid_axioms(rs, rng, count):
 
 def slocal_fiber(rs, rng, count):
     """Sampled fixed-locus points (count of them) pass slocal_membership at 1e-8."""
-    member = slocal_membership(rs, _slocal_points(rs, rng, count), tol=1e-8)["fixed_route"]
+    member = slocal_membership(rs, random_slocal_points(rs, rng, count), tol=1e-8)["fixed_route"]
     return {"groupoid.slocal_fiber_membership": (~member).astype(float)}
 
 
 def tangent_dimension(rs, rng, count):
     """The tangent space has dimension 2n at count random points."""
-    U, _ = tangent_space(rs, _random_points(rs, rng, count))
+    U, _ = tangent_space(rs, random_points(rs, rng, count))
     return {"groupoid.tangent_dimension": np.full(count, abs(U.shape[-4] - 2 * rs.n), dtype=float)}
 
 
@@ -379,7 +369,7 @@ def unit_blocks(rs, rng, count):
 
 def multiplicative(rs, rng, count):
     """Multiplicativity at count composable pairs, over full composable tangent bases."""
-    # per sample: s, then the seeds of the two random_point(rs, rng, A)
+    # per sample: s, then the commuting_point seeds of the pair over its base
     s, *seeds = zip(*[(rand_s(rng, rs.n), draw_seed(rng), draw_seed(rng)) for _ in range(count)])
     A = build_M(rs, np.array(s))
     pair = make_pair(*(commuting_point(rs, A, seed) for seed in seeds))
@@ -389,13 +379,13 @@ def multiplicative(rs, rng, count):
 
 def closedness(rs, rng, count):
     """Closedness at count random points, exact on the first-order tangent frame."""
-    return {"symplectic.closedness": closedness_residual(rs, _random_points(rs, rng, count))}
+    return {"symplectic.closedness": closedness_residual(rs, random_points(rs, rng, count))}
 
 
 def nondegeneracy(rs, rng, count):
     """Nondegeneracy over well-separated spectra at count points: units at even
     sample indices, random points at odd ones."""
-    # per sample: s, then at odd indices the seed of random_point(rs, rng, A)
+    # per sample: s, then at odd indices the commuting_point seed over its base
     s, seeds = [], []
     for i in range(count):
         s.append(semisimple_s(rs, rng))
@@ -412,7 +402,7 @@ def nondegeneracy(rs, rng, count):
 
 def pullbacks(rs, rng, count):
     """Involution pullbacks at count units and count random points."""
-    # per sample: the s of the unit, then the draws of random_point(rs, rng)
+    # per sample: the s of the unit, then s and seed as random_points draws them
     s, sp, seeds = zip(*[(rand_s(rng, rs.n), rand_s(rng, rs.n), draw_seed(rng))
                          for _ in range(count)])
     u0 = unit(rs, build_M(rs, np.array(s)))
@@ -424,7 +414,7 @@ def pullbacks(rs, rng, count):
 def integrable(rs, rng, count):
     """The integrable-system structure at count random points over well-separated spectra."""
     n = rs.n
-    # per sample: s, the seed of random_point(rs, rng, A), then the
+    # per sample: s, the commuting_point seed over its base, then the
     # coefficients of uF and vF over the commutant basis
     s, seeds, cu, cv = zip(*[(semisimple_s(rs, rng), draw_seed(rng), rand_s(rng, n), rand_s(rng, n))
                              for _ in range(count)])
@@ -442,7 +432,7 @@ def integrable(rs, rng, count):
 
 def real_form(rs, rng, count):
     """The real sub-form on involution-fixed tangents at count fixed-locus points."""
-    rep = real_form_checks(rs, _slocal_points(rs, rng, count))
+    rep = real_form_checks(rs, random_slocal_points(rs, rng, count))
     return {"symplectic.real_form_re_omega": rep["re_omega_residual"],
             "symplectic.real_form_omega2": rep["omega2_min_singular"],
             "symplectic.real_form_fixed_gap": rep["fixed_gap"]}
@@ -502,8 +492,8 @@ def bondal_axioms(rs, rng, count):
 
 def bondal_embedding(rs, rng, count):
     """The embedding intertwines composition and bases, at count fixed-locus pairs."""
-    # per sample: the draws of p = random_slocal_point(rs, rng), then the
-    # seed of q = random_slocal_point(rs, rng, p.A)
+    # per sample: s and the seed of p, as random_slocal_points draws them,
+    # then the sample_slocal_fiber seed of q over the same base
     s, seed_p, seed_q = zip(*[(rand_palindromic_s(rng, rs.n), draw_seed(rng), draw_seed(rng))
                               for _ in range(count)])
     p = sample_slocal_fiber(rs, build_M(rs, np.array(s)), seed_p)
@@ -551,10 +541,10 @@ def _setting(config, key, kind, default=None):
 def run_suite(config):
     """Run one suite (or 'all') and assemble a VerificationReport.
 
-    config keys: n (required), suite (default 'all'), seed (default 42),
-    samples (default 100, at least 1); other keys are ignored.  A suite that
-    raises a UcglError, or a numpy LinAlgError (an SVD that does not
-    converge on a NaN matrix, say), is recorded as one failed check
+    config keys: n (required), suite (default 'all'), seed (default 42, at
+    least 0), samples (default 100, at least 1); other keys are ignored.  A
+    suite that raises a UcglError, or a numpy LinAlgError (an SVD that does
+    not converge on a NaN matrix, say), is recorded as one failed check
     '<suite>.error' (samples 0, the exception's type and message in details)
     and the remaining suites still run.
     """
@@ -564,6 +554,8 @@ def run_suite(config):
     samples = _setting(config, "samples", int, 100)
     if suite != "all" and suite not in _SUITE_FUNCS:
         raise UcglError(f"unknown suite {suite!r}")
+    if seed < 0:
+        raise UcglError(f"seed must be at least 0, got {seed}")
     if samples < 1:
         raise UcglError(f"samples must be at least 1, got {samples}")
     t0 = time.monotonic()

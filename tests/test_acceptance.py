@@ -18,13 +18,15 @@ from ucgl.connection import SYMMETRY_KINDS, TodaInput, alpha_symmetry_residual, 
 from ucgl.core import inverse, is_regular
 from ucgl.groupoid import (
     centralizer_basis,
+    commuting_point,
+    draw_seed,
     fiber_vector,
     groupoid_compose,
     groupoid_inverse,
     horizontal_vector_at_unit,
     make_pair,
-    random_point,
-    random_slocal_point,
+    random_points,
+    random_slocal_points,
     tangent_space,
     unit,
 )
@@ -129,7 +131,7 @@ def test_criterion_04_base_actions_and_palindromes(roots):
     for n in NS:
         rs = roots[n]
         for _ in range(25):
-            p = random_point(rs, rng)
+            p = random_points(rs, rng, 1)[0]
             rev = max(rev, float(np.max(np.abs(apply_sigma(rs, p, tol=1e-7).s - p.s[::-1]))))
             rev = max(rev, float(np.max(np.abs(apply_theta(rs, p, tol=1e-7).s - np.conj(p.s[::-1])))))
             sp = rand_palindromic_s(rng, n)
@@ -155,8 +157,7 @@ def test_criterion_05_involutions(roots):
     worst = 0.0
     for n in NS:
         rs = roots[n]
-        for _ in range(100):
-            p = random_point(rs, rng)
+        for p in random_points(rs, rng, 100):
             sg = lambda q: apply_sigma(rs, q, tol=1e-7)
             th = lambda q: apply_theta(rs, q, tol=1e-7)
             worst = max(worst, _rel_distance(p, sg(sg(p))))
@@ -175,7 +176,7 @@ def test_criterion_06_groupoid_axioms_and_morphisms(roots):
         for _ in range(100):
             s = rand_s(rng, n)
             A = build_M(rs, s)
-            p1, p2, p3 = (random_point(rs, rng, A) for _ in range(3))
+            p1, p2, p3 = (commuting_point(rs, A, draw_seed(rng)) for _ in range(3))
             lhs = groupoid_compose(rs, make_pair(groupoid_compose(rs, make_pair(p1, p2)), p3))
             rhs = groupoid_compose(rs, make_pair(p1, groupoid_compose(rs, make_pair(p2, p3))))
             worst = max(worst, _rel_distance(lhs, rhs))
@@ -227,8 +228,8 @@ def test_criterion_08_multiplicativity(roots):
         rs = roots[n]
         for _ in range(50):
             A = build_M(rs, rand_s(rng, n))
-            p = random_point(rs, rng, A)
-            q = random_point(rs, rng, A)
+            p = commuting_point(rs, A, draw_seed(rng))
+            q = commuting_point(rs, A, draw_seed(rng))
             pair = make_pair(p, q)
             basis = composable_tangent_basis(rs, pair)
             assert len(basis) == 3 * n
@@ -246,8 +247,7 @@ def test_criterion_09_closedness(roots):
     for n in (1, 2, 3):
         rs = roots[n]
         worst = 0.0
-        for _ in range(20):
-            p = random_point(rs, rng)
+        for p in random_points(rs, rng, 20):
             worst = max(worst, closedness_residual(rs, p))
         results[n] = worst
     ok = results[1] < 1e-4 and results[2] < 1e-4 and results[3] < 1e-3
@@ -265,7 +265,7 @@ def test_criterion_10_nondegeneracy(roots):
         for i in range(10):
             s = semisimple_s(rs, rng)
             A = build_M(rs, s)
-            p = unit(rs, A) if i % 2 == 0 else random_point(rs, rng, A)
+            p = unit(rs, A) if i % 2 == 0 else commuting_point(rs, A, draw_seed(rng))
             U, _ = tangent_space(rs, p)
             min_sing = min(min_sing, gram_matrix(p, U)[1])
     ok = min_sing > 1e-6
@@ -280,7 +280,7 @@ def test_criterion_11_involution_pullbacks(roots):
         rs = roots[n]
         for _ in range(2):
             u0 = unit(rs, build_M(rs, rand_s(rng, n)))
-            p = random_point(rs, rng)
+            p = random_points(rs, rng, 1)[0]
             at_units = max(at_units, *involution_pullback_residual(rs, u0))
             at_random = max(at_random, *involution_pullback_residual(rs, p))
     ok = at_units < 1e-9 and at_random < 1e-5
@@ -295,8 +295,7 @@ def test_criterion_12_real_subform(roots):
     min_s2 = math.inf
     for n in NS:
         rs = roots[n]
-        for _ in range(3):
-            p = random_slocal_point(rs, rng)
+        for p in random_slocal_points(rs, rng, 3):
             rep = real_form_checks(rs, p)
             re_res = max(re_res, rep["re_omega_residual"])
             min_s2 = min(min_s2, rep["omega2_min_singular"])
@@ -315,7 +314,7 @@ def test_criterion_13_integrable_system(roots):
     for n in (1, 2, 3):
         rs = roots[n]
         for _ in range(5):
-            p = random_point(rs, rng, build_M(rs, semisimple_s(rs, rng)))
+            p = commuting_point(rs, build_M(rs, semisimple_s(rs, rng)), draw_seed(rng))
             U, sdot = tangent_space(rs, p)
             dim_ok = dim_ok and len(U) == 2 * n
             traceless = centralizer_basis(p.A)
@@ -363,8 +362,7 @@ def test_criterion_15_reality_experiment(roots):
     for n in NS:
         rs = roots[n]
         hits = 0
-        for _ in range(100):
-            p = random_slocal_point(rs, rng)
+        for p in random_slocal_points(rs, rng, 100):
             if np.max(np.abs(p.B @ np.conj(p.B) - np.eye(n + 1))) < 1e-8:
                 hits += 1
         fractions[n] = hits / 100

@@ -37,14 +37,13 @@ from ucgl.groupoid import (
     centralizer_basis,
     combine,
     commuting_point,
+    draw_seed,
     expm,
     fiber_vector,
     groupoid_compose,
     groupoid_inverse,
     horizontal_vector_at_unit,
     make_pair,
-    random_point,
-    random_slocal_point,
     sample_commuting,
     sample_slocal_fiber,
     tangent_space,
@@ -110,14 +109,22 @@ def _sup(X):
     return float(np.max(np.abs(X)))
 
 
+def _point(rs, rng, slocal=False):
+    """One point built from the primitives, drawn as random_points (slocal:
+    random_slocal_points) draws each point of its stack: s, then the seed."""
+    if slocal:
+        return sample_slocal_fiber(rs, build_M(rs, rand_palindromic_s(rng, rs.n)), draw_seed(rng))
+    return commuting_point(rs, build_M(rs, rand_s(rng, rs.n)), draw_seed(rng))
+
+
 def _fiber_vector(p, E, rng):
     return fiber_vector(p, np.tensordot(rand_s(rng, len(E)), E, axes=1))
 
 
 def reference_laws(rs, rng):
-    p = random_point(rs, rng)
+    p = _point(rs, rng)
     sp, tp = apply_sigma(rs, p), apply_theta(rs, p)
-    q = random_point(rs, rng, p.A)
+    q = commuting_point(rs, p.A, draw_seed(rng))
     pq = groupoid_compose(rs, make_pair(p, q))
     return {
         "involutions.involutivity": (point_distance(apply_sigma(rs, sp), p),
@@ -137,7 +144,7 @@ def reference_axioms(rs, rng):
         return groupoid_compose(rs, make_pair(p, q))
 
     A = build_M(rs, rand_s(rng, rs.n))
-    p1, p2, p3 = (random_point(rs, rng, A) for _ in range(3))
+    p1, p2, p3 = (commuting_point(rs, A, draw_seed(rng)) for _ in range(3))
     u = unit(rs, A)
     return {
         "groupoid.axioms": (
@@ -167,7 +174,7 @@ def reference_unit_blocks(rs, rng):
 
 def reference_multiplicative(rs, rng):
     A = build_M(rs, rand_s(rng, rs.n))
-    pair = make_pair(random_point(rs, rng, A), random_point(rs, rng, A))
+    pair = make_pair(*(commuting_point(rs, A, draw_seed(rng)) for _ in range(2)))
     return {"symplectic.multiplicativity":
             multiplicativity_residual(rs, pair, composable_tangent_basis(rs, pair))}
 
@@ -207,14 +214,14 @@ def _c_reality(rs, B):
 
 
 def reference_real_char_poly(rs, rng):
-    B = random_slocal_point(rs, rng).B
+    B = _point(rs, rng, slocal=True).B
     c = char_poly(B)
     return {"involutions.fixed_point_char_poly_real": _sup(c.imag) / np.max(np.abs(c)),
             "involutions.fixed_point_c_reality": _c_reality(rs, B)}
 
 
 def reference_c_reality(rs, rng):
-    return {"involutions.fixed_point_c_reality": _c_reality(rs, random_slocal_point(rs, rng).B)}
+    return {"involutions.fixed_point_c_reality": _c_reality(rs, _point(rs, rng, slocal=True).B)}
 
 
 def reference_bondal_axioms(rs, rng):
@@ -236,8 +243,8 @@ def reference_bondal_axioms(rs, rng):
 
 
 def reference_embedding(rs, rng):
-    p = random_slocal_point(rs, rng)
-    q = random_slocal_point(rs, rng, p.A)
+    p = _point(rs, rng, slocal=True)
+    q = sample_slocal_fiber(rs, p.A, draw_seed(rng))
     pq = groupoid_compose(rs, make_pair(p, q))
     e1, e2, epq = (bd.embed_slocal(rs, x) for x in (p, q, pq))
     comp = bd.compose(e1, e2, tol=1e-7)
@@ -268,11 +275,11 @@ def closures_groupoid(rs, rng):
     n = rs.n
 
     def fiber(_):
-        mem = slocal_membership(rs, random_slocal_point(rs, rng), tol=1e-8)
+        mem = slocal_membership(rs, _point(rs, rng, slocal=True), tol=1e-8)
         return {"groupoid.slocal_fiber_membership": float(not mem["fixed_route"])}
 
     def tangent(_):
-        U, _ = tangent_space(rs, random_point(rs, rng))
+        U, _ = tangent_space(rs, _point(rs, rng))
         return {"groupoid.tangent_dimension": abs(len(U) - 2 * n)}
 
     return fiber, tangent
@@ -283,19 +290,19 @@ def closures_symplectic(rs, rng):
 
     def closed(_):
         # closedness, exact on the first-order tangent frame
-        return {"symplectic.closedness": closedness_residual(rs, random_point(rs, rng))}
+        return {"symplectic.closedness": closedness_residual(rs, _point(rs, rng))}
 
     def nondegenerate(i):
         # nondegeneracy at units over well-separated spectra and at random points
         A = build_M(rs, semisimple_s(rs, rng))
-        p = unit(rs, A) if i % 2 == 0 else random_point(rs, rng, A)
+        p = unit(rs, A) if i % 2 == 0 else commuting_point(rs, A, draw_seed(rng))
         U, _ = tangent_space(rs, p)
         return {"symplectic.nondegeneracy": gram_matrix(p, U)[1]}
 
     def pullbacks(_):
         # involution pullbacks at units and at random points
         u0 = unit(rs, build_M(rs, rand_s(rng, n)))
-        p = random_point(rs, rng)
+        p = _point(rs, rng)
         return {
             "symplectic.pullback_units": list(involution_pullback_residual(rs, u0)),
             "symplectic.pullback_random": list(involution_pullback_residual(rs, p)),
@@ -304,7 +311,7 @@ def closures_symplectic(rs, rng):
     def integrable(_):
         # integrable-system structure
         A = build_M(rs, semisimple_s(rs, rng))
-        p = random_point(rs, rng, A)
+        p = commuting_point(rs, A, draw_seed(rng))
         E = centralizer_basis(A)
         uF, vF = (fiber_vector(p, combine(rand_s(rng, n), E)) for _ in range(2))
         U, sdot = tangent_space(rs, p)
@@ -316,7 +323,7 @@ def closures_symplectic(rs, rng):
 
     def real_form(_):
         # real sub-form behaviour on involution-fixed tangents
-        rep = real_form_checks(rs, random_slocal_point(rs, rng))
+        rep = real_form_checks(rs, _point(rs, rng, slocal=True))
         return {"symplectic.real_form_re_omega": rep["re_omega_residual"],
                 "symplectic.real_form_omega2": rep["omega2_min_singular"],
                 "symplectic.real_form_fixed_gap": rep["fixed_gap"]}
@@ -457,11 +464,6 @@ def _stacks(rs, rng):
     return s, A, commuting_point(rs, A, seeds_p), commuting_point(rs, A, seeds_q)
 
 
-def _points(p):
-    """The points of a stack, one GroupoidPoint each."""
-    return [GroupoidPoint(B=b, A=a, s=x) for b, a, x in zip(p.B, p.A, p.s)]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_stokes_and_core_primitives_broadcast(roots, n):
     rs = roots[n]
@@ -491,7 +493,7 @@ def test_point_primitives_broadcast(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(200 + n)
     s, A, p, q = _stacks(rs, rng)
-    ps, qs = _points(p), _points(q)
+    ps, qs = list(p), list(q)
     seeds = [int(x) for x in rng.integers(0, 2 ** 31, STACK)]
     _same(centralizer_basis(A), [centralizer_basis(a) for a in A])
     _same(sample_commuting(A, seeds), [sample_commuting(a, t) for a, t in zip(A, seeds)])
@@ -515,7 +517,7 @@ def test_tangent_primitives_broadcast(roots, n):
     rng = np.random.default_rng(300 + n)
     _, A, p, _ = _stacks(rs, rng)
     u0 = unit(rs, A)
-    units, ps = _points(u0), _points(p)
+    units, ps = list(u0), list(p)
     E = centralizer_basis(A)
     c = rng.standard_normal((STACK, n)) + 1j * rng.standard_normal((STACK, n))
     xi = combine(c, E)
@@ -700,7 +702,7 @@ def test_composable_primitives_broadcast(roots, monkeypatch, n):
     rs, N = roots[n], n + 1
     rng = np.random.default_rng(1100 + n)
     s, A, p, q = _stacks(rs, rng)
-    ps, qs = _points(p), _points(q)
+    ps, qs = list(p), list(q)
     dM = dM_ds(rs, s)
     c = rng.standard_normal((STACK, 3 * n, n)) + 0j
     _same(combine(c, dM), [np.tensordot(ci, d, axes=1) for ci, d in zip(c, dM)])
@@ -750,7 +752,7 @@ def test_tangent_space_checks_broadcast(roots, monkeypatch, n):
     rs = roots[n]
     rng = np.random.default_rng(1300 + n)
     _, _, p, _ = _stacks(rs, rng)
-    ps = _points(p)
+    ps = list(p)
     seen = _recording_kernel(monkeypatch)
     U, sdot = tangent_space(rs, p)
     singles = [tangent_space(rs, x) for x in ps]
@@ -778,13 +780,13 @@ def test_tangent_space_checks_broadcast(roots, monkeypatch, n):
     seeds = [int(x) for x in rng.integers(0, 2 ** 31, STACK)]
     fixed = sample_slocal_fiber(rs, build_M(rs, s), seeds)
     rep = real_form_checks(rs, fixed)
-    reps = [real_form_checks(rs, x) for x in _points(fixed)]
+    reps = [real_form_checks(rs, x) for x in fixed]
     for key in ("re_omega_residual", "omega2_min_singular", "fixed_gap"):
         _same(rep[key], [r[key] for r in reps])
     # members and, with B scaled, non-members in one stack
     mixed = GroupoidPoint(B=fixed.B * np.where(np.arange(STACK) % 3 == 0, 1.5, 1.0)[:, None, None],
                           A=fixed.A, s=fixed.s)
-    flags = [slocal_membership(rs, x, tol=1e-8) for x in _points(mixed)]
+    flags = [slocal_membership(rs, x, tol=1e-8) for x in mixed]
     mem = slocal_membership(rs, mixed, tol=1e-8)
     for key in ("fixed_route", "direct_route"):
         assert all(type(f[key]) is bool for f in flags)

@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from ucgl.cli import main
+from ucgl.core import encode_matrix
 from ucgl.errors import PreconditionError, SearchFailureError, UcglError
 from ucgl import groupoid, report, stokes
-from ucgl.involutions import GroupoidPoint
+from ucgl.groupoid import draw_seed, sample_slocal_fiber
+from ucgl.involutions import GroupoidPoint, slocal_membership
 from ucgl.report import Check, run_suite
-from ucgl.stokes import derive_root_sets
+from ucgl.stokes import build_M, derive_root_sets, rand_palindromic_s
 
 
 def test_run_suite_unknown_name():
@@ -146,16 +148,54 @@ def test_cli_config_file_with_flag_override(tmp_path):
 
 
 def test_cli_sample_slocal(tmp_path):
+    """sample-slocal samples and tests its points as one stack; its JSON equals
+    the records built one point at a time from the primitives, at n = 1..4."""
     out = tmp_path / "pts.json"
-    code = main(["sample-slocal", "--n", "1", "--seed", "4", "--count", "3",
-                 "--out", str(out)])
-    assert code == 0
-    data = json.loads(out.read_text())
-    assert len(data["points"]) == 3
-    for rec in data["points"]:
-        assert rec["flags"]["fixed_route"] and rec["flags"]["direct_route"]
-        B = np.array([[complex(re, im) for re, im in row] for row in rec["B"]])
-        assert B.shape == (2, 2)
+    for n in (1, 2, 3, 4):
+        code = main(["sample-slocal", "--n", str(n), "--seed", "4", "--count", "3",
+                     "--out", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert len(data["points"]) == 3
+        for rec in data["points"]:
+            assert rec["flags"]["fixed_route"] and rec["flags"]["direct_route"]
+            B = np.array([[complex(re, im) for re, im in row] for row in rec["B"]])
+            assert B.shape == (n + 1, n + 1)
+        rs, rng = derive_root_sets(n), np.random.default_rng(4)
+        points = []
+        for _ in range(3):
+            p = sample_slocal_fiber(rs, build_M(rs, rand_palindromic_s(rng, n)), draw_seed(rng))
+            points.append({"B": encode_matrix(p.B), "A": encode_matrix(p.A),
+                           "s": [[float(z.real), float(z.imag)] for z in p.s],
+                           "flags": slocal_membership(rs, p, tol=1e-8)})
+        assert data == {"n": n, "seed": 4, "points": points}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "1", "--seed", "-1"],
+    ["verify", "--config", "{config}"],
+    ["sample-slocal", "--n", "1", "--seed", "-1"],
+])
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n": 1, "seed": -1}))
+    assert main([a.format(config=config) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: seed must be at least 0, got -1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["derive-roots", "--n", "1"],
+    ["verify", "--n", "1", "--suite", "connection", "--samples", "5"],
+    ["sample-slocal", "--n", "1", "--seed", "4", "--count", "2"],
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1 and captured.out == ""
 
 
 @pytest.mark.parametrize("count", [0, -2])
@@ -202,13 +242,13 @@ def test_cli_verify_writes_report_when_an_svd_fails(tmp_path, monkeypatch, capsy
     """A NaN point makes np.linalg.svd raise LinAlgError in the groupoid suite's
     tangent trial: the report is still written, with groupoid.error, and the
     exit code is 1, as for a UcglError."""
-    real = report._random_points
+    real = report.random_points
 
     def nan_points(rs, rng, count):
         p = real(rs, rng, count)
         return GroupoidPoint(B=np.full_like(p.B, np.nan), A=p.A, s=p.s)
 
-    monkeypatch.setattr(report, "_random_points", nan_points)
+    monkeypatch.setattr(report, "random_points", nan_points)
     out = tmp_path / "rep.json"
     with np.errstate(invalid="ignore"):
         code = main(["verify", "--n", "2", "--suite", "groupoid", "--samples", "5",

@@ -57,8 +57,8 @@ def test_kernel_equals_null_space_bit_for_bit(roots, monkeypatch, n):
     monkeypatch.setattr(groupoid, "kernel", recording)
     rs, rng = roots[n], np.random.default_rng(500 + n)
     for _ in range(100):
-        p = groupoid.random_point(rs, rng)
-        q = groupoid.random_point(rs, rng, p.A)
+        p = groupoid.random_points(rs, rng, 1)[0]
+        q = groupoid.commuting_point(rs, p.A, groupoid.draw_seed(rng))
         groupoid.tangent_space(rs, p)
         symplectic.composable_tangent_basis(rs, groupoid.make_pair(p, q))
     assert len(seen) == 200

@@ -10,13 +10,15 @@ from ucgl.errors import (
 from ucgl.groupoid import (
     _centralizer_basis,
     centralizer_basis,
+    commuting_point,
+    draw_seed,
     fiber_vector,
     groupoid_compose,
     groupoid_inverse,
     horizontal_vector_at_unit,
     make_pair,
-    random_point,
-    random_slocal_point,
+    random_points,
+    random_slocal_points,
     sample_commuting,
     sample_slocal_fiber,
     tangent_space,
@@ -46,7 +48,7 @@ def test_structure_maps_and_axioms(roots):
         for _ in range(20):
             s = rand_s(rng, n)
             A = build_M(rs, s)
-            p1, p2, p3 = (random_point(rs, rng, A) for _ in range(3))
+            p1, p2, p3 = (commuting_point(rs, A, draw_seed(rng)) for _ in range(3))
             lhs = groupoid_compose(rs, make_pair(groupoid_compose(rs, make_pair(p1, p2)), p3))
             rhs = groupoid_compose(rs, make_pair(p1, groupoid_compose(rs, make_pair(p2, p3))))
             assert point_distance(lhs, rhs) < 1e-10
@@ -147,8 +149,7 @@ def test_slocal_fiber_fixed_to_round_off(n):
     rs = derive_root_sets(n)
     rng = np.random.default_rng(2500 + n)
     u = np.finfo(float).eps
-    for _ in range(300):
-        p = random_slocal_point(rs, rng)
+    for p in random_slocal_points(rs, rng, 300):
         mem = slocal_membership(rs, p, tol=POINT_TOL)
         assert mem["fixed_route"] and mem["direct_route"]
         assert abs(np.linalg.det(p.B) - 1) <= 10 * (n + 1) * u * np.linalg.cond(p.B)
@@ -156,20 +157,18 @@ def test_slocal_fiber_fixed_to_round_off(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_seeded_samplers_draw_in_documented_order(roots, n):
-    """random_point draws s then the sampler seed; given A, only the seed."""
+    """random_points and random_slocal_points draw, point by point, s and then
+    the sampler seed."""
     rs = roots[n]
     rng, twin = np.random.default_rng(1000 + n), np.random.default_rng(1000 + n)
-    A = build_M(rs, rand_s(twin, n))
-    B = sample_commuting(A, int(twin.integers(0, 2 ** 31)))
-    p = random_point(rs, rng)
-    assert np.array_equal(p.B, B) and np.array_equal(p.A, A)
-    q = random_point(rs, rng, p.A)
-    assert np.array_equal(q.B, sample_commuting(A, int(twin.integers(0, 2 ** 31))))
-    A = build_M(rs, rand_palindromic_s(twin, n))
-    f = random_slocal_point(rs, rng)
-    assert np.array_equal(f.B, sample_slocal_fiber(rs, A, int(twin.integers(0, 2 ** 31))).B)
-    g = random_slocal_point(rs, rng, f.A)
-    assert np.array_equal(g.B, sample_slocal_fiber(rs, A, int(twin.integers(0, 2 ** 31))).B)
+    p, f = random_points(rs, rng, 3), random_slocal_points(rs, rng, 3)
+    for i in range(3):
+        A = build_M(rs, rand_s(twin, n))
+        assert np.array_equal(p[i].A, A)
+        assert np.array_equal(p[i].B, sample_commuting(A, int(twin.integers(0, 2 ** 31))))
+    for i in range(3):
+        A = build_M(rs, rand_palindromic_s(twin, n))
+        assert np.array_equal(f[i].B, sample_slocal_fiber(rs, A, int(twin.integers(0, 2 ** 31))).B)
     assert rng.random() == twin.random()
 
 
@@ -177,8 +176,7 @@ def test_seeded_samplers_draw_in_documented_order(roots, n):
 def test_tangent_space_dimension(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(900 + n)
-    for _ in range(10):
-        p = random_point(rs, rng)
+    for p in random_points(rs, rng, 10):
         U, sdot = tangent_space(rs, p)
         assert len(U) == 2 * n and U.shape[1:] == (2, n + 1, n + 1)
         assert sdot.shape == (2 * n, n)

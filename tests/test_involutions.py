@@ -7,8 +7,8 @@ from ucgl.core import char_poly, inverse, structural_matrices
 from ucgl.errors import PreconditionError
 from ucgl.groupoid import (
     centralizer_basis,
-    random_point,
-    random_slocal_point,
+    random_points,
+    random_slocal_points,
     sample_slocal_fiber,
     tangent_space,
     unit,
@@ -77,7 +77,8 @@ def test_twists_are_read_only(roots, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_each_twist_is_built_once_per_fixed_locus_point(roots, monkeypatch, n):
     """Sampling k fixed-locus points and testing each builds the twist that
-    moves with s k times and the constant twist once."""
+    moves with s k times and the constant twist once; a stack of k points,
+    sampled and tested as sample-slocal does, builds the moving twist once."""
     rs, k = roots[n], 5
     calls = {"F_sigma": 0, "F_theta": 0}
 
@@ -91,10 +92,12 @@ def test_each_twist_is_built_once_per_fixed_locus_point(roots, monkeypatch, n):
         monkeypatch.setattr(involutions, name, counted(name, builder))
     rng = np.random.default_rng(800 + n)
     for _ in range(k):
-        p = random_slocal_point(rs, rng)
-        assert slocal_membership(rs, p)["fixed_route"]
+        p = random_slocal_points(rs, rng, 1)
+        assert slocal_membership(rs, p)["fixed_route"].all()
     moving, constant = ("F_sigma", "F_theta") if n % 2 == 0 else ("F_theta", "F_sigma")
     assert (calls[moving], calls[constant]) == (k, 1)
+    assert slocal_membership(rs, random_slocal_points(rs, rng, k))["fixed_route"].all()
+    assert (calls[moving], calls[constant]) == (k + 1, 1)
 
 
 def test_apply_sigma_examples(roots):
@@ -126,8 +129,7 @@ def test_apply_theta_examples(roots):
 def test_involutions_square_to_identity_and_commute(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(200 + n)
-    for _ in range(20):
-        p = random_point(rs, rng)
+    for p in random_points(rs, rng, 20):
         assert point_distance(apply_sigma(rs, apply_sigma(rs, p)), p) < TOL
         assert point_distance(apply_theta(rs, apply_theta(rs, p)), p) < TOL
         st = apply_sigma(rs, apply_theta(rs, p))
@@ -139,8 +141,7 @@ def test_involutions_square_to_identity_and_commute(roots, n):
 def test_base_parameter_actions(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(300 + n)
-    for _ in range(20):
-        p = random_point(rs, rng)
+    for p in random_points(rs, rng, 20):
         assert np.max(np.abs(apply_sigma(rs, p).s - p.s[::-1])) < 1e-10
         assert np.max(np.abs(apply_theta(rs, p).s - np.conj(p.s[::-1]))) < 1e-10
 
@@ -193,10 +194,10 @@ def test_route_equivalence_on_mixed_probes(n):
     """
     rs = derive_root_sets(n)
     rng = np.random.default_rng(400 + n)
-    probes = [(random_slocal_point, True)] * 200 + [(random_point, False)] * 200
+    probes = [(p, True) for p in random_slocal_points(rs, rng, 200)]
+    probes += [(p, False) for p in random_points(rs, rng, 200)]
     disagree = []
-    for i, (sampler, member) in enumerate(probes):
-        p = sampler(rs, rng)
+    for i, (p, member) in enumerate(probes):
         mem = slocal_membership(rs, p, tol=1e-9 if member else 1e-8)
         assert mem["fixed_route"] == mem["direct_route"] == member
         if slocal_membership(rs, p, tol=1e-8) != direct_route_reference(rs, p, 1e-8):
@@ -227,7 +228,7 @@ def test_membership_inverts_neither_B_nor_A(roots, monkeypatch, n):
     point and inverts neither B nor A.  The twist memos are emptied after
     sampling, so the twists are built, and inverted, by the call itself."""
     rs = roots[n]
-    p = random_slocal_point(rs, np.random.default_rng(n))
+    p = random_slocal_points(rs, np.random.default_rng(n), 1)[0]
     _moving_twist.cache_clear()
     _constant_twists.clear()
 
@@ -250,8 +251,8 @@ def test_membership_inverts_neither_B_nor_A(roots, monkeypatch, n):
 def test_theta_fixed_points_have_real_char_poly(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(500 + n)
-    for _ in range(10):
-        c = char_poly(random_slocal_point(rs, rng).B)
+    for B in random_slocal_points(rs, rng, 10).B:
+        c = char_poly(B)
         # relative: the coefficients themselves grow like 1e3 at n = 4
         assert np.max(np.abs(c.imag)) / np.max(np.abs(c)) < 1e-10
 
@@ -320,9 +321,9 @@ def test_involution_differentials_exact(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(600 + n)
     points = [
-        random_point(rs, rng),
+        random_points(rs, rng, 1)[0],
         unit(rs, build_M(rs, rand_s(rng, n))),
-        random_slocal_point(rs, rng),
+        random_slocal_points(rs, rng, 1)[0],
     ]
     maps = (
         (apply_sigma, sigma_differential, lambda s: s[..., ::-1]),

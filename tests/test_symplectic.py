@@ -6,11 +6,13 @@ from ucgl.core import structural_matrices
 from ucgl.errors import NotComposableError
 from ucgl.groupoid import (
     centralizer_basis,
+    commuting_point,
+    draw_seed,
     fiber_vector,
     horizontal_vector_at_unit,
     make_pair,
-    random_point,
-    random_slocal_point,
+    random_points,
+    random_slocal_points,
     tangent_space,
     unit,
 )
@@ -92,7 +94,7 @@ def test_unit_closed_form_on_tangent_basis(roots, n):
     for _ in range(10):
         G, miss = both(unit(rs, build_M(rs, rand_s(rng, n))))
         assert miss <= 1e-12 * np.max(np.abs(G))
-        misses.append(both(random_point(rs, rng))[1])
+        misses.append(both(random_points(rs, rng, 1)[0])[1])
     # negative control: away from the units the formula is wrong
     assert min(misses) > 1e-3
 
@@ -100,7 +102,7 @@ def test_unit_closed_form_on_tangent_basis(roots, n):
 def test_omega_antisymmetry(roots):
     rs = roots[2]
     rng = np.random.default_rng(5)
-    p = random_point(rs, rng)
+    p = random_points(rs, rng, 1)[0]
     vecs, _ = tangent_space(rs, p)
     for u in vecs:
         assert omega(p, u, u) == 0
@@ -112,7 +114,7 @@ def test_omega_antisymmetry(roots):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_omega_gram_matches_trace_formula(roots, n):
     rs = roots[n]
-    p = random_point(rs, np.random.default_rng(1800 + n))
+    p = random_points(rs, np.random.default_rng(1800 + n), 1)[0]
     U, _ = tangent_space(rs, p)
     U = np.concatenate([U, 1j * U])
     a, gi, ai = p.A, np.linalg.inv(p.B), np.linalg.inv(p.A)
@@ -155,7 +157,7 @@ def test_multiplicativity(roots, n):
     worst = 0.0
     for _ in range(10):
         A = build_M(rs, rand_s(rng, n))
-        pair = make_pair(random_point(rs, rng, A), random_point(rs, rng, A))
+        pair = make_pair(*(commuting_point(rs, A, draw_seed(rng)) for _ in range(2)))
         basis = composable_tangent_basis(rs, pair)
         assert len(basis) == 3 * n
         worst = max(worst, multiplicativity_residual(rs, pair, basis))
@@ -176,8 +178,7 @@ def test_multiplicativity_with_unit_slot(roots):
 def test_closedness(roots, n, tol):
     rs = roots[n]
     rng = np.random.default_rng(1200 + n)
-    for _ in range(3):
-        p = random_point(rs, rng)
+    for p in random_points(rs, rng, 3):
         assert closedness_residual(rs, p) < tol
 
 
@@ -190,7 +191,7 @@ def test_closedness_detects_non_tangent_frame(roots, monkeypatch, n):
     """
     rs = roots[n]
     rng = np.random.default_rng(2200 + n)
-    p = random_point(rs, rng)
+    p = random_points(rs, rng, 1)[0]
     U, sdot = tangent_space(rs, p)
     W = np.concatenate([U, U[:1]]) + 0.1 * rng.standard_normal((2 * n + 1,) + U.shape[1:])
     monkeypatch.setattr(symplectic, "tangent_space", lambda rs, p: (W, sdot))
@@ -266,7 +267,7 @@ def test_nondegeneracy(roots, n):
     rng = np.random.default_rng(1300 + n)
     for i in range(6):
         A = build_M(rs, semisimple_s(rs, rng))  # keep eigenvalues well separated
-        p = unit(rs, A) if i % 2 == 0 else random_point(rs, rng, A)
+        p = unit(rs, A) if i % 2 == 0 else commuting_point(rs, A, draw_seed(rng))
         basis, _ = tangent_space(rs, p)
         assert gram_matrix(p, basis)[1] > 1e-6
 
@@ -279,7 +280,7 @@ def test_involution_pullbacks(roots, n):
     # (sigma, theta) from one frame
     assert involution_pullback_residual(rs, u0).shape == (2,)
     assert (involution_pullback_residual(rs, u0) < 1e-9).all()
-    p = random_point(rs, rng)
+    p = random_points(rs, rng, 1)[0]
     assert (involution_pullback_residual(rs, p) < 1e-5).all()
 
 
@@ -293,7 +294,7 @@ def test_character_system(roots):
 def test_poisson_brackets(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(1500 + n)
-    p = random_point(rs, rng)
+    p = random_points(rs, rng, 1)[0]
     r = poisson_bracket_residual(rs, p, *tangent_space(rs, p))
     assert r.shape == (n * (n - 1) // 2,)
     assert np.all(r < 1e-5)
@@ -303,7 +304,7 @@ def test_fiber_isotropy_and_type(roots):
     for n in (1, 2, 3):
         rs = roots[n]
         rng = np.random.default_rng(1600 + n)
-        p = random_point(rs, rng)
+        p = random_points(rs, rng, 1)[0]
         traceless = centralizer_basis(p.A)
         cf, ce = rand_s(rng, n), rand_s(rng, n)
         uF = fiber_vector(p, sum(cf[k] * traceless[k] for k in range(n)))
@@ -318,7 +319,7 @@ def test_fiber_isotropy_and_type(roots):
 def test_type_two_zero_detects_real_part(roots, monkeypatch, n):
     """Negative control: an omega that takes its real part is not complex bilinear."""
     rs = roots[n]
-    p = random_point(rs, np.random.default_rng(1650 + n))
+    p = random_points(rs, np.random.default_rng(1650 + n), 1)[0]
     U, _ = tangent_space(rs, p)
     gram = symplectic.omega_gram
     monkeypatch.setattr(symplectic, "omega_gram", lambda *args: gram(*args).real)
@@ -329,9 +330,9 @@ def _three_points(rs, rng):
     """A random point, a unit and a fixed-locus point of rank rs.n."""
     n = rs.n
     return [
-        random_point(rs, rng),
+        random_points(rs, rng, 1)[0],
         unit(rs, build_M(rs, rand_s(rng, n))),
-        random_slocal_point(rs, rng),
+        random_slocal_points(rs, rng, 1)[0],
     ]
 
 
@@ -354,7 +355,7 @@ def test_character_jacobian_matches_differences(roots, n):
 def test_real_form_checks(roots, n):
     rs = roots[n]
     rng = np.random.default_rng(1700 + n)
-    rep = real_form_checks(rs, random_slocal_point(rs, rng))
+    rep = real_form_checks(rs, random_slocal_points(rs, rng, 1)[0])
     assert rep["re_omega_residual"] < 1e-8
     assert rep["fixed_gap"] < 1e-7
     assert rep["omega2_min_singular"] > 1e-7
@@ -369,5 +370,5 @@ def test_fixed_gap_fails_off_the_fixed_locus(roots, n):
     """Negative control: at generic points no 2n-dimensional fixed space separates."""
     rs = roots[n]
     rng = np.random.default_rng(2400 + n)
-    for _ in range(5):
-        assert real_form_checks(rs, random_point(rs, rng))["fixed_gap"] > 1e-7
+    for p in random_points(rs, rng, 5):
+        assert real_form_checks(rs, p)["fixed_gap"] > 1e-7

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ucgl.groupoid import random_slocal_point, sample_slocal_fiber, z_membership
+from ucgl.groupoid import random_slocal_points, sample_slocal_fiber, z_membership
 from ucgl.involutions import slocal_membership
 from ucgl.stokes import build_M, derive_root_sets
 
@@ -42,7 +42,7 @@ def test_benchmark_keywords_and_flag_keys(roots):
                          (slocal_membership, {"tol"}), (z_membership, {"tol"})):
         assert keywords <= set(inspect.signature(fn).parameters), fn.__name__
     rs = roots[2]
-    p = random_slocal_point(rs, np.random.default_rng(3))
+    p = random_slocal_points(rs, np.random.default_rng(3), 1)[0]
     flags = slocal_membership(rs, p, tol=1e-8)
     assert flags["fixed_route"] is True and flags["direct_route"] is True
     assert z_membership(rs, p.B, p.A, tol=1e-10) is True
