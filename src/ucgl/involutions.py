@@ -50,7 +50,10 @@ class GroupoidPoint:
     s: np.ndarray
 
     def __getitem__(self, index):
-        """The point, or the sub-stack, at index of a stack."""
+        """The point, or the sub-stack, at index of a stack; a single point
+        is no stack and raises TypeError."""
+        if self.B.ndim < 3:
+            raise TypeError("a single GroupoidPoint is not a stack")
         return GroupoidPoint(B=self.B[index], A=self.A[index], s=self.s[index])
 
 

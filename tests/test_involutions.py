@@ -7,6 +7,7 @@ from ucgl.core import char_poly, inverse, structural_matrices
 from ucgl.errors import PreconditionError
 from ucgl.groupoid import (
     centralizer_basis,
+    draw_seed,
     random_points,
     random_slocal_points,
     sample_slocal_fiber,
@@ -27,7 +28,7 @@ from ucgl.involutions import (
     theta_differential,
     twists,
 )
-from ucgl.stokes import build_M, build_S, dM_ds, derive_root_sets, rand_s
+from ucgl.stokes import build_M, build_S, dM_ds, derive_root_sets, rand_palindromic_s, rand_s
 
 TOL = 1e-9
 
@@ -76,9 +77,10 @@ def test_twists_are_read_only(roots, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_each_twist_is_built_once_per_fixed_locus_point(roots, monkeypatch, n):
-    """Sampling k fixed-locus points and testing each builds the twist that
-    moves with s k times and the constant twist once; a stack of k points,
-    sampled and tested as sample-slocal does, builds the moving twist once."""
+    """Sampling k unstacked fixed-locus points and testing each builds the
+    twist that moves with s k times and the constant twist once; a stack of
+    k points, sampled and tested as ucgl sample-slocal does, builds the
+    moving twist once."""
     rs, k = roots[n], 5
     calls = {"F_sigma": 0, "F_theta": 0}
 
@@ -92,12 +94,22 @@ def test_each_twist_is_built_once_per_fixed_locus_point(roots, monkeypatch, n):
         monkeypatch.setattr(involutions, name, counted(name, builder))
     rng = np.random.default_rng(800 + n)
     for _ in range(k):
-        p = random_slocal_points(rs, rng, 1)
-        assert slocal_membership(rs, p)["fixed_route"].all()
+        # one unstacked point, drawn and tested as the benchmark's sample-slocal workload does
+        p = sample_slocal_fiber(rs, build_M(rs, rand_palindromic_s(rng, n)), draw_seed(rng))
+        assert slocal_membership(rs, p)["fixed_route"]
     moving, constant = ("F_sigma", "F_theta") if n % 2 == 0 else ("F_theta", "F_sigma")
     assert (calls[moving], calls[constant]) == (k, 1)
     assert slocal_membership(rs, random_slocal_points(rs, rng, k))["fixed_route"].all()
     assert (calls[moving], calls[constant]) == (k + 1, 1)
+
+
+def test_only_a_stack_is_indexed(roots):
+    stack = random_slocal_points(roots[2], np.random.default_rng(3), 2)
+    assert [q.B.shape for q in stack] == [(3, 3), (3, 3)]
+    with pytest.raises(TypeError):
+        stack[0][0]
+    with pytest.raises(TypeError):
+        list(stack[1])
 
 
 def test_apply_sigma_examples(roots):
