@@ -137,17 +137,6 @@ def max_abs(M):
     return np.abs(M).max(axis=(-2, -1))
 
 
-def kernel(M, rcond):
-    """Numerical null space of M, one basis vector a row.
-
-    The rows of vh in the full SVD M = u diag(sv) vh whose singular values
-    are at most rcond times the largest, conjugated: the columns of
-    scipy.linalg.null_space(M, rcond), as rows.
-    """
-    _, sv, vh = np.linalg.svd(M, full_matrices=True)
-    return vh[np.sum(sv > np.max(sv, initial=0.0) * rcond) :].conj()
-
-
 def trace_form(X, Y):
     """The invariant pairing Tr(XY)."""
     X = _as_matrix(X)

@@ -37,10 +37,6 @@ class DegenerateSampleError(UcglError):
     """Random sampling kept hitting a degenerate configuration."""
 
 
-class DegenerateTangentError(UcglError):
-    """The numerical tangent space has an unexpected dimension."""
-
-
 class DegenerateFormError(UcglError):
     """A Gram matrix required to be invertible is numerically singular."""
 

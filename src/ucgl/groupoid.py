@@ -12,21 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import identity, inverse, kernel, max_abs, powers, spans_powers
-from .errors import (
-    DegenerateTangentError,
-    NotComposableError,
-    NotRegularError,
-    PreconditionError,
-)
+from .core import identity, inverse, max_abs, modulus, powers, spans_powers
+from .errors import NotComposableError, NotRegularError, PreconditionError
 from .involutions import POINT_TOL, GroupoidPoint, make_point, twists
 from .stokes import build_M, dM_ds, rand_palindromic_s, rand_s, section_membership
 
 #: base-equality tolerance for composability
 BASE_TOL = 1e-10
-
-#: relative singular-value cutoff of the tangent kernels
-KERNEL_CUTOFF = 1e-8
 
 
 @dataclass(frozen=True)
@@ -196,61 +188,77 @@ def random_slocal_points(rs, rng, count):
     return sample_slocal_fiber(rs, build_M(rs, np.array(s)), seeds)
 
 
-def _tangent_kernel(rs, points, dM):
-    """Kernel rows (X_1, ..., X_k, sdot) of the linearized constraints of k = 1
-    or 2 points over one base, whose section derivatives are dM.
+def _polynomial_coefficients(A, B):
+    """c, shape (..., N), with B = sum_k c_k A^k for B in the commutant of a
+    regular A (see centralizer_basis): least squares on the vectorised
+    powers I, A, ..., A^n, by their QR."""
+    N = A.shape[-1]
+    P = np.moveaxis(powers(A, N), 0, -1).reshape(A.shape[:-2] + (N * N, N))
+    Q, R = np.linalg.qr(P)
+    b = np.swapaxes(Q, -1, -2).conj() @ B.reshape(B.shape[:-2] + (N * N, 1))
+    return np.linalg.solve(R, b)[..., 0]
 
-    On row-major flattened matrices point i gives the block kron(I, A^T) -
-    kron(A, I) of X_i -> [X_i, A], filled in place through a (N, N, N, N)
-    view, the block of sdot -> [B_i, Y(sdot)], Y(sdot) = sum_d sdot_d dM[d],
-    and the row of X_i -> Tr(B_i^{-1} X_i).  The kernel, by SVD with cutoff
-    KERNEL_CUTOFF times the largest singular value, has complex dimension
-    (k + 1) n at regular points; any other raises DegenerateTangentError.
-    Over a stack of points the kernels are taken one point at a time, so
-    that only one SVD's factors are held at once, and a point of another
-    dimension, anywhere in the stack, raises the single call's error.
+
+def _horizontal_lifts(x, dM):
+    """The lifts X_d = X'_d - (Tr(B^{-1} X'_d) / N) B, shape (..., n, N, N), at
+    the point x, X'_d the derivative of B = q(A) along dM_d by Horner's rule (q
+    from _polynomial_coefficients): q(A) commutes with A for every A, so
+    [X_d, A] + [B, dM_d] = 0, and Tr(B^{-1} X_d) = 0."""
+    c = _polynomial_coefficients(x.A, x.B)
+    N = c.shape[-1]
+    A, B = x.A[..., None, :, :], x.B[..., None, :, :]  # against the direction axis of dM
+    H = c[..., N - 1, None, None] * identity(N)
+    X = dM @ H[..., None, :, :]
+    for k in range(N - 2, 0, -1):
+        H = c[..., k, None, None] * identity(N) + x.A @ H
+        X = dM @ H[..., None, :, :] + A @ X
+    return X - (inverse(B) @ X).trace(axis1=-2, axis2=-1)[..., None, None] / N * B
+
+
+def _tangent_frame(rs, points, dM):
+    """Rows (X_1, ..., X_k, sdot), orthonormal as flat vectors, spanning the
+    solutions of the linearized constraints [X_i, A] + [B_i, sum_d sdot_d
+    dM[d]] = 0 and Tr(B_i^{-1} X_i) = 0 of k = 1 or 2 points over one base:
+    one QR of the n fiber rows (B_i E_j, sdot = 0) of each point, E =
+    centralizer_basis(A), and the n rows (X_1d, ..., X_kd, sdot = e_d) of the
+    _horizontal_lifts.  Returns X, shape (..., (k + 1) n, k, N, N), and sdot;
+    a non-regular base raises NotRegularError.
     """
-    n, k = rs.n, len(points)
-    N = n + 1
-    NN = N * N
-    I = identity(N)
+    n, k, N = rs.n, len(points), rs.n + 1
     lead = points[0].B.shape[:-2]
-    L = np.zeros(lead + (k * NN + k, k * NN + n), dtype=complex)
+    W = np.zeros(lead + ((k + 1) * n, k * N * N + n), dtype=complex)
+    X = W[..., : k * N * N].reshape(lead + ((k + 1) * n, k, N, N))  # a view: only an axis is split
     for i, x in enumerate(points):
-        rows = np.s_[i * NN : (i + 1) * NN]
-        kron = L[..., rows, rows].reshape(lead + (N, N, N, N))  # a view: only axes are split
-        np.multiply(I[:, None, :, None], np.swapaxes(x.A, -1, -2)[..., None, :, None, :], out=kron)
-        kron -= x.A[..., :, None, :, None] * I[None, :, None, :]
-        C = x.B[..., None, :, :] @ dM - dM @ x.B[..., None, :, :]
-        L[..., rows, k * NN :] = np.swapaxes(C.reshape(C.shape[:-2] + (NN,)), -1, -2)
-        L[..., k * NN + i, rows] = np.swapaxes(inverse(x.B), -1, -2).reshape(lead + (NN,))
-    W = [kernel(M, KERNEL_CUTOFF) for M in L.reshape((-1,) + L.shape[-2:])]
-    del L
-    found = [len(w) for w in W if len(w) != (k + 1) * n]
-    if found:
-        raise DegenerateTangentError(f"kernel dimension {found[0]}, expected {(k + 1) * n}")
-    return np.reshape(W, lead + ((k + 1) * n, k * NN + n))
+        X[..., i * n : (i + 1) * n, i, :, :] = x.B[..., None, :, :] @ centralizer_basis(x.A)
+        X[..., k * n :, i, :, :] = _horizontal_lifts(x, dM)
+    W[..., k * n :, k * N * N :] = identity(n)
+    W = np.swapaxes(np.linalg.qr(np.swapaxes(W, -1, -2))[0], -1, -2)
+    return W[..., : k * N * N].reshape(X.shape), W[..., k * N * N :]
 
 
 def tangent_space(rs, p):
-    """Numerical-kernel basis U of the tangent space at p and its base velocities sdot.
+    """Orthonormal basis U of the tangent space at p and its base velocities sdot.
 
     U has shape (2n, 2, N, N): row i is the tangent (X_i, Y_i), X varying B
-    and Y varying A.  The constraints linearize to ([X, A] + [B, Y(sdot)],
-    Tr(B^{-1} X)) = 0 where Y(sdot) is the analytic derivative of the section
-    element, so the kernel's unknowns are (X, sdot) and sdot, shape (2n, n),
-    is the velocity of s along each U_i; see _tangent_kernel.  A stack of
-    points gives stacks, shapes (..., 2n, 2, N, N) and (..., 2n, n).
+    and Y varying A, where (X_i, sdot_i) is _tangent_frame's row i and Y_i =
+    sum_d sdot_id dM_d is the analytic derivative of the section element.  A
+    stack of points gives stacks, shapes (..., 2n, 2, N, N) and (..., 2n, n).
     """
-    N = rs.n + 1
     dM = dM_ds(rs, p.s)
-    kern = _tangent_kernel(rs, (p,), dM)
-    X = kern[..., : N * N].reshape(kern.shape[:-1] + (N, N))
-    sdot = kern[..., N * N :]
-    # one (1, n) product per vector: a batched one sums in another order (round-off)
-    each = np.broadcast_to(dM[..., None, :, :, :], X.shape[:-2] + dM.shape[-3:])
-    Y = combine(sdot[..., None, :], each)[..., 0, :, :]
-    return np.stack([X, Y], axis=-3), sdot
+    X, sdot = _tangent_frame(rs, (p,), dM)
+    return np.stack([X[..., 0, :, :], combine(sdot, dM)], axis=-3), sdot
+
+
+def tangent_residual(p, U):
+    """The larger of max |[X, A] + [B, Y]| / max(1, max|B| max|A|) and max
+    |Tr(B^{-1} X)| over tangents U, shape (..., m, 2, N, N), at p: zero on the
+    tangent space; one value per point of a stack."""
+    B, A = p.B[..., None, :, :], p.A[..., None, :, :]  # against the tangent axis
+    X, Y = U[..., 0, :, :], U[..., 1, :, :]
+    scale = np.maximum(1.0, max_abs(p.B) * max_abs(p.A))
+    bracket = max_abs(X @ A - A @ X + B @ Y - Y @ B).max(axis=-1) / scale
+    trace = modulus((inverse(p.B)[..., None, :, :] @ X).trace(axis1=-2, axis2=-1)).max(axis=-1)
+    return np.maximum(bracket, trace)
 
 
 def fiber_vector(p, xi):

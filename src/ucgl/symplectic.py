@@ -11,9 +11,10 @@ involution pullback identities, the real sub-form behaviour and the
 integrable-system structure are all checked numerically on top of it.
 
 Those statements are pointwise tensor identities, so every check runs at
-the point itself on one frame: groupoid.tangent_space's kernel basis U with
-its base velocities sdot, and [U, iU] with [sdot, i sdot] where a real frame
-is needed.  The involutions act on it by their exact differentials.
+the point itself on one frame: groupoid.tangent_space's closed-form
+orthonormal basis U with its base velocities sdot, and [U, iU] with
+[sdot, i sdot] where a real frame is needed.  The involutions act on it by
+their exact differentials.
 
 No finite difference is left.  Closedness is exact: on any frame at a point
 d omega needs only the frame and the derivative of omega along it, by the
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import char_poly, inverse, max_abs, trace_form
 from .errors import DegenerateFormError, NotComposableError, ProjectionFailureError
-from .groupoid import _tangent_kernel, combine, tangent_space
+from .groupoid import _tangent_frame, combine, tangent_space
 from .involutions import apply_sigma, apply_theta, sigma_differential, theta_differential
 from .stokes import build_M, dM_ds
 
@@ -34,7 +35,7 @@ from .stokes import build_M, dM_ds
 def __getattr__(name):
     # expm_frechet is unused here; bench/tracer.py looks it up by name to count
     # its calls, so the name resolves on lookup (PEP 562) and importing this
-    # module loads no scipy.  It goes with benchmark v2 (ROADMAP item 3).
+    # module loads no scipy.  It goes with benchmark v2 (ROADMAP item 5).
     if name == "expm_frechet":
         import scipy.linalg
 
@@ -138,21 +139,19 @@ def _real_frame(rs, p):
 
 
 def composable_tangent_basis(rs, pair):
-    """Kernel basis of the tangent space to the set of composable pairs.
+    """Orthonormal basis of the tangent space to the set of composable pairs.
 
     Unknowns (X1, X2, sdot) with the shared base variation Y(sdot); the
-    kernel is groupoid._tangent_kernel's for the two points, of complex
-    dimension 3n at regular points.  Returns an array of shape
+    frame is groupoid._tangent_frame's for the two points: each point's
+    fiber rows, then the shared lifts, 3n in all.  Returns an array of shape
     (3n, 2, 2, N, N) whose entry i is the pair (u1, u2), each a stacked
     tangent (X, Y), with equal Y-components.  A stack of pairs gives a stack
     of bases, shape (..., 3n, 2, 2, N, N).
     """
-    NN = (rs.n + 1) ** 2
     dM = dM_ds(rs, pair.p.s)
-    W = _tangent_kernel(rs, (pair.p, pair.q), dM)
-    Y = combine(W[..., 2 * NN :], dM)
-    X1, X2 = (W[..., i * NN : (i + 1) * NN].reshape(Y.shape) for i in (0, 1))
-    return np.stack([np.stack([X1, Y], axis=-3), np.stack([X2, Y], axis=-3)], axis=-4)
+    X, sdot = _tangent_frame(rs, (pair.p, pair.q), dM)
+    Y = combine(sdot, dM)
+    return np.stack([X, np.broadcast_to(Y[..., None, :, :], X.shape)], axis=-3)
 
 
 def multiplicativity_residual(rs, pair, basis):

@@ -239,14 +239,14 @@ def test_cli_verify_writes_report_when_a_suite_raises(tmp_path, monkeypatch, cap
 
 
 def test_cli_verify_writes_report_when_an_svd_fails(tmp_path, monkeypatch, capsys):
-    """A NaN point makes np.linalg.svd raise LinAlgError in the groupoid suite's
-    tangent trial: the report is still written, with groupoid.error, and the
-    exit code is 1, as for a UcglError."""
+    """A NaN base makes np.linalg.svd raise LinAlgError in centralizer_basis, in
+    the groupoid suite's tangent trial: the report is still written, with
+    groupoid.error, and the exit code is 1, as for a UcglError."""
     real = report.random_points
 
     def nan_points(rs, rng, count):
         p = real(rs, rng, count)
-        return GroupoidPoint(B=np.full_like(p.B, np.nan), A=p.A, s=p.s)
+        return GroupoidPoint(B=p.B, A=np.full_like(p.A, np.nan), s=p.s)
 
     monkeypatch.setattr(report, "random_points", nan_points)
     out = tmp_path / "rep.json"

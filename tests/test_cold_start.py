@@ -1,16 +1,12 @@
-"""A process that samples nothing loads no scipy, and core.kernel is null_space."""
+"""A process that samples nothing loads no scipy."""
 
 import json
 import subprocess
 import sys
 
-import numpy as np
 import pytest
-from scipy.linalg import null_space
 
-import ucgl.groupoid as groupoid
 import ucgl.symplectic as symplectic
-from ucgl.core import kernel
 
 
 def _scipy_modules_after(code):
@@ -42,26 +38,3 @@ def test_module_getattr_raises_for_other_names():
     with pytest.raises(AttributeError):
         symplectic.no_such_name
     assert getattr(symplectic, "null_space", None) is None
-
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-def test_kernel_equals_null_space_bit_for_bit(roots, monkeypatch, n):
-    """On the constraint matrices that tangent_space and composable_tangent_basis
-    pass to kernel, 100 of each, at random points over random bases."""
-    seen = []
-
-    def recording(M, rcond):
-        seen.append((np.array(M), rcond))
-        return kernel(M, rcond)
-
-    monkeypatch.setattr(groupoid, "kernel", recording)
-    rs, rng = roots[n], np.random.default_rng(500 + n)
-    for _ in range(100):
-        p = groupoid.random_points(rs, rng, 1)[0]
-        q = groupoid.commuting_point(rs, p.A, groupoid.draw_seed(rng))
-        groupoid.tangent_space(rs, p)
-        symplectic.composable_tangent_basis(rs, groupoid.make_pair(p, q))
-    assert len(seen) == 200
-    for M, rcond in seen:
-        K, Q = kernel(M, rcond), null_space(M, rcond=rcond).T
-        assert K.shape == Q.shape and np.array_equal(K, Q)

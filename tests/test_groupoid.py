@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import null_space
 
 from ucgl.core import determinant, structural_matrices
 from ucgl.errors import (
@@ -9,6 +10,7 @@ from ucgl.errors import (
 )
 from ucgl.groupoid import (
     _centralizer_basis,
+    _tangent_frame,
     centralizer_basis,
     commuting_point,
     draw_seed,
@@ -188,6 +190,41 @@ def test_tangent_space_dimension(roots, n):
         assert np.max(np.abs(np.trace(np.linalg.inv(p.B) @ X, axis1=1, axis2=2))) < 1e-10
 
 
+def _constraints(points, dM):
+    """The linearized constraints of k points over one base, on the unknowns
+    (X_1, ..., X_k, sdot) with X row-major flattened: per point the block
+    X_i -> [X_i, A] built with np.kron, the block sdot -> [B_i, Y(sdot)], and
+    the row X_i -> Tr(B_i^{-1} X_i)."""
+    k, N, n = len(points), len(dM[0]), len(dM)
+    NN = N * N
+    L = np.zeros((k * NN + k, k * NN + n), dtype=complex)
+    for i, x in enumerate(points):
+        rows = np.s_[i * NN : (i + 1) * NN]
+        L[rows, rows] = np.kron(np.eye(N), x.A.T) - np.kron(x.A, np.eye(N))
+        L[rows, k * NN :] = np.transpose([(x.B @ d - d @ x.B).ravel() for d in dM])
+        L[k * NN + i, rows] = np.linalg.inv(x.B).T.ravel()
+    return L
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_tangent_frames_span_the_constraint_null_space(roots, n):
+    """At 20 random points and 20 composable pairs over their bases, the frame
+    rows (X_1, ..., X_k, sdot) of tangent_space and composable_tangent_basis
+    are orthonormal and span scipy.linalg.null_space of the constraints, at
+    relative cutoff 1e-8."""
+    rs, rng = roots[n], np.random.default_rng(500 + n)
+    p = random_points(rs, rng, 20)
+    q = commuting_point(rs, p.A, [draw_seed(rng) for _ in range(20)])
+    for x, y in zip(p, q):
+        dM = dM_ds(rs, x.s)
+        for points in ((x,), (x, y)):
+            W = np.concatenate([x.reshape(len(x), -1) for x in _tangent_frame(rs, points, dM)], axis=1)
+            K = null_space(_constraints(points, dM), rcond=1e-8)
+            assert W.shape == ((len(points) + 1) * n, len(K)) and K.shape[1] == len(W)
+            assert np.max(np.abs(W @ W.conj().T - np.eye(len(W)))) < 1e-13
+            assert np.max(np.abs(W.T - K @ (K.conj().T @ W.T))) < 1e-10
+
+
 def test_tangent_space_unit_example(roots):
     rs = roots[1]
     st1 = structural_matrices(1)
@@ -204,7 +241,7 @@ def test_tangent_space_unit_example(roots):
         res = np.max(np.abs(X @ A - A @ X + p.B @ Y - Y @ p.B))
         assert res < 1e-12
         assert abs(np.trace(np.linalg.inv(p.B) @ X)) < 1e-12
-    # and they lie in the span of the computed kernel basis
+    # and they lie in the span of the computed frame
     K = U.reshape(len(U), -1).T
     for u in (uF, uH):
         w = u.ravel()

@@ -80,9 +80,11 @@ MUTANTS = {
     "groupoid.slocal_fiber_membership": (
         "groupoid.sample_slocal_fiber", "xi = xi - F @ np.swapaxes(xi, -1, -2) @ Fi",
         "xi = xi"),
-    "groupoid.tangent_dimension": (
-        "groupoid.tangent_space", "return np.stack([X, Y], axis=-3), sdot",
-        "return np.stack([X, Y], axis=-3)[..., 1:, :, :, :], sdot"),
+    # lifts off the trace constraint; the bracket still holds
+    "groupoid.tangent_constraints": (
+        "groupoid._horizontal_lifts",
+        "return X - (inverse(B) @ X).trace(axis1=-2, axis2=-1)[..., None, None] / N * B",
+        "return X"),
     "symplectic.unit_block_oracle": ("symplectic._K", ") + np.einsum(", ") - np.einsum("),
     "symplectic.unit_pullback_zero": (
         "groupoid.horizontal_vector_at_unit", "np.stack([np.zeros_like(p.B), Y]",
@@ -99,10 +101,12 @@ MUTANTS = {
     # the realified Gram repeats its first block row
     "symplectic.nondegeneracy": (
         "symplectic.gram_matrix", "[-G.imag, -G.real]]", "[G.real, -G.imag]]"),
-    # gradients that are not functions of s alone, so not in involution
+    # each frame vector given its neighbour's base velocity: the differentials
+    # are no longer those of functions of s, so not in involution (conj(sdot)
+    # is not enough, as the fiber rows have sdot = 0 exactly)
     "symplectic.poisson_brackets": (
         "symplectic.poisson_bracket_residual", "@ np.swapaxes(sdot, -1, -2)",
-        "@ np.swapaxes(np.conj(sdot), -1, -2)"),
+        "@ np.swapaxes(np.roll(sdot, 1, axis=-2), -1, -2)"),
     "symplectic.fiber_isotropy": (
         "groupoid.fiber_vector", "p.B @ xi,", "p.B @ np.swapaxes(xi, -1, -2),"),
     "symplectic.type_two_zero": (

@@ -80,7 +80,7 @@ def test_unit_block_oracle_random(roots):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_unit_closed_form_on_tangent_basis(roots, n):
     """The closed form equals omega on every pair of a full tangent basis at
-    a unit, general kernel vectors included, and misses it off the units."""
+    a unit, general frame vectors included, and misses it off the units."""
     rs = roots[n]
     rng = np.random.default_rng(2300 + n)
 
