@@ -189,6 +189,17 @@ def powers(M, k):
     return P
 
 
+def polynomial_coefficients(A, B):
+    """c, shape (..., N), with B = sum_k c_k A^k for B in the commutant of a
+    regular A (Kostant: the commutant is the polynomials in A): least squares
+    on the vectorised powers I, A, ..., A^n, by their QR."""
+    N = A.shape[-1]
+    P = np.moveaxis(powers(A, N), 0, -1).reshape(A.shape[:-2] + (N * N, N))
+    Q, R = np.linalg.qr(P)
+    b = np.swapaxes(Q, -1, -2).conj() @ B.reshape(B.shape[:-2] + (N * N, 1))
+    return np.linalg.solve(R, b)[..., 0]
+
+
 def spans_powers(P):
     """Whether the N powers P = powers(M, N) span an N-dimensional space, for
     each matrix of a stack: the numerical rank of the flattened powers, with

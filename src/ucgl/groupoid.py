@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import identity, inverse, max_abs, modulus, powers, spans_powers
+from .core import identity, inverse, max_abs, modulus, polynomial_coefficients, powers, spans_powers
 from .errors import NotComposableError, NotRegularError, PreconditionError
 from .involutions import POINT_TOL, GroupoidPoint, make_point, twists
 from .stokes import build_M, dM_ds, rand_palindromic_s, rand_s, section_membership
@@ -188,23 +188,12 @@ def random_slocal_points(rs, rng, count):
     return sample_slocal_fiber(rs, build_M(rs, np.array(s)), seeds)
 
 
-def _polynomial_coefficients(A, B):
-    """c, shape (..., N), with B = sum_k c_k A^k for B in the commutant of a
-    regular A (see centralizer_basis): least squares on the vectorised
-    powers I, A, ..., A^n, by their QR."""
-    N = A.shape[-1]
-    P = np.moveaxis(powers(A, N), 0, -1).reshape(A.shape[:-2] + (N * N, N))
-    Q, R = np.linalg.qr(P)
-    b = np.swapaxes(Q, -1, -2).conj() @ B.reshape(B.shape[:-2] + (N * N, 1))
-    return np.linalg.solve(R, b)[..., 0]
-
-
 def _horizontal_lifts(x, dM):
     """The lifts X_d = X'_d - (Tr(B^{-1} X'_d) / N) B, shape (..., n, N, N), at
     the point x, X'_d the derivative of B = q(A) along dM_d by Horner's rule (q
-    from _polynomial_coefficients): q(A) commutes with A for every A, so
+    from polynomial_coefficients): q(A) commutes with A for every A, so
     [X_d, A] + [B, dM_d] = 0, and Tr(B^{-1} X_d) = 0."""
-    c = _polynomial_coefficients(x.A, x.B)
+    c = polynomial_coefficients(x.A, x.B)
     N = c.shape[-1]
     A, B = x.A[..., None, :, :], x.B[..., None, :, :]  # against the direction axis of dM
     H = c[..., N - 1, None, None] * identity(N)

@@ -27,9 +27,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import determinant, inverse, max_abs, modulus, structural_matrices
+from .core import (
+    determinant,
+    identity,
+    inverse,
+    max_abs,
+    modulus,
+    polynomial_coefficients,
+    structural_matrices,
+)
 from .errors import PreconditionError
-from .stokes import build_Q, build_S, factor_product_derivative, section_membership
+from .stokes import build_M, build_Q, build_S, factor_product_derivative, section_membership
 
 #: default tolerance for the point invariants (commutation, det, section)
 POINT_TOL = 1e-9
@@ -144,11 +152,50 @@ def _constant_twist(rs):
 
 
 def apply_sigma(rs, p, tol=POINT_TOL):
-    """The involution (B, A) -> (F B^{-T} F^{-1}, F A^{-T} F^{-1})."""
+    """The involution (B, A) -> (F B^{-T} F^{-1}, F A^{-T} F^{-1}).
+
+    At odd rank F is a signed permutation and sigma conjugates by it
+    (sigma_by_twist).  At even rank F = S_1(s)^T has cond 1e2 to 1e3, and
+    sigma applied twice amplified round-off past make_point's 1e-9 (up to
+    5.5e-9 at n = 4, 1.7e-7 at n = 6); there sigma takes
+    sigma_by_polynomial, which builds no F.
+    """
+    B2, A2 = (sigma_by_twist if rs.n % 2 == 1 else sigma_by_polynomial)(rs, p)
+    return make_point(rs, B2, A2, tol)
+
+
+def sigma_by_twist(rs, p):
+    """sigma's B- and A-slots by conjugation: F B^{-T} F^{-1} and F A^{-T} F^{-1}."""
     F, Fi, _, _ = twists(rs, p.s)
     B2 = F @ np.swapaxes(inverse(p.B), -1, -2) @ Fi
     A2 = F @ np.swapaxes(inverse(p.A), -1, -2) @ Fi
-    return make_point(rs, B2, A2, tol)
+    return B2, A2
+
+
+def sigma_by_polynomial(rs, p):
+    """sigma's B- and A-slots through B's polynomial in A, with no twist.
+
+    sigma(A) = M(s reversed) by the section identity.  On the section A is
+    regular, so B = q(A) (polynomial_coefficients), and F A^T F^{-1} =
+    sigma(A)^{-1} gives sigma(B) = (F q(A)^T F^{-1})^{-1} = q(sigma(A)^{-1})^{-1},
+    q evaluated by Horner's rule.
+    """
+    A2 = build_M(rs, p.s[..., ::-1])
+    c = polynomial_coefficients(p.A, p.B)
+    X = inverse(A2)
+    N = rs.n + 1
+    Q = c[..., N - 1, None, None] * identity(N)
+    for k in range(N - 2, -1, -1):
+        Q = c[..., k, None, None] * identity(N) + X @ Q
+    return inverse(Q), A2
+
+
+def sigma_route_gap(rs, p):
+    """max|sigma_by_twist B - sigma_by_polynomial B| / max|sigma_by_polynomial B|,
+    one value per point of a stack: the two routes to sigma(B) agree, which
+    tests F_sigma where sigma itself no longer conjugates by it."""
+    Bt, Bq = sigma_by_twist(rs, p)[0], sigma_by_polynomial(rs, p)[0]
+    return max_abs(Bt - Bq) / max_abs(Bq)
 
 
 def apply_theta(rs, p, tol=POINT_TOL):

@@ -58,6 +58,7 @@ from ucgl.involutions import (
     make_point,
     point_distance,
     sigma_differential,
+    sigma_route_gap,
     slocal_membership,
     theta_differential,
 )
@@ -136,6 +137,7 @@ def reference_laws(rs, rng):
             point_distance(f(rs, pq), groupoid_compose(rs, make_pair(fp, f(rs, q))))
             for f, fp in ((apply_sigma, sp), (apply_theta, tp))
         ],
+        "involutions.sigma_route_agreement": sigma_route_gap(rs, p),
     }
 
 
@@ -431,9 +433,9 @@ def test_trials_give_every_check(roots, monkeypatch, n):
 
 @pytest.mark.parametrize("seed", [7, 35, 37])
 def test_batched_laws_at_the_marginal_seeds(roots, seed):
-    """At these verify seeds the largest make_point commutator of the laws trial
-    sits just under its absolute bound of 1e-9 at n = 4, so any round-off
-    change could raise there."""
+    """At these verify seeds the laws trial's largest make_point commutator at
+    n = 4 came within a tenth of its absolute bound of 1e-9 while sigma
+    conjugated by F_sigma at even rank (see test_sigma_twice_at_even_rank)."""
     _assert_trial_matches(roots[4], "laws", seed, 100)
 
 

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from ucgl import involutions
-from ucgl.core import char_poly, inverse, structural_matrices
+from ucgl.core import char_poly, inverse, max_abs, structural_matrices
 from ucgl.errors import PreconditionError
 from ucgl.groupoid import (
     centralizer_basis,
@@ -23,11 +23,15 @@ from ucgl.involutions import (
     apply_theta,
     make_point,
     point_distance,
+    sigma_by_polynomial,
+    sigma_by_twist,
     sigma_differential,
+    sigma_route_gap,
     slocal_membership,
     theta_differential,
     twists,
 )
+from ucgl.report import run_suite
 from ucgl.stokes import build_M, build_S, dM_ds, derive_root_sets, rand_palindromic_s, rand_s
 
 TOL = 1e-9
@@ -147,6 +151,30 @@ def test_involutions_square_to_identity_and_commute(roots, n):
         st = apply_sigma(rs, apply_theta(rs, p))
         ts = apply_theta(rs, apply_sigma(rs, p))
         assert point_distance(st, ts) < TOL
+
+
+@pytest.mark.parametrize("seed", [3, 18, 22, 25])
+def test_sigma_twice_at_even_rank(roots, seed):
+    """At these seeds sigma by conjugation with F_sigma = S_1(s)^T gave sigma(sigma(p))
+    commutators of 1.1e-9 to 5.5e-9, and the involutions suite raised at
+    n = 4; through B's polynomial in A they are round-off."""
+    rep = run_suite({"n": 4, "suite": "involutions", "seed": seed, "samples": 100})
+    assert rep.all_passed, [(c.name, c.max_residual, c.details) for c in rep.checks
+                            if not c.passed]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sigma_routes_agree(roots, n):
+    """apply_sigma takes sigma_by_twist at odd rank and sigma_by_polynomial at
+    even rank; both give the same point to round-off at every rank."""
+    rs = roots[n] if n in roots else derive_root_sets(n)
+    p = random_points(rs, np.random.default_rng(700 + n), 50)
+    assert (sigma_route_gap(rs, p) < 1e-9).all()
+    Bt, At = sigma_by_twist(rs, p)
+    Bq, Aq = sigma_by_polynomial(rs, p)
+    assert (max_abs(At - Aq) / max_abs(Aq) < 1e-9).all()
+    sp = apply_sigma(rs, p)
+    assert np.array_equal(sp.B, Bt if n % 2 else Bq)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
