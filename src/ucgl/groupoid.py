@@ -4,7 +4,8 @@ Because every base lies on the section, which meets each regular conjugacy
 class exactly once, two elements are composable iff their bases are equal:
 source and target coincide, s = t = A, so the groupoid is a bundle of groups
 over the section and needs no maps for them.  Composition multiplies the
-B-slots.
+B-slots.  The samplers exponentiate elements of A's commutant with
+core.expm, which needs numpy alone.
 """
 
 import functools
@@ -12,7 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import identity, inverse, max_abs, modulus, polynomial_coefficients, powers, spans_powers
+from .core import (
+    expm,
+    identity,
+    inverse,
+    max_abs,
+    modulus,
+    polynomial_coefficients,
+    powers,
+    spans_powers,
+)
 from .errors import NotComposableError, NotRegularError, PreconditionError
 from .involutions import POINT_TOL, GroupoidPoint, make_point, twists
 from .stokes import build_M, dM_ds, rand_palindromic_s, rand_s, section_membership
@@ -94,14 +104,6 @@ def _centralizer_basis(shape, data):
     return E
 
 
-def expm(X):
-    """scipy.linalg.expm, imported at the first call, so that a process that
-    samples nothing never loads scipy."""
-    import scipy.linalg
-
-    return scipy.linalg.expm(X)
-
-
 def combine(c, E):
     """sum_k c_k E_k for coefficients c of shape (..., n), or (..., m, n) for m
     combinations at once, and a basis E of shape (..., n, N, N), one point at
@@ -128,7 +130,8 @@ def _commutant_element(A, seed):
 def sample_commuting(A, seed):
     """Deterministic det-1 element expm(xi) of the centralizer of a regular A, xi from
     _commutant_element: it commutes with A, and det = exp(Tr xi) = 1.  A stack
-    of A with a list of seeds gives the stack of the single calls."""
+    of A with a list of seeds gives the stack of the single calls, as
+    core.expm gives each matrix of a stack the bytes of a single call."""
     return expm(_commutant_element(A, seed))
 
 

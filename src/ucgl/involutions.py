@@ -6,10 +6,13 @@ B commuting with A, det B = 1.  The involutions act by
     sigma(B, A) = (F B^{-T} F^{-1}, F A^{-T} F^{-1})        with F = F_sigma(s)
     theta(B, A) = (G conj(B) G^{-1}, G conj(A)^{-1} G^{-1})  with G = F_theta(s)
 
-where s is always read off the base of the *input* point.  Their joint fixed
-set is the monodromy-data locus; slocal_membership tests it, inverting
-neither B nor A, by the identities B F B^T = F, A F A^T = F,
-G conj(B) = B G and A G conj(A) = G.
+where s is always read off the base of the *input* point.  At even rank
+apply_sigma builds no F: F = S_1(s)^T is ill-conditioned there, and
+sigma_by_polynomial gives the same point from the section identity and B's
+polynomial in A; sigma_route_gap compares the two routes.  The joint
+fixed set of sigma and theta is the monodromy-data locus; slocal_membership
+tests it, inverting neither B nor A, by the identities B F B^T = F,
+A F A^T = F, G conj(B) = B G and A G conj(A) = G.
 
 sigma_differential and theta_differential push stacked tangents forward
 exactly, by d(F Z F^{-1}) = F dZ F^{-1} + [dF F^{-1}, F Z F^{-1}].  The

@@ -31,14 +31,13 @@ import numpy as np
 
 from . import bondal as bd
 from .connection import alpha_symmetry_residual, random_antisymmetric_input, TodaInput, SYMMETRY_KINDS
-from .core import char_poly, determinant, identity, inverse, is_regular, max_abs, modulus
+from .core import char_poly, determinant, expm, identity, inverse, is_regular, max_abs, modulus
 from .errors import UcglError
 from .groupoid import (
     centralizer_basis,
     combine,
     commuting_point,
     draw_seed,
-    expm,
     fiber_vector,
     groupoid_compose,
     groupoid_inverse,

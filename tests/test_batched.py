@@ -24,7 +24,7 @@ from ucgl.connection import (
     build_W,
     random_antisymmetric_input,
 )
-from ucgl.core import char_poly, determinant, inverse, is_regular, structural_matrices
+from ucgl.core import char_poly, determinant, expm, inverse, is_regular, structural_matrices
 from ucgl.errors import (
     DegenerateFormError,
     NotComposableError,
@@ -37,7 +37,6 @@ from ucgl.groupoid import (
     combine,
     commuting_point,
     draw_seed,
-    expm,
     fiber_vector,
     groupoid_compose,
     groupoid_inverse,
@@ -212,7 +211,9 @@ def reference_chains(rs, rng):
 
 
 def _c_reality(rs, B):
-    return _sup(B @ np.conj(B) - np.eye(rs.n + 1)) / max(1.0, np.linalg.norm(B, 2) ** 2)
+    # np.square, as the trial squares its array of norms; ** on one numpy
+    # scalar calls pow, which can differ from x * x in the last bit
+    return _sup(B @ np.conj(B) - np.eye(rs.n + 1)) / max(1.0, np.square(np.linalg.norm(B, 2)))
 
 
 def reference_real_char_poly(rs, rng):

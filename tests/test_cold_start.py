@@ -1,4 +1,4 @@
-"""A process that samples nothing loads no scipy."""
+"""No command of the package loads scipy; only bench's tracer asks for it."""
 
 import json
 import subprocess
@@ -25,11 +25,12 @@ def test_import_and_derive_roots_load_no_scipy():
     assert loaded == []
 
 
-def test_sampling_loads_scipy_linalg():
+def test_sampling_and_verify_load_no_scipy():
     loaded = _scipy_modules_after(
         "import json, sys, ucgl.cli\n"
-        "assert ucgl.cli.main(['sample-slocal', '--n', '2', '--seed', '1', '--count', '1']) == 0")
-    assert "scipy.linalg" in loaded
+        "assert ucgl.cli.main(['sample-slocal', '--n', '2', '--seed', '1', '--count', '1']) == 0\n"
+        "assert ucgl.cli.main(['verify', '--n', '2', '--suite', 'all', '--samples', '3']) == 0")
+    assert loaded == []
 
 
 def test_module_getattr_raises_for_other_names():
