@@ -3,15 +3,17 @@
 Everything here is plain numpy on small square complex arrays.  The
 matrix functions broadcast over leading axes: a stack of shape (..., N, N)
 is a stack of independent matrices, and a single matrix is a stack with no
-leading axes, so one code path serves both.  The
-structural matrices (cyclic shifts, roots of unity, flips) are the fixed
-scaffolding that the Stokes-factor and involution modules build on; they are
-built once per rank and shared read-only.
+leading axes, so one code path serves both.  expm takes one Pade degree,
+13, at every norm.  The structural matrices (cyclic shifts, roots of
+unity, flips) are the fixed scaffolding that the Stokes-factor and
+involution modules build on; they are built once per rank and shared
+read-only.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -190,75 +192,53 @@ def powers(M, k):
     return P
 
 
-#: the Pade degrees m of expm and theta_m, the largest 1-norm at which the
-#: [m/m] approximant of exp has backward error below the unit roundoff of
-#: double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3)
-PADE_DEGREES = (3, 5, 7, 9, 13)
-PADE_THETA = np.array([1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
-                       2.097847961257068e0, 5.371920351148152e0])
+#: theta_13, the largest 1-norm at which the [13/13] Pade approximant of exp
+#: has backward error below the unit roundoff of double precision (Higham,
+#: SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3)
+THETA_13 = 5.371920351148152
 
-#: b_0, ..., b_m of the [m/m] Pade approximant of exp, scaled to b_m = 1, per
-#: degree m: b_j = (2m - j)! / (j! (m - j)!), an integer, rounded once to a float
-_PADE_B = {m: [float(math.factorial(2 * m - j) // (math.factorial(j) * math.factorial(m - j)))
-               for j in range(m + 1)] for m in PADE_DEGREES}
+#: b_0, ..., b_13 of the [13/13] Pade approximant of exp, scaled to b_0 = 1:
+#: b_j = C(13, j) (26 - j)! / 26!, each rounded once from the exact fraction,
+#: so that exp(0) is I exactly
+_PADE_B = [float(Fraction(math.comb(13, j), math.perm(26, j))) for j in range(14)]
 
 
-def _pade(A, m):
-    """The [m/m] Pade approximant (V - U)^{-1} (V + U) of exp over a stack A,
+def _pade(A):
+    """The [13/13] Pade approximant (V - U)^{-1} (V + U) of exp over a stack A,
     U and V the odd and even parts of its numerator, evaluated as in Higham
-    (2005), section 2: in powers of A^2, and for m = 13 with A^6 factored out."""
-    b = _PADE_B[m]
+    (2005), section 2: in powers of A^2, with A^6 factored out."""
+    b = _PADE_B
     I = identity(A.shape[-1])
     A2 = A @ A
-    if m == 13:
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
-                 + b[1] * I)
-        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I
-    else:
-        P = [I, A2]  # I, A^2, A^4, ..., A^(m - 1)
-        while len(P) <= m // 2:
-            P.append(P[-1] @ A2)
-        U = b[1] * I
-        V = b[0] * I
-        for j in range(1, m // 2 + 1):
-            U = U + b[2 * j + 1] * P[j]
-            V = V + b[2 * j] * P[j]
-        U = A @ U
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2
+             + b[1] * I)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + I
     return np.linalg.solve(V - U, V + U)
 
 
 def expm(X):
     """exp of a square complex matrix, or of each matrix of a stack, by scaling
-    and squaring (Higham, SIAM J. Matrix Anal. Appl. 26, 2005).
+    and squaring with the [13/13] Pade approximant (Higham, SIAM J. Matrix
+    Anal. Appl. 26, 2005).
 
-    Each matrix takes the least Pade degree m of PADE_DEGREES whose theta_m
-    is at least its 1-norm.  Past theta_13 it takes m = 13 and is scaled by
-    2^-s, s the least with 2^-s times its 1-norm at most theta_13, and the
-    approximant is squared s times.  The matrices of one degree are evaluated
-    together, and the k-th squaring multiplies only those with s >= k (the
-    whole stack when every s is equal), so each matrix of a stack gets the
-    bytes of a single call.
+    A matrix whose 1-norm exceeds THETA_13 is scaled by 2^-s, s the least
+    with 2^-s times its 1-norm at most THETA_13, and its approximant is
+    squared s times; any other matrix has s = 0.  The k-th squaring
+    multiplies only the matrices with s >= k (the whole stack when every s
+    is equal), so each matrix of a stack gets the bytes of a single call.
     """
     X = _as_matrix(X)
     N = X.shape[-1]
     A = X.reshape((-1, N, N))
     norm = modulus(A).sum(axis=-2).max(axis=-1)
-    degree = np.minimum(np.searchsorted(PADE_THETA, norm), len(PADE_DEGREES) - 1)
     s = np.zeros(len(A), dtype=int)
-    big = norm > PADE_THETA[-1]
+    big = norm > THETA_13
     if big.any():
-        s[big] = np.ceil(np.log2(norm[big] / PADE_THETA[-1]))
+        s[big] = np.ceil(np.log2(norm[big] / THETA_13))
         A = A * np.ldexp(1.0, -s)[:, None, None]  # exact: a power of two
-    kinds = np.unique(degree)
-    if len(kinds) == 1:
-        R = _pade(A, PADE_DEGREES[kinds[0]])
-    else:
-        R = np.empty_like(A)
-        for k in kinds:
-            i = degree == k
-            R[i] = _pade(A[i], PADE_DEGREES[k])
+    R = _pade(A)
     for k in range(s.max()):
         i = s > k
         if i.all():
