@@ -17,10 +17,9 @@ and so fails.
 Each suite draws from its own generator, seeded by the child of
 SeedSequence(seed) that belongs to the suite's name, so a (config, seed)
 pair draws the same samples every time, and a suite run alone draws what
-it draws inside 'all': checks, sample counts and tolerances repeat.  Most
-residuals repeat byte for byte, but some symplectic ones may differ at
-round-off between runs, across processes and now and then within one
-(poisson_brackets and pullback_random at the 1e-14 level).
+it draws inside 'all': checks, sample counts, tolerances and residuals
+repeat, byte for byte on one machine, within one process and across
+processes; only the report's timing changes.
 """
 
 import json
