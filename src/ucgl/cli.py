@@ -67,11 +67,7 @@ def _emit(text, out):
 
 
 def cmd_derive_roots(args):
-    try:
-        rs = derive_root_sets(args.n, force=True)
-    except SearchFailureError as exc:
-        print(f"root-set failure: {exc}", file=sys.stderr)
-        return 3
+    rs = derive_root_sets(args.n, force=True)
     _emit(json.dumps(root_sets_to_dict(rs), sort_keys=True, indent=2), args.out)
     return 0
 
@@ -95,11 +91,7 @@ def cmd_verify(args):
             config[key] = getattr(args, key)
     if "n" not in config:
         raise UcglError("no rank: pass --n or set n in the config file")
-    try:
-        report = run_suite(config)
-    except SearchFailureError as exc:
-        print(f"root-set failure: {exc}", file=sys.stderr)
-        return 3
+    report = run_suite(config)
     for c in report.checks:
         if c.name.endswith(".error"):
             print(f"error: {c.details['message']}", file=sys.stderr)
@@ -133,6 +125,9 @@ def main(argv=None):
         if args.command == "verify":
             return cmd_verify(args)
         return cmd_sample_slocal(args)
+    except SearchFailureError as exc:
+        print(f"root-set failure: {exc}", file=sys.stderr)
+        return 3
     except UcglError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -7,7 +7,7 @@ import pytest
 from ucgl.cli import main
 from ucgl.core import encode_matrix
 from ucgl.errors import PreconditionError, SearchFailureError, UcglError
-from ucgl import groupoid, report, stokes
+from ucgl import cli, groupoid, report, stokes
 from ucgl.groupoid import draw_seed, sample_slocal_fiber
 from ucgl.involutions import GroupoidPoint, slocal_membership
 from ucgl.report import Check, run_suite
@@ -268,6 +268,14 @@ def test_cli_verify_search_failure_still_exits_3(monkeypatch):
 
     monkeypatch.setattr(report, "derive_root_sets", no_survivor)
     assert main(["verify", "--n", "1", "--suite", "connection", "--samples", "5"]) == 3
+
+
+def test_cli_sample_slocal_search_failure_exits_3(monkeypatch):
+    def no_survivor(n, cache_dir=None, force=False):
+        raise SearchFailureError("no closed-form root-set orientation confirmed")
+
+    monkeypatch.setattr(cli, "derive_root_sets", no_survivor)
+    assert main(["sample-slocal", "--n", "1", "--seed", "0", "--count", "2"]) == 3
 
 
 def test_nan_residual_fails_checks_and_controls(monkeypatch):
