@@ -262,6 +262,5 @@ def fiber_vector(p, xi):
 def horizontal_vector_at_unit(rs, p, sdot):
     """At a unit, the tangent (0, Y) of the base curve s + t*sdot; over a stack of
     units sdot has shape (..., n)."""
-    dM = dM_ds(rs, p.s)
-    Y = sum(sdot[..., d, None, None] * dM[..., d, :, :] for d in range(rs.n))
+    Y = combine(sdot, dM_ds(rs, p.s))
     return np.stack([np.zeros_like(p.B), Y], axis=-3)
