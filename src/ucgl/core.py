@@ -13,7 +13,6 @@ read-only.
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -198,9 +197,9 @@ def powers(M, k):
 THETA_13 = 5.371920351148152
 
 #: b_0, ..., b_13 of the [13/13] Pade approximant of exp, scaled to b_0 = 1:
-#: b_j = C(13, j) (26 - j)! / 26!, each rounded once from the exact fraction,
-#: so that exp(0) is I exactly
-_PADE_B = [float(Fraction(math.comb(13, j), math.perm(26, j))) for j in range(14)]
+#: b_j = C(13, j) (26 - j)! / 26!, each rounded once (int / int is correctly
+#: rounded), so that exp(0) is I exactly
+_PADE_B = [math.comb(13, j) / math.perm(26, j) for j in range(14)]
 
 
 def _pade(A):
