@@ -55,20 +55,25 @@ def _build_parser():
     return parser
 
 
-def _emit(text, out):
+def _emit(chunks, out):
+    """Write the text pieces in turn to the file out, or to stdout with a final
+    newline as print would."""
     if not out:
-        print(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
         return
     try:
         with open(out, "w") as fh:
-            fh.write(text)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
         raise UcglError(f"cannot write {out}: {exc.strerror}") from None
 
 
 def cmd_derive_roots(args):
     rs = derive_root_sets(args.n, force=True)
-    _emit(json.dumps(root_sets_to_dict(rs), sort_keys=True, indent=2), args.out)
+    _emit([json.dumps(root_sets_to_dict(rs), sort_keys=True, indent=2)], args.out)
     return 0
 
 
@@ -96,7 +101,7 @@ def cmd_verify(args):
         if c.name.endswith(".error"):
             print(f"error: {c.details['message']}", file=sys.stderr)
     text = report.to_json() if args.format == "json" else report.to_markdown()
-    _emit(text, args.out)
+    _emit([text], args.out)
     return 0 if report.all_passed else 1
 
 
@@ -108,13 +113,25 @@ def cmd_sample_slocal(args):
     rs = derive_root_sets(args.n)
     p = random_slocal_points(rs, np.random.default_rng(args.seed), args.count)
     member = slocal_membership(rs, p, tol=1e-8)
-    records = [{"B": encode_matrix(q.B), "A": encode_matrix(q.A),
-                "s": [[float(z.real), float(z.imag)] for z in q.s],
-                "flags": {key: bool(flag[i]) for key, flag in member.items()}}
-               for i, q in enumerate(p)]
-    _emit(json.dumps({"n": args.n, "seed": args.seed, "points": records},
-                     sort_keys=True, indent=2), args.out)
+    _emit(_slocal_json(args, p, member), args.out)
     return 0
+
+
+def _slocal_json(args, p, member):
+    """The text of json.dumps({"n", "seed", "points"}, sort_keys=True, indent=2)
+    for the points p, in pieces: each record is encoded only when its piece is
+    written, so neither the records nor the whole text is ever held."""
+    head, tail = json.dumps({"n": args.n, "seed": args.seed, "points": [None]},
+                            sort_keys=True, indent=2).split("null")
+    yield head
+    for i, q in enumerate(p):
+        record = {"B": encode_matrix(q.B), "A": encode_matrix(q.A),
+                  "s": [[float(z.real), float(z.imag)] for z in q.s],
+                  "flags": {key: bool(flag[i]) for key, flag in member.items()}}
+        # a record at the list's depth: indent=2 nests it four spaces in
+        yield (",\n    " if i else "") + json.dumps(record, sort_keys=True,
+                                                    indent=2).replace("\n", "\n    ")
+    yield tail
 
 
 def main(argv=None):

@@ -375,11 +375,12 @@ def unit_blocks(rs, rng, count):
     E = centralizer_basis(A)
     uF, vF = (fiber_vector(u0, combine(draws[:, k], E)) for k in (1, 2))
     uH, vH = (horizontal_vector_at_unit(rs, u0, draws[:, k]) for k in (3, 4))
+    pairs = ((uF, vF), (uH, vH), (uF, vH), (uH, vF))
+    w = [omega(u0, a, b) for a, b in pairs]
     return {
         "symplectic.unit_block_oracle": _columns(*[
-            modulus(omega(u0, a, b) - unit_block_values(A, a, b))
-            for a, b in ((uF, vF), (uH, vH), (uF, vH), (uH, vF))]),
-        "symplectic.unit_pullback_zero": modulus(omega(u0, uH, vH)),
+            modulus(wab - unit_block_values(A, a, b)) for wab, (a, b) in zip(w, pairs)]),
+        "symplectic.unit_pullback_zero": modulus(w[1]),  # the (H, H) block
     }
 
 

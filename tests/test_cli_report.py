@@ -8,7 +8,7 @@ from ucgl.cli import main
 from ucgl.core import encode_matrix
 from ucgl.errors import PreconditionError, SearchFailureError, UcglError
 from ucgl import cli, groupoid, report, stokes
-from ucgl.groupoid import draw_seed, sample_slocal_fiber
+from ucgl.groupoid import draw_seed, random_slocal_points, sample_slocal_fiber
 from ucgl.involutions import GroupoidPoint, slocal_membership
 from ucgl.report import Check, run_suite
 from ucgl.stokes import build_M, derive_root_sets, rand_palindromic_s
@@ -169,6 +169,27 @@ def test_cli_sample_slocal(tmp_path):
                            "s": [[float(z.real), float(z.imag)] for z in p.s],
                            "flags": slocal_membership(rs, p, tol=1e-8)})
         assert data == {"n": n, "seed": 4, "points": points}
+
+
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("count", [1, 5])
+def test_cli_sample_slocal_text_is_json_dumps(tmp_path, capsys, n, count):
+    """sample-slocal writes each record as it is encoded; the bytes, to a file
+    and to stdout, are those of json.dumps of the whole document."""
+    rs = derive_root_sets(n)
+    p = random_slocal_points(rs, np.random.default_rng(7), count)
+    member = slocal_membership(rs, p, tol=1e-8)
+    points = [{"B": encode_matrix(q.B), "A": encode_matrix(q.A),
+               "s": [[float(z.real), float(z.imag)] for z in q.s],
+               "flags": {key: bool(flag[i]) for key, flag in member.items()}}
+              for i, q in enumerate(p)]
+    text = json.dumps({"n": n, "seed": 7, "points": points}, sort_keys=True, indent=2)
+    argv = ["sample-slocal", "--n", str(n), "--seed", "7", "--count", str(count)]
+    out = tmp_path / "pts.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == text.encode()
+    assert main(argv) == 0
+    assert capsys.readouterr().out == text + "\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -97,14 +97,15 @@ MUTANTS = {
         "groupoid._horizontal_lifts",
         "return X - (inverse(B) @ X).trace(axis1=-2, axis2=-1)[..., None, None] / N * B",
         "return X"),
-    "symplectic.unit_block_oracle": ("symplectic._K", ") + np.einsum(", ") - np.einsum("),
+    "symplectic.unit_block_oracle": (
+        "symplectic._K", "+ _pair(P[0], Q[2])", "- _pair(P[0], Q[2])"),
     "symplectic.unit_pullback_zero": (
         "groupoid.horizontal_vector_at_unit", "np.stack([np.zeros_like(p.B), Y]",
         "np.stack([p.A @ Y, Y]"),
     "symplectic.multiplicativity": (
         "symplectic.multiplicativity_residual", "B1 @ U2[X]", "U2[X]"),
     "symplectic.closedness": (
-        "symplectic._omega_derivative", "a @ xd - Ad @ Y[w]", "a @ xd"),
+        "symplectic._omega_derivative", "(T(Y, ax, Ad) +", "(-T(Y, ax, Ad) +"),
     "symplectic.pullback_units": (
         "involutions.theta_differential", "dW[..., 1, :, :] = -Ai @ dW[..., 1, :, :] @ Ai",
         "dW[..., 1, :, :] = Ai @ dW[..., 1, :, :] @ Ai"),

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ucgl import symplectic
-from ucgl.core import structural_matrices
+from ucgl.core import inverse, structural_matrices
 from ucgl.errors import NotComposableError
 from ucgl.groupoid import (
     centralizer_basis,
@@ -18,10 +18,12 @@ from ucgl.groupoid import (
 )
 from ucgl.stokes import build_M, rand_palindromic_s, rand_s, semisimple_s
 from ucgl.symplectic import (
+    _K,
     _character_jacobian,
     _characters,
     _exterior_derivative,
     _omega_derivative,
+    _slots,
     closedness_residual,
     composable_tangent_basis,
     gram_matrix,
@@ -218,6 +220,56 @@ def test_closedness_frame_independent(roots, n):
                         np.max(np.abs(omega_gram(p.B, p.A, MW))))
             assert np.max(np.abs(dwM - ref)) < 1e-11 * scale
             assert (np.max(np.abs(dwM)) < 1e-11 * scale) == closed
+
+
+def _K_einsum(P, Q):
+    """Reference for symplectic._K: each trace pairing as one einsum."""
+    return (np.einsum("...iab,...jba->...ij", P[1], Q[0])
+            + np.einsum("...iab,...jba->...ij", P[0], Q[2]))
+
+
+def _omega_derivative_products(g, a, U):
+    """Reference for symplectic._omega_derivative: the slot derivatives as
+    (w, v) stacks of matrix products, paired by _K_einsum."""
+    gi, ai = inverse(g), inverse(a)
+    P = _slots(gi, a, ai, U)
+    x, Ad, Y = P[0], P[1], U[:, 1]
+    aY, Ya = ai @ Y, Y @ ai
+    w = np.s_[:, None]
+    xd = -(x[w] @ x)
+    Adv = (Y[w] @ x + a @ xd - Ad @ Y[w]) @ ai
+    zd = -(aY[w] @ aY) - Ya @ Ya[w]
+    Pd = (xd, Adv, zd)
+    Kd = _K_einsum(Pd, P) + _K_einsum(P, Pd)
+    return 0.5 * (Kd - Kd.transpose(0, 2, 1))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_trace_kernels_match_references(roots, n):
+    """_K and _omega_derivative, as flattened matmuls, against the einsum and
+    (w, v)-product references, on the real frame and on a random ambient stack.
+
+    Both sides sum the same products in another order.  So _K's difference is
+    scaled by the pairings of the moduli, and D's by max(|D|, |omega|) times
+    cond(B), since x = B^{-1} X carries B's conditioning into every term (D
+    vanishes at n = 1 units).  Over 300 points per rank (random, fixed-locus,
+    units), on both stacks at n = 1..5, these read at most 3.9e-16 and
+    1.5e-15; the bounds are a decade above.
+    """
+    rs = roots[n]
+    rng = np.random.default_rng(2600 + n)
+    for p in _three_points(rs, rng):
+        U, _ = tangent_space(rs, p)
+        F = np.concatenate([U, 1j * U])
+        for W in (F, rng.standard_normal(F.shape) + 1j * rng.standard_normal(F.shape)):
+            gi, ai = inverse(p.B), inverse(p.A)
+            P, Q = _slots(gi, p.A, ai, W), _slots(gi, p.A, ai, W[::-1])
+            moduli = _K_einsum([np.abs(t) for t in P], [np.abs(t) for t in Q])
+            assert np.max(np.abs(_K(P, Q) - _K_einsum(P, Q))) < 4e-15 * np.max(moduli)
+            ref = _omega_derivative_products(p.B, p.A, W)
+            scale = max(np.max(np.abs(ref)), np.max(np.abs(omega_gram(p.B, p.A, W))))
+            assert (np.max(np.abs(_omega_derivative(p.B, p.A, W) - ref))
+                    < 2e-14 * np.linalg.cond(p.B) * scale)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
