@@ -30,6 +30,13 @@ from .stokes import build_M, dM_ds, rand_palindromic_s, rand_s, section_membersh
 #: base-equality tolerance for composability
 BASE_TOL = 1e-10
 
+# SplitMix64's increment gamma and the multipliers and shifts of its
+# finaliser, as one-element uint64 arrays: array arithmetic wraps modulo 2^64
+# without a warning, where numpy scalars warn on overflow
+_GAMMA, _MIX1, _MIX2 = (np.array([v], dtype=np.uint64)
+                        for v in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+_S11, _S27, _S30, _S31, _ONE = (np.array([v], dtype=np.uint64) for v in (11, 27, 30, 31, 1))
+
 
 @dataclass(frozen=True)
 class ComposablePair:
@@ -119,19 +126,71 @@ def combine(c, E):
     return xi.reshape(np.shape(c)[:-1] + (N, N))
 
 
+@functools.cache
+def _counter_hashes(n):
+    """(2n gamma, (gamma, 2 gamma, ..., 2n gamma)) mod 2^64, read-only: seed t's
+    counters 2n t + k, k = 1..2n, times gamma are t (2n gamma) + k gamma."""
+    k = np.arange(2 * n + 1, dtype=np.uint64) * _GAMMA
+    k.flags.writeable = False
+    return k[2 * n :], k[1:]
+
+
+def _seeded_normals(seed, n):
+    """n complex numbers per seed with independent standard normal real and
+    imaginary parts, the law of rand_s: shape np.shape(seed) + (n,).
+
+    Seed t owns the counters 2n t + 1, ..., 2n t + 2n.  Counter k gives the
+    k-th output of SplitMix64 seeded at 0: its finaliser (two xor-shift-
+    multiply rounds and a last xor-shift; Steele, Lea and Flood, OOPSLA 2014)
+    applied to k gamma mod 2^64.  The top 53 bits of that output, plus one,
+    times 2^-53 give a uniform u_k in (0, 1], and Box-Muller maps the first n
+    of a seed's uniforms to radii and the last n to angles: c_j =
+    sqrt(-2 ln u_j) e^(2 pi i u_(n+j)).  So a draw is a function of its own
+    seed alone (Salmon et al., SC 2011), and a stack of seeds gets the bytes
+    of the single calls, with no Generator.
+
+    Seeds are ints at least 0; a negative one raises OverflowError.  The
+    counters wrap modulo 2^64, so the streams are distinct for seeds below
+    2^64 / 2n.
+    """
+    step, first = _counter_hashes(n)
+    z = np.asarray(seed, dtype=np.uint64)[..., None] * step + first
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+    z >>= _S11
+    z += _ONE
+    u = z.astype(float)
+    u *= 2.0 ** -53
+    r = np.log(u[..., :n])
+    r *= -2.0
+    np.sqrt(r, out=r)
+    angle = u[..., n:]
+    angle *= 2 * np.pi
+    c = np.empty(r.shape, dtype=complex)
+    np.multiply(r, np.cos(angle), out=c.real)
+    np.multiply(r, np.sin(angle), out=c.imag)
+    return c
+
+
 def _commutant_element(A, seed):
-    """xi = sum_k c_k E_k over centralizer_basis(A), c complex standard normal from
-    seed; a stack of A takes a list of seeds, one per matrix."""
+    """xi = sum_k c_k E_k over E = centralizer_basis(A), with c =
+    _seeded_normals(seed, n); a stack of A takes a list of seeds, one per
+    matrix, and draws them in one pass."""
     E = centralizer_basis(A)
-    c = [rand_s(np.random.default_rng(int(t)), E.shape[-3]) for t in np.ravel(seed)]
-    return combine(np.array(c).reshape(E.shape[:-2]), E)
+    return combine(_seeded_normals(seed, E.shape[-3]).reshape(E.shape[:-2]), E)
 
 
 def sample_commuting(A, seed):
-    """Deterministic det-1 element expm(xi) of the centralizer of a regular A, xi from
-    _commutant_element: it commutes with A, and det = exp(Tr xi) = 1.  A stack
-    of A with a list of seeds gives the stack of the single calls, as
-    core.expm gives each matrix of a stack the bytes of a single call."""
+    """Deterministic det-1 element expm(xi) of the centralizer of a regular A:
+    xi = sum_k c_k E_k over the traceless orthonormal basis E of A's commutant,
+    and the seed becomes the n coefficients c through _seeded_normals (counters
+    hashed by SplitMix64, then Box-Muller).  expm(xi) commutes with A, and
+    det = exp(Tr xi) = 1.  A stack of A with a list of seeds gives the stack
+    of the single calls, as core.expm gives each matrix of a stack the bytes
+    of a single call."""
     return expm(_commutant_element(A, seed))
 
 
@@ -139,7 +198,8 @@ def sample_slocal_fiber(rs, A, seed):
     """Deterministic sample B = expm(eta) of the joint fixed set in the fiber over A.
 
     A must lie on the real palindromic slice of the section.  With xi from
-    _commutant_element, eta = (1/2)(1 + theta_*)(1 + beta_*) xi, where
+    _commutant_element, the seed's n coefficients from _seeded_normals as in
+    sample_commuting, eta = (1/2)(1 + theta_*)(1 + beta_*) xi, where
     beta_* xi = -F xi^T F^{-1} and theta_* xi = G conj(xi) G^{-1}, F =
     F_sigma(s), G = F_theta(s), are the differentials of the B-slot maps
     beta(X) = F X^{-T} F^{-1} and thetahat(X) = G conj(X) G^{-1} of sigma

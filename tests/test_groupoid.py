@@ -1,3 +1,6 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import null_space
@@ -10,6 +13,7 @@ from ucgl.errors import (
 )
 from ucgl.groupoid import (
     _centralizer_basis,
+    _seeded_normals,
     _tangent_frame,
     centralizer_basis,
     commuting_point,
@@ -172,6 +176,94 @@ def test_seeded_samplers_draw_in_documented_order(roots, n):
         A = build_M(rs, rand_palindromic_s(twin, n))
         assert np.array_equal(f[i].B, sample_slocal_fiber(rs, A, int(twin.integers(0, 2 ** 31))).B)
     assert rng.random() == twin.random()
+
+
+def _raises_alike(call, *args):
+    with pytest.raises(Exception) as err:
+        call(*args)
+    return type(err.value), str(err.value)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_seeded_draws_of_a_stack_equal_the_single_calls(roots, n):
+    """A stack of seeds, 0 and 2^31 - 1 among them, draws bit for bit what
+    each seed draws alone, and so does sample_commuting on a stack of bases; a
+    negative seed or a non-regular base in the stack raises what the single
+    call raises."""
+    rs, rng = roots[n], np.random.default_rng(3000 + n)
+    seeds = [0, 2 ** 31 - 1] + [draw_seed(rng) for _ in range(30)]
+    c = _seeded_normals(seeds, n)
+    assert c.shape == (32, n) and c.dtype == complex and np.isfinite(c).all()
+    assert c.tobytes() == np.array([_seeded_normals(t, n) for t in seeds]).tobytes()
+    assert _seeded_normals(np.reshape(seeds, (4, 8)), n).tobytes() == c.tobytes()
+    A = build_M(rs, np.array([rand_s(rng, n) for _ in seeds]))
+    B = sample_commuting(A, seeds)
+    assert B.tobytes() == np.array([sample_commuting(a, t) for a, t in zip(A, seeds)]).tobytes()
+    negative = seeds[:7] + [-1] + seeds[8:]
+    assert _raises_alike(sample_commuting, A, negative) == _raises_alike(sample_commuting, A[7], -1)
+    assert _raises_alike(sample_commuting, A[7], -1)[0] is OverflowError
+    flat = A.copy()
+    flat[7] = np.eye(n + 1)
+    assert _raises_alike(sample_commuting, flat, seeds) == _raises_alike(sample_commuting, flat[7], 7)
+    assert _raises_alike(sample_commuting, flat[7], 7)[0] is NotRegularError
+
+
+def test_seeded_draws_follow_the_law_of_rand_s():
+    """Over 2 * 10^5 draws, at consecutive seeds (neighbouring counters), the
+    real and imaginary parts have mean 0 and variance 1 and are uncorrelated,
+    with each other, across the coefficients of a seed and across neighbouring
+    seeds, all within 5 sigma of independent standard normals."""
+    c = _seeded_normals(np.arange(50_000), 4)
+    m = c.size
+    x, y = c.real.ravel(), c.imag.ravel()
+    for part in (x, y):
+        assert abs(part.mean()) < 5 / np.sqrt(m)
+        assert abs(part.var() - 1) < 5 * np.sqrt(2 / m)
+    pairs = [(x, y), (c[:, 0].real, c[:, 1].real), (c[:-1, 0].real, c[1:, 0].real)]
+    for a, b in pairs:
+        assert abs(np.corrcoef(a, b)[0, 1]) < 5 / np.sqrt(len(a))
+
+
+def _splitmix64(k):
+    """The k-th output of SplitMix64 seeded at 0, in Python integers."""
+    mask = 2 ** 64 - 1
+    z = k * 0x9E3779B97F4A7C15 & mask
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & mask
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & mask
+    return z ^ z >> 31
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_seeded_draws_match_a_splitmix64_reference(n):
+    """Each seed's coefficients from its counters through a scalar SplitMix64
+    and Box-Muller in the math module, to a few units of round-off."""
+    for t in (0, 1, 7, 2 ** 31 - 1):
+        u = [((_splitmix64(2 * n * t + k) >> 11) + 1) * 2.0 ** -53 for k in range(1, 2 * n + 1)]
+        ref = [math.sqrt(-2 * math.log(u[j])) * cmath.exp(2j * math.pi * u[n + j]) for j in range(n)]
+        assert np.allclose(_seeded_normals(t, n), ref, rtol=1e-14, atol=1e-15)
+
+
+def test_distinct_seeds_draw_distinct_coefficients():
+    for n in (1, 4):
+        c = _seeded_normals(np.arange(20_000), n)
+        assert len({row.tobytes() for row in c}) == len(c)
+        assert len(np.unique(c.real)) == c.size
+
+
+def test_stacked_samplers_build_no_generator(roots, monkeypatch):
+    """On a stack, sample_commuting and sample_slocal_fiber draw every point's
+    coefficients without a numpy Generator."""
+    rs, rng = roots[3], np.random.default_rng(3100)
+    seeds = [draw_seed(rng) for _ in range(10)]
+    A = build_M(rs, np.array([rand_s(rng, 3) for _ in seeds]))
+    F = build_M(rs, np.array([rand_palindromic_s(rng, 3) for _ in seeds]))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a sampler built a Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    assert sample_commuting(A, seeds).shape == A.shape
+    assert sample_slocal_fiber(rs, F, seeds).B.shape == F.shape
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
