@@ -8,13 +8,17 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 a check failed or a suite raised (the
 report is still written), 2 usage error (a seed below 0 among them) or an
 --out that cannot be written, 3 root-set failure (no orientation of the
-closed-form rule is confirmed).  sample-slocal samples one stack, which
-raises the first invariant that any point breaks: with two bad points the
-message may differ from point-by-point sampling, the exit code does not.
+closed-form rule is confirmed).  sample-slocal samples and tests its points
+in stacks of SLOCAL_CHUNK and writes each stack's records before it samples
+the next.  A stack raises the first invariant that any of its points
+breaks: with two bad points the message may differ from point-by-point
+sampling, the exit code does not.  The records written before the error
+stay on stdout, and a partial --out file is removed.
 """
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -25,6 +29,12 @@ from .groupoid import random_slocal_points
 from .involutions import slocal_membership
 from .report import SUITES, run_suite
 from .stokes import derive_root_sets, root_sets_to_dict
+
+#: points that sample-slocal samples and tests at a time, so that its peak
+#: memory stops growing with --count once the value-keyed memos (32 stacks
+#: each) are full; the stacked primitives give each point the bytes of a
+#: single call, so the output does not depend on it
+SLOCAL_CHUNK = 64
 
 
 def _build_parser():
@@ -69,6 +79,9 @@ def _emit(chunks, out):
                 fh.write(chunk)
     except OSError as exc:
         raise UcglError(f"cannot write {out}: {exc.strerror}") from None
+    except UcglError:
+        os.remove(out)  # what a piece raised: leave no partial document
+        raise
 
 
 def cmd_derive_roots(args):
@@ -111,26 +124,30 @@ def cmd_sample_slocal(args):
     if args.seed < 0:
         raise UcglError(f"seed must be at least 0, got {args.seed}")
     rs = derive_root_sets(args.n)
-    p = random_slocal_points(rs, np.random.default_rng(args.seed), args.count)
-    member = slocal_membership(rs, p, tol=1e-8)
-    _emit(_slocal_json(args, p, member), args.out)
+    _emit(_slocal_json(args, rs), args.out)
     return 0
 
 
-def _slocal_json(args, p, member):
+def _slocal_json(args, rs):
     """The text of json.dumps({"n", "seed", "points"}, sort_keys=True, indent=2)
-    for the points p, in pieces: each record is encoded only when its piece is
-    written, so neither the records nor the whole text is ever held."""
+    for the args.count points of random_slocal_points(rs, default_rng(args.seed),
+    args.count), in pieces: the points are drawn from that generator and tested
+    SLOCAL_CHUNK at a time, and each record is encoded only when its piece is
+    written, so neither all the points, the records nor the text is ever held."""
     head, tail = json.dumps({"n": args.n, "seed": args.seed, "points": [None]},
                             sort_keys=True, indent=2).split("null")
     yield head
-    for i, q in enumerate(p):
-        record = {"B": encode_matrix(q.B), "A": encode_matrix(q.A),
-                  "s": [[float(z.real), float(z.imag)] for z in q.s],
-                  "flags": {key: bool(flag[i]) for key, flag in member.items()}}
-        # a record at the list's depth: indent=2 nests it four spaces in
-        yield (",\n    " if i else "") + json.dumps(record, sort_keys=True,
-                                                    indent=2).replace("\n", "\n    ")
+    rng = np.random.default_rng(args.seed)
+    for start in range(0, args.count, SLOCAL_CHUNK):
+        p = random_slocal_points(rs, rng, min(SLOCAL_CHUNK, args.count - start))
+        member = slocal_membership(rs, p, tol=1e-8)
+        for i, q in enumerate(p):
+            record = {"B": encode_matrix(q.B), "A": encode_matrix(q.A),
+                      "s": [[float(z.real), float(z.imag)] for z in q.s],
+                      "flags": {key: bool(flag[i]) for key, flag in member.items()}}
+            # a record at the list's depth: indent=2 nests it four spaces in
+            yield (",\n    " if start + i else "") + json.dumps(
+                record, sort_keys=True, indent=2).replace("\n", "\n    ")
     yield tail
 
 

@@ -172,10 +172,11 @@ def test_cli_sample_slocal(tmp_path):
 
 
 @pytest.mark.parametrize("n", [1, 4])
-@pytest.mark.parametrize("count", [1, 5])
+@pytest.mark.parametrize("count", [1, 5, 2 * cli.SLOCAL_CHUNK + 1])
 def test_cli_sample_slocal_text_is_json_dumps(tmp_path, capsys, n, count):
-    """sample-slocal writes each record as it is encoded; the bytes, to a file
-    and to stdout, are those of json.dumps of the whole document."""
+    """sample-slocal writes each record as it is encoded, and samples in
+    chunks; the bytes, to a file and to stdout, are those of json.dumps of
+    the whole document of one stack."""
     rs = derive_root_sets(n)
     p = random_slocal_points(rs, np.random.default_rng(7), count)
     member = slocal_membership(rs, p, tol=1e-8)
@@ -190,6 +191,28 @@ def test_cli_sample_slocal_text_is_json_dumps(tmp_path, capsys, n, count):
     assert out.read_bytes() == text.encode()
     assert main(argv) == 0
     assert capsys.readouterr().out == text + "\n"
+
+
+def test_cli_sample_slocal_error_in_a_later_chunk(tmp_path, monkeypatch, capsys):
+    """A chunk that raises stops sample-slocal with exit code 2 and removes
+    the partial --out file; on stdout the earlier chunks' records stay."""
+    real, calls = cli.random_slocal_points, []
+
+    def second_chunk_raises(rs, rng, count):
+        calls.append(count)
+        if len(calls) == 2:
+            raise PreconditionError("det B differs from 1 beyond tolerance")
+        return real(rs, rng, count)
+
+    monkeypatch.setattr(cli, "random_slocal_points", second_chunk_raises)
+    argv = ["sample-slocal", "--n", "2", "--seed", "4", "--count", str(2 * cli.SLOCAL_CHUNK)]
+    out = tmp_path / "pts.json"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert calls == [cli.SLOCAL_CHUNK] * 2 and not out.exists()
+    assert capsys.readouterr().err == "error: det B differs from 1 beyond tolerance\n"
+    calls.clear()
+    assert main(argv) == 2
+    assert capsys.readouterr().out.count('"flags"') == cli.SLOCAL_CHUNK
 
 
 @pytest.mark.parametrize("argv", [
