@@ -30,12 +30,10 @@ from .stokes import build_M, dM_ds, rand_palindromic_s, rand_s, section_membersh
 #: base-equality tolerance for composability
 BASE_TOL = 1e-10
 
-# SplitMix64's increment gamma and the multipliers and shifts of its
-# finaliser, as one-element uint64 arrays: array arithmetic wraps modulo 2^64
-# without a warning, where numpy scalars warn on overflow
-_GAMMA, _MIX1, _MIX2 = (np.array([v], dtype=np.uint64)
-                        for v in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
-_S11, _S27, _S30, _S31, _ONE = (np.array([v], dtype=np.uint64) for v in (11, 27, 30, 31, 1))
+#: SplitMix64's increment gamma and the multipliers of its finaliser; they
+#: only ever meet arrays, whose uint64 arithmetic wraps modulo 2^64 silently
+_GAMMA, _MIX1, _MIX2 = (np.uint64(v) for v in (0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9,
+                                               0x94D049BB133111EB))
 
 
 @dataclass(frozen=True)
@@ -155,24 +153,12 @@ def _seeded_normals(seed, n):
     """
     step, first = _counter_hashes(n)
     z = np.asarray(seed, dtype=np.uint64)[..., None] * step + first
-    z ^= z >> _S30
-    z *= _MIX1
-    z ^= z >> _S27
-    z *= _MIX2
-    z ^= z >> _S31
-    z >>= _S11
-    z += _ONE
-    u = z.astype(float)
-    u *= 2.0 ** -53
-    r = np.log(u[..., :n])
-    r *= -2.0
-    np.sqrt(r, out=r)
-    angle = u[..., n:]
-    angle *= 2 * np.pi
-    c = np.empty(r.shape, dtype=complex)
-    np.multiply(r, np.cos(angle), out=c.real)
-    np.multiply(r, np.sin(angle), out=c.imag)
-    return c
+    z = (z ^ z >> 30) * _MIX1
+    z = (z ^ z >> 27) * _MIX2
+    u = (((z ^ z >> 31) >> 11) + 1) * 2.0 ** -53
+    r = np.sqrt(-2.0 * np.log(u[..., :n]))
+    angle = 2 * np.pi * u[..., n:]
+    return r * np.cos(angle) + 1j * (r * np.sin(angle))
 
 
 def _commutant_element(A, seed):
