@@ -125,9 +125,10 @@ def combine(c, E):
 
 
 @functools.cache
-def _counter_hashes(n):
-    """(2n gamma, (gamma, 2 gamma, ..., 2n gamma)) mod 2^64, read-only: seed t's
-    counters 2n t + k, k = 1..2n, times gamma are t (2n gamma) + k gamma."""
+def _counter_states(n):
+    """(2n gamma, (gamma, 2 gamma, ..., 2n gamma)) mod 2^64, read-only: the
+    SplitMix64 states k gamma of seed t's counters k = 2n t + 1, ..., 2n t +
+    2n are t (2n gamma) + (1, ..., 2n) gamma."""
     k = np.arange(2 * n + 1, dtype=np.uint64) * _GAMMA
     k.flags.writeable = False
     return k[2 * n :], k[1:]
@@ -147,11 +148,11 @@ def _seeded_normals(seed, n):
     seed alone (Salmon et al., SC 2011), and a stack of seeds gets the bytes
     of the single calls, with no Generator.
 
-    Seeds are ints at least 0; a negative one raises OverflowError.  The
-    counters wrap modulo 2^64, so the streams are distinct for seeds below
-    2^64 / 2n.
+    A seed is a Python int at least 0, or a list of them; a negative one
+    raises OverflowError.  The counters wrap modulo 2^64, so the streams are
+    distinct for seeds below 2^64 / 2n.
     """
-    step, first = _counter_hashes(n)
+    step, first = _counter_states(n)
     z = np.asarray(seed, dtype=np.uint64)[..., None] * step + first
     z = (z ^ z >> 30) * _MIX1
     z = (z ^ z >> 27) * _MIX2
