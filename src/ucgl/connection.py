@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import identity, max_abs, structural_matrices
+from .core import identity, max_abs, modulus, structural_matrices
 from .errors import PreconditionError, InvalidDimensionError
 
 SYMMETRY_KINDS = ("cyclic", "anti", "c_real", "theta_real")
@@ -138,20 +138,27 @@ def alpha_symmetry_residual(kind, inp, require_antisymmetric=True):
         return max_abs(lhs - rhs) / scale
 
 
-def random_antisymmetric_input(n, rng):
-    """Draw a TodaInput with anti-symmetric w, v from a numpy Generator.
+def _random_antisymmetric_inputs(n, rng, count):
+    """count TodaInputs with anti-symmetric w, v, stacked, from one draw of normals.
 
-    Draws w, v, then x, then zeta (moved off the pole when |zeta| < 1e-3).
+    Per input, in draw order: half = ceil((n+1)/2) normals each for w and v
+    (their first halves, anti-symmetrised), then x = exp(0.3 z), then Re zeta
+    and Im zeta (moved off the pole when |zeta| < 1e-3).  All count rows come
+    from one standard_normal call, so a stack draws what count single draws
+    draw, in the same order.
     """
     half = (n + 1) // 2
-    w = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    w[:half] = rng.standard_normal(half)
-    v[:half] = rng.standard_normal(half)
-    w = 0.5 * (w - w[::-1])
-    v = 0.5 * (v - v[::-1])
-    x = float(np.exp(rng.standard_normal() * 0.3))
-    zeta = complex(rng.standard_normal() + 1j * rng.standard_normal())
-    if abs(zeta) < 1e-3:
-        zeta += 1.0
-    return TodaInput(n=n, w=w, v=v, x=x, zeta=zeta)
+    z = rng.standard_normal((count, 2 * half + 3))
+    wv = np.zeros((count, 2, n + 1))
+    wv[..., :half] = z[:, : 2 * half].reshape(count, 2, half)
+    wv = 0.5 * (wv - wv[..., ::-1])
+    zeta = z[:, -2] + 1j * z[:, -1]
+    zeta = np.where(modulus(zeta) < 1e-3, zeta + 1.0, zeta)
+    return TodaInput(n=n, w=wv[:, 0], v=wv[:, 1], x=np.exp(z[:, -3] * 0.3), zeta=zeta)
+
+
+def random_antisymmetric_input(n, rng):
+    """Draw one TodaInput with anti-symmetric w, v from a numpy Generator: the
+    count-1 view of _random_antisymmetric_inputs, x a float and zeta a complex."""
+    inp = _random_antisymmetric_inputs(n, rng, 1)
+    return TodaInput(n=n, w=inp.w[0], v=inp.v[0], x=float(inp.x[0]), zeta=complex(inp.zeta[0]))

@@ -308,6 +308,6 @@ def fiber_vector(p, xi):
 
 def horizontal_vector_at_unit(rs, p, sdot):
     """At a unit, the tangent (0, Y) of the base curve s + t*sdot; over a stack of
-    units sdot has shape (..., n)."""
+    units sdot has shape (..., n), or (..., m, n) for m tangents at each unit."""
     Y = combine(sdot, dM_ds(rs, p.s))
-    return np.stack([np.zeros_like(p.B), Y], axis=-3)
+    return np.stack([np.zeros_like(Y), Y], axis=-3)

@@ -4,7 +4,8 @@ Each suite runs the property checks of one module at a configured rank and
 seed and returns named checks with residuals and tolerances.  A suite is
 trial functions of the sample count plus a tolerance table.  A trial first
 draws from the suite's generator, in a short loop, exactly what its
-one-sample form drew, in the same order, and then evaluates every sample
+one-sample form drew, in the same order (the connection trials draw all
+their normals in one call, in that order), and then evaluates every sample
 at once on stacks (of points, see involutions.GroupoidPoint, or of
 connection inputs), returning under each name an array whose first axis
 is the sample.  Stacked numpy operations give each sample the bytes a
@@ -29,7 +30,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bondal as bd
-from .connection import alpha_symmetry_residual, random_antisymmetric_input, TodaInput, SYMMETRY_KINDS
+from .connection import (
+    _random_antisymmetric_inputs,
+    alpha_symmetry_residual,
+    TodaInput,
+    SYMMETRY_KINDS,
+)
 from .core import char_poly, determinant, expm, identity, inverse, is_regular, max_abs, modulus
 from .errors import UcglError
 from .groupoid import (
@@ -75,6 +81,7 @@ from .symplectic import (
     involution_pullback_residual,
     multiplicativity_residual,
     omega,
+    omega_gram,
     poisson_bracket_residual,
     real_form_checks,
     type_20_residual,
@@ -175,16 +182,9 @@ def _compose(rs, p, q):
 # suites: trial functions plus a tolerance table
 
 
-def _toda_inputs(n, rng, count):
-    """count draws of random_antisymmetric_input(n, rng), in draw order, as one stacked input."""
-    draws = [random_antisymmetric_input(n, rng) for _ in range(count)]
-    return TodaInput(n=n, **{key: np.array([getattr(d, key) for d in draws])
-                             for key in ("w", "v", "x", "zeta")})
-
-
 def connection_symmetries(rs, rng, count):
     """The four coefficient symmetries at count anti-symmetric inputs."""
-    inp = _toda_inputs(rs.n, rng, count)
+    inp = _random_antisymmetric_inputs(rs.n, rng, count)
     return {f"connection.symmetry_{k}": alpha_symmetry_residual(k, inp) for k in SYMMETRY_KINDS}
 
 
@@ -192,7 +192,7 @@ def connection_control(rs, rng, count):
     """count inputs with anti-symmetry broken: the anti and c_real identities
     must fail.  A defect in w alone can be invisible (W ignores a constant
     shift of w, so at n = 1 it is), but anti reads v_0 + v_n directly, here 1."""
-    good = _toda_inputs(rs.n, rng, count)
+    good = _random_antisymmetric_inputs(rs.n, rng, count)
     v = good.v.copy()
     v[:, 0] += 1.0
     inp = TodaInput(n=rs.n, w=good.w, v=v, x=np.full(count, 1.1), zeta=np.full(count, 0.7 + 0.2j))
@@ -374,13 +374,14 @@ def unit_blocks(rs, rng, count):
     u0 = unit(rs, A)
     E = centralizer_basis(A)
     uF, vF = (fiber_vector(u0, combine(draws[:, k], E)) for k in (1, 2))
-    uH, vH = (horizontal_vector_at_unit(rs, u0, draws[:, k]) for k in (3, 4))
-    pairs = ((uF, vF), (uH, vH), (uF, vH), (uH, vF))
-    w = [omega(u0, a, b) for a, b in pairs]
+    uH, vH = np.moveaxis(horizontal_vector_at_unit(rs, u0, draws[:, 3:]), 1, 0)
+    U, V = np.stack([uF, uH], axis=1), np.stack([vF, vH], axis=1)
+    # the blocks (F, F), (F, H), (H, F), (H, H), one Gram per sample
+    w = omega_gram(u0.B, u0.A, U, V)
+    oracle = unit_block_values(A[:, None, None], U[:, :, None], V[:, None])
     return {
-        "symplectic.unit_block_oracle": _columns(*[
-            modulus(wab - unit_block_values(A, a, b)) for wab, (a, b) in zip(w, pairs)]),
-        "symplectic.unit_pullback_zero": modulus(w[1]),  # the (H, H) block
+        "symplectic.unit_block_oracle": modulus(w - oracle).reshape(count, 4),
+        "symplectic.unit_pullback_zero": modulus(w[:, 1, 1]),  # the (H, H) block
     }
 
 
@@ -422,10 +423,12 @@ def pullbacks(rs, rng, count):
     # per sample: the s of the unit, then s and seed as random_points draws them
     s, sp, seeds = zip(*[(rand_s(rng, rs.n), rand_s(rng, rs.n), draw_seed(rng))
                          for _ in range(count)])
-    u0 = unit(rs, build_M(rs, np.array(s)))
-    p = commuting_point(rs, build_M(rs, np.array(sp)), seeds)
-    return {"symplectic.pullback_units": involution_pullback_residual(rs, u0),
-            "symplectic.pullback_random": involution_pullback_residual(rs, p)}
+    # one stack: the units, then the random points over their own bases (unit
+    # builds a fresh B, so their rows are written in place)
+    p = unit(rs, build_M(rs, np.array(s + sp)))
+    p.B[count:] = commuting_point(rs, p.A[count:], seeds).B
+    res = involution_pullback_residual(rs, p)
+    return {"symplectic.pullback_units": res[:count], "symplectic.pullback_random": res[count:]}
 
 
 def integrable(rs, rng, count):

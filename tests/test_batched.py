@@ -164,12 +164,14 @@ def reference_unit_blocks(rs, rng):
     u0 = unit(rs, A)
     E = centralizer_basis(A)
     uF, vF = _fiber_vector(u0, E, rng), _fiber_vector(u0, E, rng)
-    uH = horizontal_vector_at_unit(rs, u0, rand_s(rng, n))
-    vH = horizontal_vector_at_unit(rs, u0, rand_s(rng, n))
+    uH, vH = horizontal_vector_at_unit(rs, u0, np.array([rand_s(rng, n), rand_s(rng, n)]))
+    U, V = np.array([uF, uH]), np.array([vF, vH])
+    # the blocks (F, F), (F, H), (H, F), (H, H) as one Gram and one oracle call
+    w = omega_gram(u0.B, u0.A, U, V)
     return {
-        "symplectic.unit_block_oracle": [abs(omega(u0, a, b) - unit_block_values(A, a, b))
-                                         for a, b in ((uF, vF), (uH, vH), (uF, vH), (uH, vF))],
-        "symplectic.unit_pullback_zero": abs(omega(u0, uH, vH)),
+        "symplectic.unit_block_oracle": [abs(d) for d in
+                                         (w - unit_block_values(A, U[:, None], V[None])).ravel()],
+        "symplectic.unit_pullback_zero": abs(w[1, 1]),
     }
 
 

@@ -7,6 +7,7 @@ from ucgl.connection import (
     TodaInput,
     alpha_coeff,
     alpha_symmetry_residual,
+    _random_antisymmetric_inputs,
     build_W,
     random_antisymmetric_input,
 )
@@ -77,6 +78,59 @@ def test_all_symmetries_random_inputs(n):
         for kind in SYMMETRY_KINDS:
             worst = max(worst, alpha_symmetry_residual(kind, inp))
     assert worst < TOL_ID
+
+
+class _Scripted:
+    """A stand-in for a numpy Generator whose standard_normal serves the given
+    numbers in order, as a scalar or as an array of the requested size."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def standard_normal(self, size=None):
+        count = 1 if size is None else int(np.prod(size))
+        out, self.values = np.array(self.values[:count]), self.values[count:]
+        return out[0] if size is None else out.reshape(size)
+
+
+def _recipe(n, rng):
+    """One input drawn by the written-out law: w's and v's first halves, x =
+    exp(0.3 z), then zeta, moved off the pole when |zeta| < 1e-3."""
+    half = (n + 1) // 2
+    w, v = np.zeros(n + 1), np.zeros(n + 1)
+    w[:half] = rng.standard_normal(half)
+    v[:half] = rng.standard_normal(half)
+    x = float(np.exp(rng.standard_normal() * 0.3))
+    zeta = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    if abs(zeta) < 1e-3:
+        zeta += 1.0
+    return 0.5 * (w - w[::-1]), 0.5 * (v - v[::-1]), x, zeta
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_draw_law(n):
+    """One draw, single or stacked, takes its normals in the recipe's order and
+    gives the recipe's bytes; a generator is left in the recipe's state, and
+    zeta near the pole moves to zeta + 1."""
+    count, width = 20, 2 * ((n + 1) // 2) + 3
+    z = np.random.default_rng(800 + n).standard_normal((count, width))
+    z[::3, -2:] *= 1e-4  # every third zeta inside the pole's disc
+    want = [_recipe(n, _Scripted(row)) for row in z]
+    singles = [random_antisymmetric_input(n, _Scripted(row)) for row in z]
+    stack = _random_antisymmetric_inputs(n, _Scripted(z.ravel()), count)
+    for k, (w, v, x, zeta) in enumerate(want):
+        for got in (singles[k], TodaInput(n=n, w=stack.w[k], v=stack.v[k], x=stack.x[k],
+                                          zeta=stack.zeta[k])):
+            assert got.w.tobytes() == w.tobytes() and got.v.tobytes() == v.tobytes()
+            assert np.float64(got.x).tobytes() == np.float64(x).tobytes()
+            assert np.complex128(got.zeta).tobytes() == np.complex128(zeta).tobytes()
+        assert type(singles[k].x) is float and type(singles[k].zeta) is complex
+    assert all(zeta.real > 0.99 for _, _, _, zeta in want[::3])
+    rng, ref = np.random.default_rng(n), np.random.default_rng(n)
+    _random_antisymmetric_inputs(n, rng, count)
+    for _ in range(count):
+        _recipe(n, ref)
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def _broken_residual(inp):

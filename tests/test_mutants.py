@@ -100,12 +100,12 @@ MUTANTS = {
     "symplectic.unit_block_oracle": (
         "symplectic._K", "+ _pair(P[0], Q[2])", "- _pair(P[0], Q[2])"),
     "symplectic.unit_pullback_zero": (
-        "groupoid.horizontal_vector_at_unit", "np.stack([np.zeros_like(p.B), Y]",
-        "np.stack([p.A @ Y, Y]"),
+        "groupoid.horizontal_vector_at_unit", "np.stack([np.zeros_like(Y), Y]",
+        "np.stack([np.swapaxes(Y, -1, -2), Y]"),
     "symplectic.multiplicativity": (
         "symplectic.multiplicativity_residual", "B1 @ U2[X]", "U2[X]"),
     "symplectic.closedness": (
-        "symplectic._omega_derivative", "(T(Y, ax, Ad) +", "(-T(Y, ax, Ad) +"),
+        "symplectic._omega_derivative", "cat([Y, x], axis=-1)", "cat([-Y, x], axis=-1)"),
     "symplectic.pullback_units": (
         "involutions.theta_differential", "dW[..., 1, :, :] = -Ai @ dW[..., 1, :, :] @ Ai",
         "dW[..., 1, :, :] = Ai @ dW[..., 1, :, :] @ Ai"),

@@ -254,7 +254,7 @@ def test_trace_kernels_match_references(roots, n):
     cond(B), since x = B^{-1} X carries B's conditioning into every term (D
     vanishes at n = 1 units).  Over 300 points per rank (random, fixed-locus,
     units), on both stacks at n = 1..5, these read at most 3.9e-16 and
-    1.5e-15; the bounds are a decade above.
+    8.7e-16; the bounds are a decade above.
     """
     rs = roots[n]
     rng = np.random.default_rng(2600 + n)
