@@ -141,7 +141,7 @@ def alpha_symmetry_residual(kind, inp, require_antisymmetric=True):
 def _random_antisymmetric_inputs(n, rng, count):
     """count TodaInputs with anti-symmetric w, v, stacked, from one draw of normals.
 
-    Per input, in draw order: half = ceil((n+1)/2) normals each for w and v
+    Per input, in draw order: half = (n+1) // 2 normals each for w and v
     (their first halves, anti-symmetrised), then x = exp(0.3 z), then Re zeta
     and Im zeta (moved off the pole when |zeta| < 1e-3).  All count rows come
     from one standard_normal call, so a stack draws what count single draws

@@ -99,11 +99,13 @@ MUTANTS = {
         "return X"),
     "symplectic.unit_block_oracle": (
         "symplectic._K", "+ _pair(P[0], Q[2])", "- _pair(P[0], Q[2])"),
+    # a nonzero B-slot; X = Y or Y @ Y would leave the (H, H) block at round-off
     "symplectic.unit_pullback_zero": (
         "groupoid.horizontal_vector_at_unit", "np.stack([np.zeros_like(Y), Y]",
         "np.stack([np.swapaxes(Y, -1, -2), Y]"),
     "symplectic.multiplicativity": (
         "symplectic.multiplicativity_residual", "B1 @ U2[X]", "U2[X]"),
+    # the sign of T(Y, a^{-1}x, Ad_a x) inside the tensor it shares with T(x, x, Ad_a x)
     "symplectic.closedness": (
         "symplectic._omega_derivative", "cat([Y, x], axis=-1)", "cat([-Y, x], axis=-1)"),
     "symplectic.pullback_units": (
