@@ -1,7 +1,7 @@
 """Computational model of the monodromy locus in a universal centralizer.
 
 Modules:
-  core        structural matrices, characteristic polynomial, trace form
+  core        structural matrices, characteristic polynomial, inverse, expm
   connection  connection-form coefficient and its symmetries
   stokes      Stokes factors, the section, the root-set pair
   involutions the two twisting involutions and the fixed-locus test
@@ -17,7 +17,6 @@ from .core import (
     inverse,
     is_regular,
     structural_matrices,
-    trace_form,
 )
 from .stokes import (
     build_M,
@@ -52,7 +51,6 @@ __all__ = [
     "inverse",
     "is_regular",
     "structural_matrices",
-    "trace_form",
     "build_M",
     "build_Q",
     "build_S",

@@ -139,15 +139,6 @@ def max_abs(M):
     return np.abs(M).max(axis=(-2, -1))
 
 
-def trace_form(X, Y):
-    """The invariant pairing Tr(XY)."""
-    X = _as_matrix(X)
-    Y = _as_matrix(Y)
-    if X.shape != Y.shape:
-        raise InvalidDimensionError("trace form needs matching shapes")
-    return (X @ Y).trace(axis1=-2, axis2=-1)
-
-
 def char_poly(M):
     """Characteristic polynomial of M, ascending coefficients, monic.
 

@@ -111,17 +111,13 @@ def _centralizer_basis(shape, data):
 
 def combine(c, E):
     """sum_k c_k E_k for coefficients c of shape (..., n), or (..., m, n) for m
-    combinations at once, and a basis E of shape (..., n, N, N), one point at
-    a time as np.tensordot(c, E, axes=1) computes it: a (1, n) or (m, n) by
-    (n, N^2) np.dot.  A batched product sums in another order and moves the
-    result at round-off."""
+    combinations at once, and a basis E of shape (..., n, N, N): one batched
+    (1, n) or (m, n) by (n, N^2) product, one per point, so a stack gets the
+    bytes of its single calls."""
     n, N = E.shape[-3], E.shape[-1]
     E2 = E.reshape((-1, n, N * N))
     c2 = np.reshape(c, (len(E2), -1, n))
-    xi = np.empty(c2.shape[:2] + (N * N,), dtype=complex)
-    for k in range(len(E2)):
-        np.dot(c2[k], E2[k], out=xi[k])
-    return xi.reshape(np.shape(c)[:-1] + (N, N))
+    return (c2 @ E2).reshape(np.shape(c)[:-1] + (N, N))
 
 
 @functools.cache

@@ -158,7 +158,7 @@ class VerificationReport:
 def _max_checks(runs, tols):
     """One Check per name of the tolerance table, from its largest residual
     (a trial may return several under one name; np.max propagates a NaN)."""
-    return [Check(name, len(runs[name]), float(np.max(np.hstack(runs[name]))), tol)
+    return [Check(name, len(runs[name]), float(np.max(runs[name])), tol)
             for name, tol in tols.items()]
 
 

@@ -4,9 +4,10 @@ Every tangent vector is an array whose last three axes are (2, N, N): the
 pair (X, Y) at a point (g, a), X varying g and Y varying a.  Tangent bases
 and composable bases are stacks of them.  omega_gram evaluates omega over
 whole stacks via left/right translated slots and the trace pairing, and over
-leading axes of points too; omega on one pair is a view of it.  Every trace
-pairing of two stacks is one matmul of flattened matrices (_pair), and each
-of the three triple-trace tensors of d omega two (_triple).  At a unit,
+leading axes of points too; omega on one pair is a view of it.  Each slot
+is one matmul per point, its tangents folded into the rows (_slots); every
+trace pairing of two stacks is one matmul of flattened matrices (_pair), and
+each of the three triple-trace tensors of d omega two (_triple).  At a unit,
 omega has a closed form on any two tangents (unit_block_values), which acts
 as the convention oracle; multiplicativity, closedness, nondegeneracy, the
 involution pullback identities, the real sub-form behaviour and the
@@ -45,16 +46,29 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
+def _right(W, R):
+    """W_k R for every k of a stack W, shape (..., m, N, N), and R of shape
+    (..., N, N): the tangent axis folded into the rows, one (..., mN, N) by
+    (..., N, N) product per point."""
+    WR = W.reshape(W.shape[:-3] + (-1, W.shape[-1])) @ R
+    return WR.reshape(WR.shape[:-2] + W.shape[-3:])
+
+
+def _left(L, W):
+    """L W_k for every k: _right on the transposes, (W_k^T L^T)^T."""
+    return np.swapaxes(_right(np.swapaxes(W, -1, -2), np.swapaxes(L, -1, -2)), -1, -2)
+
+
 def _slots(gi, a, ai, W):
     """The trace slots (x, Ad_a x, a^{-1} Y + Y a^{-1}) of stacked tangents W.
 
     Here x = g^{-1} X, and gi, ai are the inverses of g and a.  Points of
-    shape (..., N, N) take tangents of shape (..., m, 2, N, N).
+    shape (..., N, N) take tangents of shape (..., m, 2, N, N).  Each product
+    is one matmul per point, not one per tangent (_right, _left).
     """
-    gi, a, ai = (M[..., None, :, :] for M in (gi, a, ai))
-    x = gi @ W[..., 0, :, :]
+    x = _left(gi, W[..., 0, :, :])
     Y = W[..., 1, :, :]
-    return x, a @ x @ ai, ai @ Y + Y @ ai
+    return x, _right(_left(a, x), ai), _left(ai, Y) + _right(Y, ai)
 
 
 def _pair(X, Z):

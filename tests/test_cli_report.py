@@ -322,6 +322,17 @@ def test_cli_sample_slocal_search_failure_exits_3(monkeypatch):
     assert main(["sample-slocal", "--n", "1", "--seed", "0", "--count", "2"]) == 3
 
 
+def test_max_checks_read_the_largest_entry():
+    """A trial's (count, k) residual array gives count samples and its largest
+    entry; a NaN anywhere in an array gives NaN, which fails."""
+    runs = {"a": np.array([[1e-3, 2e-3], [5e-3, 4e-3], [0.0, 1e-4]]),
+            "b": np.array([[1e-3, math.nan], [0.0, 1e-4]]), "c": np.array([0.5, math.nan, 0.25])}
+    a, b, c = report._max_checks(runs, {"a": 1e-2, "b": 1.0, "c": 1.0})
+    assert (a.name, a.samples, a.max_residual, a.passed) == ("a", 3, 5e-3, True)
+    assert (b.samples, c.samples) == (2, 3)
+    assert all(math.isnan(x.max_residual) and not x.passed for x in (b, c))
+
+
 def test_nan_residual_fails_checks_and_controls(monkeypatch):
     # one NaN residual per sample of the stacked input
     monkeypatch.setattr(report, "alpha_symmetry_residual",

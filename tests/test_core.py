@@ -5,7 +5,6 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
 
 from ucgl.core import (
     char_poly,
@@ -15,7 +14,6 @@ from ucgl.core import (
     inverse,
     is_regular,
     structural_matrices,
-    trace_form,
 )
 from ucgl.errors import InvalidDimensionError, SingularMatrixError
 
@@ -134,31 +132,6 @@ def test_is_regular():
         assert is_regular(g @ comp @ np.linalg.inv(g))
 
 
-def test_trace_form_values():
-    st1 = structural_matrices(1)
-    assert trace_form(np.eye(2), np.eye(2)) == pytest.approx(2)
-    assert trace_form(st1.PiHat, st1.PiHat) == pytest.approx(-2)
-    E01 = np.zeros((2, 2))
-    E01[0, 1] = 1
-    E10 = E01.T
-    assert trace_form(E01, E10) == pytest.approx(1)
-
-
-@settings(max_examples=25, deadline=None)
-@given(seed=st.integers(0, 10 ** 6))
-def test_trace_form_ad_invariance(seed):
-    rng = np.random.default_rng(seed)
-    X = random_matrix(rng, 3)
-    Y = random_matrix(rng, 3)
-    g = random_matrix(rng, 3)
-    if np.linalg.cond(g) > 1e3:
-        return
-    gi = np.linalg.inv(g)
-    assert abs(trace_form(g @ X @ gi, g @ Y @ gi) - trace_form(X, Y)) < 1e-10 * max(
-        1.0, abs(trace_form(X, Y))
-    )
-
-
 def test_inverse_small_and_large():
     st1 = structural_matrices(1)
     assert np.allclose(inverse(st1.PiHat), [[0, -1], [1, 0]])
@@ -173,11 +146,6 @@ def test_inverse_small_and_large():
 def test_inverse_singular_raises():
     with pytest.raises(SingularMatrixError):
         inverse(np.zeros((2, 2)))
-
-
-def test_dimension_mismatch_raises():
-    with pytest.raises(InvalidDimensionError):
-        trace_form(np.eye(2), np.eye(3))
 
 
 def test_matrix_json_round_trip():

@@ -317,6 +317,21 @@ def test_tangent_frames_span_the_constraint_null_space(roots, n):
             assert np.max(np.abs(W.T - K @ (K.conj().T @ W.T))) < 1e-10
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_horizontal_vector_at_unit_has_a_zero_b_slot(roots, n):
+    """The X-slot, which varies B, of a horizontal vector at a unit is exactly
+    zero: at one unit, at a stack of units, and with m tangents per unit.
+    symplectic.unit_pullback_zero cannot see every nonzero one (X = Y or
+    Y @ Y leaves omega's (H, H) block at round-off), so the slot is read here."""
+    rs = roots[n]
+    rng = np.random.default_rng(2900 + n)
+    u = unit(rs, build_M(rs, np.array([rand_s(rng, n) for _ in range(6)])))
+    sdot = rng.standard_normal((6, 3, n)) + 1j * rng.standard_normal((6, 3, n))
+    for v in (horizontal_vector_at_unit(rs, u, sdot), horizontal_vector_at_unit(rs, u, sdot[:, 0]),
+              horizontal_vector_at_unit(rs, u[2], sdot[2]), horizontal_vector_at_unit(rs, u[2], sdot[2, 0])):
+        assert not np.any(v[..., 0, :, :]) and np.any(v[..., 1, :, :])
+
+
 def test_tangent_space_unit_example(roots):
     rs = roots[1]
     st1 = structural_matrices(1)
