@@ -5,13 +5,14 @@ pair (X, Y) at a point (g, a), X varying g and Y varying a.  Tangent bases
 and composable bases are stacks of them.  omega_gram evaluates omega over
 whole stacks via left/right translated slots and the trace pairing, and over
 leading axes of points too; omega on one pair is a view of it.  Each slot
-is one matmul per point, its tangents folded into the rows (_slots); every
-trace pairing of two stacks is one matmul of flattened matrices (_pair), and
-each of the three triple-trace tensors of d omega two (_triple).  At a unit,
-omega has a closed form on any two tangents (unit_block_values), which acts
-as the convention oracle; multiplicativity, closedness, nondegeneracy, the
-involution pullback identities, the real sub-form behaviour and the
-integrable-system structure are all checked numerically on top of it.
+product is one matmul per point, the tangents folded into its rows (_slots);
+every trace pairing of two stacks is one matmul of flattened matrices
+(_pair), and each of the three triple-trace tensors of d omega two
+(_triple).  At a unit, omega has a closed form on any two tangents
+(unit_block_values), which acts as the convention oracle; multiplicativity,
+closedness, nondegeneracy, the involution pullback identities, the real
+sub-form behaviour and the integrable-system structure are all checked
+numerically on top of it.
 
 Those statements are pointwise tensor identities, so every check runs at
 the point itself on one frame: groupoid.tangent_space's closed-form
