@@ -8,9 +8,9 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 a check failed or a suite raised (the
 report is still written), 2 usage error (a seed below 0 among them) or an
 --out that cannot be written, 3 root-set failure (no orientation of the
-closed-form rule is confirmed).  sample-slocal samples and tests its points
-in stacks of SLOCAL_CHUNK and writes each stack's records before it samples
-the next.  A stack raises the first invariant that any of its points
+closed-form rule is confirmed).  sample-slocal draws every point's s and
+seed first, then samples and tests the points in stacks of SLOCAL_CHUNK and
+writes each stack's records before it samples the next.  A stack raises the first invariant that any of its points
 breaks: with two bad points the message may differ from point-by-point
 sampling, the exit code does not.  The records written before the error
 stay on stdout, and a partial --out file is removed.
@@ -25,15 +25,16 @@ import numpy as np
 
 from .core import encode_matrix
 from .errors import SearchFailureError, UcglError
-from .groupoid import random_slocal_points
+from .groupoid import draw_seed, sample_slocal_fiber
 from .involutions import slocal_membership
 from .report import SUITES, run_suite
-from .stokes import derive_root_sets, root_sets_to_dict
+from .stokes import build_M, derive_root_sets, rand_palindromic_s, root_sets_to_dict
 
 #: points that sample-slocal samples and tests at a time, so that its peak
 #: memory stops growing with --count once the value-keyed memos (32 stacks
-#: each) are full; the stacked primitives give each point the bytes of a
-#: single call, so the output does not depend on it
+#: each) are full; the draws come before the chunks, and the stacked
+#: primitives give each point the bytes of a single call, so the output does
+#: not depend on it
 SLOCAL_CHUNK = 64
 
 
@@ -131,15 +132,19 @@ def cmd_sample_slocal(args):
 def _slocal_json(args, rs):
     """The text of json.dumps({"n", "seed", "points"}, sort_keys=True, indent=2)
     for the args.count points of random_slocal_points(rs, default_rng(args.seed),
-    args.count), in pieces: the points are drawn from that generator and tested
-    SLOCAL_CHUNK at a time, and each record is encoded only when its piece is
-    written, so neither all the points, the records nor the text is ever held."""
+    args.count), in pieces: its draws, every s and then every seed, are made
+    up front as it makes them, the points are sampled and tested SLOCAL_CHUNK
+    at a time, and each record is encoded only when its piece is written, so
+    neither all the points, the records nor the text is ever held."""
     head, tail = json.dumps({"n": args.n, "seed": args.seed, "points": [None]},
                             sort_keys=True, indent=2).split("null")
     yield head
     rng = np.random.default_rng(args.seed)
+    s = rand_palindromic_s(rng, (args.count, args.n))
+    seeds = draw_seed(rng, args.count)
     for start in range(0, args.count, SLOCAL_CHUNK):
-        p = random_slocal_points(rs, rng, min(SLOCAL_CHUNK, args.count - start))
+        chunk = slice(start, start + SLOCAL_CHUNK)
+        p = sample_slocal_fiber(rs, build_M(rs, s[chunk]), seeds[chunk])
         member = slocal_membership(rs, p, tol=1e-8)
         for i, q in enumerate(p):
             record = {"B": encode_matrix(q.B), "A": encode_matrix(q.A),

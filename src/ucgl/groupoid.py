@@ -144,12 +144,16 @@ def _seeded_normals(seed, n):
     seed alone (Salmon et al., SC 2011), and a stack of seeds gets the bytes
     of the single calls, with no Generator.
 
-    A seed is a Python int at least 0, or a list of them; a negative one
-    raises OverflowError.  The counters wrap modulo 2^64, so the streams are
-    distinct for seeds below 2^64 / 2n.
+    A seed is an integer at least 0, or a list or array of them; a negative
+    one raises OverflowError, as a signed array would otherwise wrap to a
+    large seed.  The counters wrap modulo 2^64, so the streams are distinct
+    for seeds below 2^64 / 2n.
     """
+    seed = np.asarray(seed)
+    if np.any(seed < 0):
+        raise OverflowError("a sampler seed must be at least 0")
     step, first = _counter_states(n)
-    z = np.asarray(seed, dtype=np.uint64)[..., None] * step + first
+    z = seed.astype(np.uint64)[..., None] * step + first
     z = (z ^ z >> 30) * _MIX1
     z = (z ^ z >> 27) * _MIX2
     u = (((z ^ z >> 31) >> 11) + 1) * 2.0 ** -53
@@ -160,8 +164,8 @@ def _seeded_normals(seed, n):
 
 def _commutant_element(A, seed):
     """xi = sum_k c_k E_k over E = centralizer_basis(A), with c =
-    _seeded_normals(seed, n); a stack of A takes a list of seeds, one per
-    matrix, and draws them in one pass."""
+    _seeded_normals(seed, n); a stack of A takes a list or array of seeds,
+    one per matrix, and draws them in one pass."""
     E = centralizer_basis(A)
     return combine(_seeded_normals(seed, E.shape[-3]).reshape(E.shape[:-2]), E)
 
@@ -171,9 +175,9 @@ def sample_commuting(A, seed):
     xi = sum_k c_k E_k over the traceless orthonormal basis E of A's commutant,
     and the seed becomes the n coefficients c through _seeded_normals (counters
     hashed by SplitMix64, then Box-Muller).  expm(xi) commutes with A, and
-    det = exp(Tr xi) = 1.  A stack of A with a list of seeds gives the stack
-    of the single calls, as core.expm gives each matrix of a stack the bytes
-    of a single call."""
+    det = exp(Tr xi) = 1.  A stack of A with a list or array of seeds gives
+    the stack of the single calls, as core.expm gives each matrix of a stack
+    the bytes of a single call."""
     return expm(_commutant_element(A, seed))
 
 
@@ -195,8 +199,9 @@ def sample_slocal_fiber(rs, A, seed):
     and theta fix B; beta_* negates traces and theta_* conjugates them, so
     Tr eta = 0 and det B = 1.
 
-    A stack of A with a list of seeds gives the stack of the single calls; a
-    base off the slice, anywhere in the stack, raises the single call's error.
+    A stack of A with a list or array of seeds gives the stack of the single
+    calls; a base off the slice, anywhere in the stack, raises the single
+    call's error.
     """
     A = np.asarray(A, dtype=complex)
     mem = section_membership(rs, A)
@@ -209,29 +214,31 @@ def sample_slocal_fiber(rs, A, seed):
     return make_point(rs, expm(eta), A)
 
 
-def draw_seed(rng):
-    """A sampler seed drawn from rng, as random_points and random_slocal_points draw it."""
-    return int(rng.integers(0, 2 ** 31))
+def draw_seed(rng, size=None):
+    """Sampler seeds drawn from rng in one call: one seed, or an array of the
+    given size, as random_points and random_slocal_points draw them."""
+    return rng.integers(0, 2 ** 31, size)
 
 
 def commuting_point(rs, A, seed):
     """The point (sample_commuting(A, seed), A), validated at tolerance 1e-7;
-    a stack of A takes a list of seeds."""
+    a stack of A takes a list or array of seeds."""
     return make_point(rs, sample_commuting(A, seed), A, tol=1e-7)
 
 
 def random_points(rs, rng, count):
-    """count random points, stacked: per point, the s of build_M from rand_s,
-    then the sample_commuting seed, drawn from rng in that order."""
-    s, seeds = zip(*[(rand_s(rng, rs.n), draw_seed(rng)) for _ in range(count)])
-    return commuting_point(rs, build_M(rs, np.array(s)), seeds)
+    """count random points, stacked: the count s of build_M in one rand_s
+    call, then the count sample_commuting seeds in one draw_seed call."""
+    s = rand_s(rng, (count, rs.n))
+    return commuting_point(rs, build_M(rs, s), draw_seed(rng, count))
 
 
 def random_slocal_points(rs, rng, count):
-    """count random fixed-locus points, stacked: per point, the s of build_M
-    from rand_palindromic_s, then the sample_slocal_fiber seed."""
-    s, seeds = zip(*[(rand_palindromic_s(rng, rs.n), draw_seed(rng)) for _ in range(count)])
-    return sample_slocal_fiber(rs, build_M(rs, np.array(s)), seeds)
+    """count random fixed-locus points, stacked: the count s of build_M in one
+    rand_palindromic_s call, then the count sample_slocal_fiber seeds in one
+    draw_seed call."""
+    s = rand_palindromic_s(rng, (count, rs.n))
+    return sample_slocal_fiber(rs, build_M(rs, s), draw_seed(rng, count))
 
 
 def _horizontal_lifts(x, dM):

@@ -3,17 +3,16 @@
 Each suite runs the property checks of one module at a configured rank and
 seed and returns named checks with residuals and tolerances.  A suite is
 trial functions of the sample count plus a tolerance table.  A trial first
-draws from the suite's generator, in a short loop, exactly what its
-one-sample form drew, in the same order (the connection trials draw all
-their normals in one call, in that order), and then evaluates every sample
-at once on stacks (of points, see involutions.GroupoidPoint, or of
-connection inputs), returning under each name an array whose first axis
-is the sample.  Stacked numpy operations give each sample the bytes a
-single call gives, so the reports are those of the one-sample trials.  A
-check's residual is the largest of its entries (_max_checks); a negative
-control's is max(0, threshold - smallest observation) (_control), zero
-when the control misbehaves as it should.  A NaN propagates through both
-and so fails.
+draws its inputs from the suite's generator, one array call per kind (all
+the samples' s through groupoid.random_points or random_slocal_points or
+one rand_s call, then all their sampler seeds in one draw_seed call, and
+so on; only semisimple_s draws one s at a time, as it redraws), and then
+evaluates every sample at once on stacks (of points, see
+involutions.GroupoidPoint, or of connection inputs), returning under each
+name an array whose first axis is the sample.  A check's residual is the
+largest of its entries (_max_checks); a negative control's is max(0,
+threshold - smallest observation) (_control), zero when the control
+misbehaves as it should.  A NaN propagates through both and so fails.
 
 Each suite draws from its own generator, seeded by the child of
 SeedSequence(seed) that belongs to the suite's name, so a (config, seed)
@@ -56,7 +55,6 @@ from .groupoid import (
     unit,
 )
 from .involutions import (
-    GroupoidPoint,
     apply_sigma,
     apply_theta,
     point_distance,
@@ -211,7 +209,7 @@ def suite_connection(rs, rng, samples):
 def stokes_section(rs, rng, count):
     """Round trip, regularity, power identity and factor routes at count random s."""
     n = rs.n
-    s = np.array([rand_s(rng, n) for _ in range(count)])
+    s = rand_s(rng, (count, n))
     M = build_M(rs, s)
     Mp = np.linalg.matrix_power(M, n + 1)
     S12 = build_S(rs, 1, s) @ build_S(rs, 2, s)
@@ -229,8 +227,7 @@ def stokes_section(rs, rng, count):
 def stokes_chains(rs, rng, count):
     """Palindromic s make consecutive factors inverse-transposes, generic s do not."""
     n = rs.n
-    sp, sg = (np.array(x) for x in zip(*[(rand_palindromic_s(rng, n), rand_s(rng, n))
-                                        for _ in range(count)]))
+    sp, sg = rand_palindromic_s(rng, (count, n)), rand_s(rng, (count, n))
 
     def chain(s):
         # k = 1 and k = 1 + 1/(n+1); k+1 adds n+1
@@ -259,13 +256,9 @@ def suite_stokes(rs, rng, samples):
 def involution_laws(rs, rng, count):
     """The batched laws trial of suite_involutions: count samples of involutivity,
     commutation, base action and the morphism law of sigma and theta."""
-    # per sample: s and the seed of p, as random_points draws them, then the
-    # seed of q, a composable partner over the same base
-    s, seed_p, seed_q = zip(*[(rand_s(rng, rs.n), draw_seed(rng), draw_seed(rng))
-                              for _ in range(count)])
-    p = commuting_point(rs, build_M(rs, np.array(s)), seed_p)
+    p = random_points(rs, rng, count)
     sp, tp = apply_sigma(rs, p), apply_theta(rs, p)
-    q = commuting_point(rs, p.A, seed_q)
+    q = commuting_point(rs, p.A, draw_seed(rng, count))  # a composable partner
     pq = _compose(rs, p, q)
     return {
         "involutions.involutivity": _columns(point_distance(apply_sigma(rs, sp), p),
@@ -316,11 +309,9 @@ def suite_involutions(rs, rng, samples):
 def groupoid_axioms(rs, rng, count):
     """The batched axioms trial of suite_groupoid: count samples of associativity,
     unit and inverse laws, and of the sampler's own invariants."""
-    # per sample: s, then the commuting_point seeds of p1, p2, p3 over its base
-    s, *seeds = zip(*[(rand_s(rng, rs.n), draw_seed(rng), draw_seed(rng), draw_seed(rng))
-                      for _ in range(count)])
-    A = build_M(rs, np.array(s))
-    p1, p2, p3 = (commuting_point(rs, A, seed) for seed in seeds)
+    p1 = random_points(rs, rng, count)
+    A = p1.A
+    p2, p3 = (commuting_point(rs, A, seeds) for seeds in draw_seed(rng, (2, count)))
     u = unit(rs, A)
     return {
         # associativity, unit, inverse
@@ -387,10 +378,8 @@ def unit_blocks(rs, rng, count):
 
 def multiplicative(rs, rng, count):
     """Multiplicativity at count composable pairs, over full composable tangent bases."""
-    # per sample: s, then the commuting_point seeds of the pair over its base
-    s, *seeds = zip(*[(rand_s(rng, rs.n), draw_seed(rng), draw_seed(rng)) for _ in range(count)])
-    A = build_M(rs, np.array(s))
-    pair = make_pair(*(commuting_point(rs, A, seed) for seed in seeds))
+    p = random_points(rs, rng, count)
+    pair = make_pair(p, commuting_point(rs, p.A, draw_seed(rng, count)))
     return {"symplectic.multiplicativity":
             multiplicativity_residual(rs, pair, composable_tangent_basis(rs, pair))}
 
@@ -403,45 +392,29 @@ def closedness(rs, rng, count):
 def nondegeneracy(rs, rng, count):
     """Nondegeneracy over well-separated spectra at count points: units at even
     sample indices, random points at odd ones."""
-    # per sample: s, then at odd indices the commuting_point seed over its base
-    s, seeds = [], []
-    for i in range(count):
-        s.append(semisimple_s(rs, rng))
-        if i % 2:
-            seeds.append(draw_seed(rng))
-    A = build_M(rs, np.array(s))
-    p = unit(rs, A)
-    if seeds:  # random points at the odd indices, over their bases
-        B = p.B.copy()
-        B[1::2] = commuting_point(rs, A[1::2], seeds).B
-        p = GroupoidPoint(B=B, A=A, s=p.s)
+    A = build_M(rs, np.array([semisimple_s(rs, rng) for _ in range(count)]))
+    p = unit(rs, A)  # a fresh B: the random points' rows are written in place
+    p.B[1::2] = commuting_point(rs, A[1::2], draw_seed(rng, count // 2)).B
     return {"symplectic.nondegeneracy": gram_matrix(p, tangent_space(rs, p)[0])[1]}
 
 
 def pullbacks(rs, rng, count):
     """Involution pullbacks at count units and count random points."""
-    # per sample: the s of the unit, then s and seed as random_points draws them
-    s, sp, seeds = zip(*[(rand_s(rng, rs.n), rand_s(rng, rs.n), draw_seed(rng))
-                         for _ in range(count)])
     # one stack: the units, then the random points over their own bases (unit
     # builds a fresh B, so their rows are written in place)
-    p = unit(rs, build_M(rs, np.array(s + sp)))
-    p.B[count:] = commuting_point(rs, p.A[count:], seeds).B
+    p = unit(rs, build_M(rs, rand_s(rng, (2 * count, rs.n))))
+    p.B[count:] = commuting_point(rs, p.A[count:], draw_seed(rng, count)).B
     res = involution_pullback_residual(rs, p)
     return {"symplectic.pullback_units": res[:count], "symplectic.pullback_random": res[count:]}
 
 
 def integrable(rs, rng, count):
     """The integrable-system structure at count random points over well-separated spectra."""
-    n = rs.n
-    # per sample: s, the commuting_point seed over its base, then the
-    # coefficients of uF and vF over the commutant basis
-    s, seeds, cu, cv = zip(*[(semisimple_s(rs, rng), draw_seed(rng), rand_s(rng, n), rand_s(rng, n))
-                             for _ in range(count)])
-    A = build_M(rs, np.array(s))
-    p = commuting_point(rs, A, seeds)
+    A = build_M(rs, np.array([semisimple_s(rs, rng) for _ in range(count)]))
+    p = commuting_point(rs, A, draw_seed(rng, count))
     E = centralizer_basis(A)
-    uF, vF = (fiber_vector(p, combine(np.array(c), E)) for c in (cu, cv))
+    # the coefficients of uF and vF over the commutant basis
+    uF, vF = (fiber_vector(p, combine(c, E)) for c in rand_s(rng, (2, count, rs.n)))
     U, sdot = tangent_space(rs, p)
     return {
         "symplectic.poisson_brackets": poisson_bracket_residual(rs, p, U, sdot),
@@ -512,12 +485,8 @@ def bondal_axioms(rs, rng, count):
 
 def bondal_embedding(rs, rng, count):
     """The embedding intertwines composition and bases, at count fixed-locus pairs."""
-    # per sample: s and the seed of p, as random_slocal_points draws them,
-    # then the sample_slocal_fiber seed of q over the same base
-    s, seed_p, seed_q = zip(*[(rand_palindromic_s(rng, rs.n), draw_seed(rng), draw_seed(rng))
-                              for _ in range(count)])
-    p = sample_slocal_fiber(rs, build_M(rs, np.array(s)), seed_p)
-    q = sample_slocal_fiber(rs, p.A, seed_q)
+    p = random_slocal_points(rs, rng, count)
+    q = sample_slocal_fiber(rs, p.A, draw_seed(rng, count))
     e1, e2, epq = (bd.embed_slocal(rs, x) for x in (p, q, _compose(rs, p, q)))
     comp = bd.compose(e1, e2, tol=1e-7)
     return {"bondal.embedding_intertwines": _columns(max_abs(comp.B - epq.B),
@@ -572,7 +541,9 @@ def run_suite(config):
     suite = config.get("suite", "all")
     seed = _setting(config, "seed", int, 42)
     samples = _setting(config, "samples", int, 100)
-    if suite != "all" and suite not in _SUITE_FUNCS:
+    # SUITES, a tuple, compares without hashing: a list from a config file is
+    # an unknown suite, not a TypeError
+    if suite != "all" and suite not in SUITES:
         raise UcglError(f"unknown suite {suite!r}")
     if seed < 0:
         raise UcglError(f"seed must be at least 0, got {seed}")

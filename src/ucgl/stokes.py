@@ -152,15 +152,18 @@ def stokes_params_of(A):
     return c if n % 2 == 1 else (-1.0) ** np.arange(2, n + 2) * c
 
 
-def rand_s(rng, n):
-    """Random complex parameters, standard normal real and imaginary parts."""
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+def rand_s(rng, shape):
+    """Random complex parameters, standard normal real and imaginary parts:
+    shape n for one s, or (..., n) for a stack, all real parts drawn first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def rand_palindromic_s(rng, n):
-    """Random real palindromic parameters, s_i = s_{n+1-i}."""
-    half = rng.standard_normal((n + 1) // 2)
-    return np.concatenate([half, half[: n // 2][::-1]]).astype(complex)
+def rand_palindromic_s(rng, shape):
+    """Random real palindromic parameters, s_i = s_{n+1-i}: shape n for one s,
+    or (..., n) for a stack, whose halves are drawn in one call."""
+    *lead, n = np.atleast_1d(shape)
+    half = rng.standard_normal((*lead, (n + 1) // 2))
+    return np.concatenate([half, half[..., : n // 2][..., ::-1]], axis=-1).astype(complex)
 
 
 def semisimple_s(rs, rng):
@@ -241,11 +244,11 @@ def dM_ds(rs, s):
 
 def _candidate_passes(R1, R1p, n, rng, npts):
     """Check the four closure constraints on one stack of npts random parameter
-    vectors, drawn one rand_s at a time; any point above tolerance rejects."""
+    vectors, drawn in one rand_s call; any point above tolerance rejects."""
     from .involutions import twists  # deferred: involutions imports us
 
     cand = RootSetData(n=n, R1=R1, R1p=R1p, survivor_count=0)
-    s = np.stack([rand_s(rng, n) for _ in range(npts)])
+    s = rand_s(rng, (npts, n))
     M = build_M(cand, s)
     # (a) characteristic-polynomial identity
     if np.any(np.max(np.abs(stokes_params_of(M) - s), axis=-1) > SEARCH_TOL):

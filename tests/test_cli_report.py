@@ -148,8 +148,9 @@ def test_cli_config_file_with_flag_override(tmp_path):
 
 
 def test_cli_sample_slocal(tmp_path):
-    """sample-slocal samples and tests its points as one stack; its JSON equals
-    the records built one point at a time from the primitives, at n = 1..4."""
+    """sample-slocal draws its points' s, then their seeds, and samples and
+    tests the points as one stack; its JSON equals the records built one
+    point at a time from the primitives on those draws, at n = 1..4."""
     out = tmp_path / "pts.json"
     for n in (1, 2, 3, 4):
         code = main(["sample-slocal", "--n", str(n), "--seed", "4", "--count", "3",
@@ -162,9 +163,10 @@ def test_cli_sample_slocal(tmp_path):
             B = np.array([[complex(re, im) for re, im in row] for row in rec["B"]])
             assert B.shape == (n + 1, n + 1)
         rs, rng = derive_root_sets(n), np.random.default_rng(4)
+        s, seeds = rand_palindromic_s(rng, (3, n)), draw_seed(rng, 3)
         points = []
-        for _ in range(3):
-            p = sample_slocal_fiber(rs, build_M(rs, rand_palindromic_s(rng, n)), draw_seed(rng))
+        for si, seed in zip(s, seeds):
+            p = sample_slocal_fiber(rs, build_M(rs, si), seed)
             points.append({"B": encode_matrix(p.B), "A": encode_matrix(p.A),
                            "s": [[float(z.real), float(z.imag)] for z in p.s],
                            "flags": slocal_membership(rs, p, tol=1e-8)})
@@ -196,15 +198,15 @@ def test_cli_sample_slocal_text_is_json_dumps(tmp_path, capsys, n, count):
 def test_cli_sample_slocal_error_in_a_later_chunk(tmp_path, monkeypatch, capsys):
     """A chunk that raises stops sample-slocal with exit code 2 and removes
     the partial --out file; on stdout the earlier chunks' records stay."""
-    real, calls = cli.random_slocal_points, []
+    real, calls = cli.sample_slocal_fiber, []
 
-    def second_chunk_raises(rs, rng, count):
-        calls.append(count)
+    def second_chunk_raises(rs, A, seed):
+        calls.append(len(A))
         if len(calls) == 2:
             raise PreconditionError("det B differs from 1 beyond tolerance")
-        return real(rs, rng, count)
+        return real(rs, A, seed)
 
-    monkeypatch.setattr(cli, "random_slocal_points", second_chunk_raises)
+    monkeypatch.setattr(cli, "sample_slocal_fiber", second_chunk_raises)
     argv = ["sample-slocal", "--n", "2", "--seed", "4", "--count", str(2 * cli.SLOCAL_CHUNK)]
     out = tmp_path / "pts.json"
     assert main(argv + ["--out", str(out)]) == 2
@@ -363,6 +365,14 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys, content):
     assert main(["verify", "--n", "1", "--suite", "connection", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("suite", [["stokes"], {"stokes": 1}, 3])
+def test_non_string_suite_in_config_is_a_usage_error(tmp_path, capsys, suite):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n": 1, "suite": suite}))
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: unknown suite {suite!r}\n"
 
 
 def test_cli_abbreviated_flag_overrides_config(tmp_path):

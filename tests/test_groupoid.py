@@ -163,19 +163,23 @@ def test_slocal_fiber_fixed_to_round_off(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_seeded_samplers_draw_in_documented_order(roots, n):
-    """random_points and random_slocal_points draw, point by point, s and then
-    the sampler seed."""
+    """random_points draws, for all its points at once, every real part of s,
+    then every imaginary part, then every sampler seed; random_slocal_points
+    every half of its palindromic s, then every seed.  One draw alone is the
+    only row of a stack of one."""
     rs = roots[n]
     rng, twin = np.random.default_rng(1000 + n), np.random.default_rng(1000 + n)
     p, f = random_points(rs, rng, 3), random_slocal_points(rs, rng, 3)
-    for i in range(3):
-        A = build_M(rs, rand_s(twin, n))
-        assert np.array_equal(p[i].A, A)
-        assert np.array_equal(p[i].B, sample_commuting(A, int(twin.integers(0, 2 ** 31))))
-    for i in range(3):
-        A = build_M(rs, rand_palindromic_s(twin, n))
-        assert np.array_equal(f[i].B, sample_slocal_fiber(rs, A, int(twin.integers(0, 2 ** 31))).B)
+    A = build_M(rs, twin.standard_normal((3, n)) + 1j * twin.standard_normal((3, n)))
+    assert np.array_equal(p.A, A)
+    assert np.array_equal(p.B, sample_commuting(A, twin.integers(0, 2 ** 31, 3)))
+    half = twin.standard_normal((3, (n + 1) // 2))
+    A = build_M(rs, np.concatenate([half, half[:, : n // 2][:, ::-1]], axis=1) + 0j)
+    assert np.array_equal(f.B, sample_slocal_fiber(rs, A, twin.integers(0, 2 ** 31, 3)).B)
     assert rng.random() == twin.random()
+    for draw, shape in ((rand_s, n), (rand_palindromic_s, n), (draw_seed, None)):
+        one, stack = draw(rng, shape), draw(twin, 1 if shape is None else (1, n))[0]
+        assert np.shape(one) == np.shape(stack) and np.array_equal(one, stack)
 
 
 def _raises_alike(call, *args):
@@ -188,8 +192,8 @@ def _raises_alike(call, *args):
 def test_seeded_draws_of_a_stack_equal_the_single_calls(roots, n):
     """A stack of seeds, 0 and 2^31 - 1 among them, draws bit for bit what
     each seed draws alone, and so does sample_commuting on a stack of bases; a
-    negative seed or a non-regular base in the stack raises what the single
-    call raises."""
+    negative seed, in a list or in a signed array, or a non-regular base in
+    the stack raises what the single call raises."""
     rs, rng = roots[n], np.random.default_rng(3000 + n)
     seeds = [0, 2 ** 31 - 1] + [draw_seed(rng) for _ in range(30)]
     c = _seeded_normals(seeds, n)
@@ -201,6 +205,8 @@ def test_seeded_draws_of_a_stack_equal_the_single_calls(roots, n):
     assert B.tobytes() == np.array([sample_commuting(a, t) for a, t in zip(A, seeds)]).tobytes()
     negative = seeds[:7] + [-1] + seeds[8:]
     assert _raises_alike(sample_commuting, A, negative) == _raises_alike(sample_commuting, A[7], -1)
+    assert (_raises_alike(sample_commuting, A, np.array(negative))
+            == _raises_alike(sample_commuting, A[7], -1))
     assert _raises_alike(sample_commuting, A[7], -1)[0] is OverflowError
     flat = A.copy()
     flat[7] = np.eye(n + 1)

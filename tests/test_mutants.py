@@ -55,10 +55,11 @@ MUTANTS = {
     "stokes.factor_route_agreement": (
         "stokes.build_Q", "Pm @ Q0 @ Pm.T", "Pm.T @ Q0 @ Pm"),
     "stokes.antisymmetry_equivalence": (
-        "stokes.rand_palindromic_s", "half[: n // 2][::-1]", "-half[: n // 2][::-1]"),
+        "stokes.rand_palindromic_s", "half[..., : n // 2][..., ::-1]",
+        "-half[..., : n // 2][..., ::-1]"),
     "stokes.antisymmetry_negative_control": (
-        "stokes.rand_s", "return rng.standard_normal(n) + 1j * rng.standard_normal(n)",
-        "return rand_palindromic_s(rng, n)"),
+        "stokes.rand_s", "return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)",
+        "return rand_palindromic_s(rng, shape)"),
     # sigma(B)^2: sigma applied twice gives B^4
     "involutions.involutivity": (
         "involutions.apply_sigma", "make_point(rs, B2, A2, tol)",
