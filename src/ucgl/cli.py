@@ -10,10 +10,11 @@ report is still written), 2 usage error (a seed below 0 among them) or an
 --out that cannot be written, 3 root-set failure (no orientation of the
 closed-form rule is confirmed).  sample-slocal draws every point's s and
 seed first, then samples and tests the points in stacks of SLOCAL_CHUNK and
-writes each stack's records before it samples the next.  A stack raises the first invariant that any of its points
-breaks: with two bad points the message may differ from point-by-point
-sampling, the exit code does not.  The records written before the error
-stay on stdout, and a partial --out file is removed.
+writes each stack's records before it samples the next.  A stack raises the
+first invariant that any of its points breaks: with two bad points the
+message may differ from point-by-point sampling, the exit code does not.
+The records written before the error stay on stdout, and a partial --out
+file is removed.
 """
 
 import argparse
@@ -31,10 +32,10 @@ from .report import SUITES, run_suite
 from .stokes import build_M, derive_root_sets, rand_palindromic_s, root_sets_to_dict
 
 #: points that sample-slocal samples and tests at a time, so that its peak
-#: memory stops growing with --count once the value-keyed memos (32 stacks
-#: each) are full; the draws come before the chunks, and the stacked
-#: primitives give each point the bytes of a single call, so the output does
-#: not depend on it
+#: memory grows with --count only by the drawn s and seeds once the
+#: value-keyed memos (32 stacks each) are full; the draws come before the
+#: chunks, and the stacked primitives give each point the bytes of a single
+#: call, so the output does not depend on it
 SLOCAL_CHUNK = 64
 
 

@@ -150,7 +150,7 @@ def _seeded_normals(seed, n):
     for seeds below 2^64 / 2n.
     """
     seed = np.asarray(seed)
-    if np.any(seed < 0):
+    if (seed < 0).any():
         raise OverflowError("a sampler seed must be at least 0")
     step, first = _counter_states(n)
     z = seed.astype(np.uint64)[..., None] * step + first

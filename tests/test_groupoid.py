@@ -177,8 +177,9 @@ def test_seeded_samplers_draw_in_documented_order(roots, n):
     A = build_M(rs, np.concatenate([half, half[:, : n // 2][:, ::-1]], axis=1) + 0j)
     assert np.array_equal(f.B, sample_slocal_fiber(rs, A, twin.integers(0, 2 ** 31, 3)).B)
     assert rng.random() == twin.random()
-    for draw, shape in ((rand_s, n), (rand_palindromic_s, n), (draw_seed, None)):
-        one, stack = draw(rng, shape), draw(twin, 1 if shape is None else (1, n))[0]
+    for one, stack in ((rand_s(rng, n), rand_s(twin, (1, n))[0]),
+                       (rand_palindromic_s(rng, n), rand_palindromic_s(twin, (1, n))[0]),
+                       (draw_seed(rng), draw_seed(twin, 1)[0])):
         assert np.shape(one) == np.shape(stack) and np.array_equal(one, stack)
 
 
