@@ -1,13 +1,19 @@
-"""Stacked primitives give the bytes of their single calls, and the report's
-trials give every check.
+"""Batched trials and stacked primitives give the bytes of their one-sample
+forms, and the report's trials give every check.
 
-Every trial of ucgl.report evaluates all its samples at once, on stacks of
-points or of connection inputs.  The primitives they call broadcast over
+Every trial of ucgl.report draws its inputs with one array call per kind and
+evaluates all its samples at once, on stacks of points or of connection
+inputs.  Each trial has a one-sample form here, which draws the same inputs
+in the same calls and then evaluates them one sample at a time, through
+_draw: the batched trial must return byte-equal residual arrays and leave
+its generator in the same state.  The primitives they call broadcast over
 leading axes, and each is checked against single calls on every matrix of a
 stack of 20, errors included.  The trials' residuals are pinned bit for bit
 by the report digest (report_digest.py); the completeness test checks that
 the trials give every reported check and that the digest holds each.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -23,7 +29,7 @@ from ucgl.connection import (
     build_W,
     random_antisymmetric_input,
 )
-from ucgl.core import char_poly, expm, inverse, structural_matrices
+from ucgl.core import char_poly, determinant, expm, inverse, is_regular, structural_matrices
 from ucgl.errors import (
     DegenerateFormError,
     NotComposableError,
@@ -35,6 +41,7 @@ from ucgl.groupoid import (
     centralizer_basis,
     combine,
     commuting_point,
+    draw_seed,
     fiber_vector,
     groupoid_compose,
     groupoid_inverse,
@@ -42,6 +49,7 @@ from ucgl.groupoid import (
     make_pair,
     sample_commuting,
     sample_slocal_fiber,
+    tangent_residual,
     tangent_space,
     unit,
 )
@@ -54,6 +62,7 @@ from ucgl.involutions import (
     make_point,
     point_distance,
     sigma_differential,
+    sigma_route_gap,
     slocal_membership,
     theta_differential,
 )
@@ -67,6 +76,7 @@ from ucgl.stokes import (
     rand_palindromic_s,
     rand_s,
     section_membership,
+    semisimple_s,
     stokes_params_of,
 )
 from ucgl.symplectic import (
@@ -122,7 +132,8 @@ def test_trials_give_every_check(roots, monkeypatch, n):
     """The names that TRIALS return inside run_suite, each inside its own
     suite, are the check names it reports: each suite is these trials plus a
     tolerance table.  The digest pins each of these checks at this rank, so
-    every residual of every trial is compared bit for bit."""
+    every residual of every trial is compared bit for bit, and REFERENCES
+    holds a one-sample form of every trial."""
     returned = set()
     for suite, trial in TRIALS:
         def recording(rs, rng, count, suite=suite, trial=trial):
@@ -136,14 +147,384 @@ def test_trials_give_every_check(roots, monkeypatch, n):
                                            "samples": 10}).checks}
     assert reported == returned - (UNREAD_AT_RANK_ONE if n == 1 else set())
     assert reported == set(report_digest.load()["reports"][report_digest.key(n, 42)])
+    # and each trial has a one-sample form below
+    assert {getattr(b, "__wrapped__", b) for _, b, _ in REFERENCES.values()} == {
+        trial for _, trial in TRIALS}
 
 
 # ---------------------------------------------------------------------------
-# stacked primitives
+# the trials against their one-sample forms
 
 
 def _sup(X):
     return float(np.max(np.abs(X)))
+
+
+def _draw(count, one):
+    """Call the one-sample trial one(i) for i < count; list each returned
+    residual by name, in sample order."""
+    runs = {}
+    for i in range(count):
+        for name, residual in one(i).items():
+            runs.setdefault(name, []).append(residual)
+    return runs
+
+
+def _points(rs, rng, count, slocal=False):
+    """count points built one at a time from the inputs that random_points
+    (slocal: random_slocal_points) draws: all the s, then all the seeds."""
+    if slocal:
+        s, seeds = rand_palindromic_s(rng, (count, rs.n)), draw_seed(rng, count)
+        return [sample_slocal_fiber(rs, build_M(rs, s[i]), seeds[i]) for i in range(count)]
+    s, seeds = rand_s(rng, (count, rs.n)), draw_seed(rng, count)
+    return [commuting_point(rs, build_M(rs, s[i]), seeds[i]) for i in range(count)]
+
+
+def _fiber_vector(p, E, rng):
+    return fiber_vector(p, combine(rand_s(rng, len(E)), E))
+
+
+def reference_laws(rs, rng, count):
+    ps, seeds = _points(rs, rng, count), draw_seed(rng, count)
+
+    def one(i):
+        p = ps[i]
+        sp, tp = apply_sigma(rs, p), apply_theta(rs, p)
+        q = commuting_point(rs, p.A, seeds[i])
+        pq = groupoid_compose(rs, make_pair(p, q))
+        return {
+            "involutions.involutivity": (point_distance(apply_sigma(rs, sp), p),
+                                         point_distance(apply_theta(rs, tp), p)),
+            "involutions.commutation": point_distance(apply_sigma(rs, tp), apply_theta(rs, sp)),
+            "involutions.base_parameter_action": (_sup(sp.s - p.s[::-1]),
+                                                  _sup(tp.s - np.conj(p.s[::-1]))),
+            "involutions.groupoid_morphism": [
+                point_distance(f(rs, pq), groupoid_compose(rs, make_pair(fp, f(rs, q))))
+                for f, fp in ((apply_sigma, sp), (apply_theta, tp))
+            ],
+            "involutions.sigma_route_agreement": sigma_route_gap(rs, p),
+        }
+    return one
+
+
+def reference_axioms(rs, rng, count):
+    ps, seeds = _points(rs, rng, count), draw_seed(rng, (2, count))
+
+    def compose(p, q):
+        return groupoid_compose(rs, make_pair(p, q))
+
+    def one(i):
+        p1 = ps[i]
+        A = p1.A
+        p2, p3 = (commuting_point(rs, A, seeds[k, i]) for k in (0, 1))
+        u = unit(rs, A)
+        return {
+            "groupoid.axioms": (
+                point_distance(compose(compose(p1, p2), p3), compose(p1, compose(p2, p3))),
+                point_distance(compose(p1, u), p1),
+                point_distance(compose(p1, groupoid_inverse(rs, p1)), u),
+            ),
+            "groupoid.sampler_membership": (_sup(p1.B @ A - A @ p1.B),
+                                            abs(determinant(p1.B) - 1.0)),
+        }
+    return one
+
+
+def reference_unit_blocks(rs, rng):
+    n = rs.n
+    A = build_M(rs, rand_s(rng, n))
+    u0 = unit(rs, A)
+    E = centralizer_basis(A)
+    uF, vF = _fiber_vector(u0, E, rng), _fiber_vector(u0, E, rng)
+    uH, vH = horizontal_vector_at_unit(rs, u0, np.array([rand_s(rng, n), rand_s(rng, n)]))
+    U, V = np.array([uF, uH]), np.array([vF, vH])
+    # the blocks (F, F), (F, H), (H, F), (H, H) as one Gram and one oracle call
+    w = omega_gram(u0.B, u0.A, U, V)
+    return {
+        "symplectic.unit_block_oracle": [abs(d) for d in
+                                         (w - unit_block_values(A, U[:, None], V[None])).ravel()],
+        "symplectic.unit_pullback_zero": abs(w[1, 1]),
+    }
+
+
+def reference_multiplicative(rs, rng, count):
+    ps, seeds = _points(rs, rng, count), draw_seed(rng, count)
+
+    def one(i):
+        pair = make_pair(ps[i], commuting_point(rs, ps[i].A, seeds[i]))
+        return {"symplectic.multiplicativity":
+                multiplicativity_residual(rs, pair, composable_tangent_basis(rs, pair))}
+    return one
+
+
+def reference_section(rs, rng, count):
+    n = rs.n
+    sign = -1.0 if n % 2 == 1 else 1.0
+    ss = rand_s(rng, (count, n))
+
+    def one(i):
+        s = ss[i]
+        M = build_M(rs, s)
+        Mp = np.linalg.matrix_power(M, n + 1)
+        S12 = build_S(rs, 1, s) @ build_S(rs, 2, s)
+        return {
+            "stokes.round_trip": _sup(stokes_params_of(M) - s),
+            "stokes.regularity": float(not is_regular(M)),
+            "stokes.power_identity": _sup(Mp - sign * S12) / max(1.0, np.max(np.abs(Mp))),
+            "stokes.factor_route_agreement": [
+                _sup(build_Q(rs, k, s) - build_Q(rs, k, s, route="shift"))
+                for k in range(n + 1, 3 * (n + 1))
+            ],
+        }
+    return one
+
+
+def reference_chains(rs, rng, count):
+    n = rs.n
+    sp, sg = rand_palindromic_s(rng, (count, n)), rand_s(rng, (count, n))
+
+    def chain(s):
+        return [_sup(build_Q(rs, k + n + 1, s) - inverse(build_Q(rs, k, s)).T)
+                for k in (n + 1, n + 2)]
+
+    def one(i):
+        return {"stokes.antisymmetry_equivalence": chain(sp[i]),
+                "stokes.antisymmetry_negative_control": float(np.max(chain(sg[i])))}
+    return one
+
+
+def _c_reality(rs, B):
+    # np.square, as the trial squares its array of norms; ** on one numpy
+    # scalar calls pow, which can differ from x * x in the last bit
+    return _sup(B @ np.conj(B) - np.eye(rs.n + 1)) / max(1.0, np.square(np.linalg.norm(B, 2)))
+
+
+def reference_real_char_poly(rs, rng, count):
+    ps = _points(rs, rng, count, slocal=True)
+
+    def one(i):
+        B = ps[i].B
+        c = char_poly(B)
+        return {"involutions.fixed_point_char_poly_real": _sup(c.imag) / np.max(np.abs(c)),
+                "involutions.fixed_point_c_reality": _c_reality(rs, B)}
+    return one
+
+
+def reference_c_reality(rs, rng, count):
+    ps = _points(rs, rng, count, slocal=True)
+    return lambda i: {"involutions.fixed_point_c_reality": _c_reality(rs, ps[i].B)}
+
+
+def reference_bondal_axioms(rs, rng):
+    N = rs.n + 1
+    I = np.eye(N, dtype=complex)
+
+    def rand_orth():
+        S = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        return expm(0.5 * (S - S.T))
+
+    p1, p2, p3 = (bd.make_bondal_point(rand_orth(), I, tol=1e-8) for _ in range(3))
+    Aut = np.triu(rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N)), 1) + I
+    q = bd.make_bondal_point(np.diag([1.0] * (N - 1) + [(-1.0) ** (N - 1)]), Aut, tol=1e-8)
+    return {"bondal.axioms": (
+        _sup(bd.compose(bd.compose(p1, p2), p3).B - bd.compose(p1, bd.compose(p2, p3)).B),
+        _sup(bd.compose(p1, bd.unit(bd.source(p1))).B - p1.B),
+        _sup(bd.compose(q, bd.unit(q.A)).B - q.B),
+    )}
+
+
+def reference_embedding(rs, rng, count):
+    ps, seeds = _points(rs, rng, count, slocal=True), draw_seed(rng, count)
+
+    def one(i):
+        p = ps[i]
+        q = sample_slocal_fiber(rs, p.A, seeds[i])
+        pq = groupoid_compose(rs, make_pair(p, q))
+        e1, e2, epq = (bd.embed_slocal(rs, x) for x in (p, q, pq))
+        comp = bd.compose(e1, e2, tol=1e-7)
+        return {"bondal.embedding_intertwines": (_sup(comp.B - epq.B), _sup(comp.A - epq.A))}
+    return one
+
+
+def reference_symmetries(rs, rng):
+    inp = random_antisymmetric_input(rs.n, rng)
+    return {f"connection.symmetry_{k}": alpha_symmetry_residual(k, inp) for k in SYMMETRY_KINDS}
+
+
+def reference_control(rs, rng):
+    good = random_antisymmetric_input(rs.n, rng)
+    v = good.v.copy()
+    v[0] += 1.0
+    inp = TodaInput(n=rs.n, w=good.w, v=v, x=1.1, zeta=0.7 + 0.2j)
+    observed = [alpha_symmetry_residual(k, inp, require_antisymmetric=False)
+                for k in ("anti", "c_real")]
+    return {"connection.negative_control": float(np.max(observed))}
+
+
+def reference_fiber(rs, rng, count):
+    ps = _points(rs, rng, count, slocal=True)
+    return lambda i: {"groupoid.slocal_fiber_membership":
+                      float(not slocal_membership(rs, ps[i], tol=1e-8)["fixed_route"])}
+
+
+def reference_tangent(rs, rng, count):
+    ps = _points(rs, rng, count)
+    return lambda i: {"groupoid.tangent_constraints":
+                      tangent_residual(ps[i], tangent_space(rs, ps[i])[0])}
+
+
+def reference_closed(rs, rng, count):
+    # closedness, exact on the first-order tangent frame
+    ps = _points(rs, rng, count)
+    return lambda i: {"symplectic.closedness": closedness_residual(rs, ps[i])}
+
+
+def reference_nondegenerate(rs, rng, count):
+    # nondegeneracy at units over well-separated spectra (even indices) and
+    # at random points over them (odd indices)
+    ss = [semisimple_s(rs, rng) for _ in range(count)]
+    seeds = draw_seed(rng, count // 2)
+
+    def one(i):
+        A = build_M(rs, ss[i])
+        p = unit(rs, A) if i % 2 == 0 else commuting_point(rs, A, seeds[i // 2])
+        U, _ = tangent_space(rs, p)
+        return {"symplectic.nondegeneracy": gram_matrix(p, U)[1]}
+    return one
+
+
+def reference_pullbacks(rs, rng, count):
+    # involution pullbacks at units, then at random points over their own bases
+    ss, seeds = rand_s(rng, (2 * count, rs.n)), draw_seed(rng, count)
+
+    def one(i):
+        u0 = unit(rs, build_M(rs, ss[i]))
+        p = commuting_point(rs, build_M(rs, ss[count + i]), seeds[i])
+        return {
+            "symplectic.pullback_units": involution_pullback_residual(rs, u0),
+            "symplectic.pullback_random": involution_pullback_residual(rs, p),
+        }
+    return one
+
+
+def reference_integrable(rs, rng, count):
+    # integrable-system structure
+    ss = [semisimple_s(rs, rng) for _ in range(count)]
+    seeds = draw_seed(rng, count)
+    coeffs = rand_s(rng, (2, count, rs.n))
+
+    def one(i):
+        A = build_M(rs, ss[i])
+        p = commuting_point(rs, A, seeds[i])
+        E = centralizer_basis(A)
+        uF, vF = (fiber_vector(p, combine(coeffs[k, i], E)) for k in (0, 1))
+        U, sdot = tangent_space(rs, p)
+        return {
+            "symplectic.poisson_brackets": poisson_bracket_residual(rs, p, U, sdot),
+            "symplectic.fiber_isotropy": abs(omega(p, uF, vF)),
+            "symplectic.type_two_zero": type_20_residual(p, U),
+        }
+    return one
+
+
+def reference_real_form(rs, rng, count):
+    # real sub-form behaviour on involution-fixed tangents
+    ps = _points(rs, rng, count, slocal=True)
+
+    def one(i):
+        rep = real_form_checks(rs, ps[i])
+        return {"symplectic.real_form_re_omega": rep["re_omega_residual"],
+                "symplectic.real_form_omega2": rep["omega2_min_singular"],
+                "symplectic.real_form_fixed_gap": rep["fixed_gap"]}
+    return one
+
+
+def _each(reference):
+    """The references whose trials draw all their numbers in one call: such a
+    trial lays them out sample after sample, so reference(rs, rng) draws and
+    evaluates one sample per call."""
+    return lambda rs, rng, count: lambda _: reference(rs, rng)
+
+
+def _only(batched, name):
+    """batched, returning only its residual called name."""
+    @functools.wraps(batched)
+    def trial(rs, rng, count):
+        return {name: batched(rs, rng, count)[name]}
+    return trial
+
+
+#: trial -> (suite, batched trial, (rs, rng, count) -> its one-sample form of
+#: the sample index, drawn as the batched trial draws)
+REFERENCES = {
+    "laws": ("involutions", report.involution_laws, reference_laws),
+    "axioms": ("groupoid", report.groupoid_axioms, reference_axioms),
+    "unit_blocks": ("symplectic", report.unit_blocks, _each(reference_unit_blocks)),
+    "multiplicative": ("symplectic", report.multiplicative, reference_multiplicative),
+    "section": ("stokes", report.stokes_section, reference_section),
+    "chains": ("stokes", report.stokes_chains, reference_chains),
+    "real_char_poly": ("involutions", report.real_char_poly, reference_real_char_poly),
+    "c_reality": ("involutions", _only(report.real_char_poly, "involutions.fixed_point_c_reality"),
+                  reference_c_reality),
+    "bondal_axioms": ("bondal", report.bondal_axioms, _each(reference_bondal_axioms)),
+    "embedding": ("bondal", report.bondal_embedding, reference_embedding),
+    "symmetries": ("connection", report.connection_symmetries, _each(reference_symmetries)),
+    "control": ("connection", report.connection_control, _each(reference_control)),
+    "fiber": ("groupoid", report.slocal_fiber, reference_fiber),
+    "tangent": ("groupoid", report.tangent_constraints, reference_tangent),
+    "closed": ("symplectic", report.closedness, reference_closed),
+    "nondegenerate": ("symplectic", report.nondegeneracy, reference_nondegenerate),
+    "pullbacks": ("symplectic", report.pullbacks, reference_pullbacks),
+    "integrable": ("symplectic", report.integrable, reference_integrable),
+    "real_form": ("symplectic", report.real_form, reference_real_form),
+}
+
+#: the trials batched after the first three
+LATER = [t for t in REFERENCES if t not in ("laws", "axioms", "unit_blocks")]
+
+
+def _stream(seed, suite):
+    """The generator run_suite gives the suite at this seed."""
+    seeds = np.random.SeedSequence(seed).spawn(len(report.SUITES))
+    return np.random.default_rng(seeds[report.SUITES.index(suite)])
+
+
+def _assert_trial_matches(rs, trial, seed, samples):
+    suite, batched, reference = REFERENCES[trial]
+    rng, ref_rng = _stream(seed, suite), _stream(seed, suite)
+    got = batched(rs, rng, samples)
+    want = _draw(samples, reference(rs, ref_rng, samples))
+    assert sorted(got) == sorted(want)
+    for name, runs in want.items():
+        expected = np.array(runs, dtype=float)
+        assert got[name].shape == expected.shape, name
+        assert got[name].dtype == expected.dtype, name
+        assert got[name].tobytes() == expected.tobytes(), name
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("trial", REFERENCES)
+def test_batched_trial_equals_per_sample(roots, trial, n):
+    _assert_trial_matches(roots[n], trial, 42, 10)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("trial", LATER)
+def test_batched_trial_equals_per_sample_at_100(roots, trial, n):
+    _assert_trial_matches(roots[n], trial, 35, 100)
+
+
+@pytest.mark.parametrize("seed", [7, 35, 37])
+def test_batched_laws_at_the_marginal_seeds(roots, seed):
+    """At these verify seeds the laws trial's largest make_point commutator at
+    n = 4 came within a tenth of its absolute bound of 1e-9 while sigma
+    conjugated by F_sigma at even rank (see test_sigma_twice_at_even_rank)."""
+    _assert_trial_matches(roots[4], "laws", seed, 100)
+
+
+# ---------------------------------------------------------------------------
+# stacked primitives
 
 
 def _same(stacked, singles):
