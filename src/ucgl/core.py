@@ -229,7 +229,7 @@ def expm(X):
         s[big] = np.ceil(np.log2(norm[big] / THETA_13))
         A = A * np.ldexp(1.0, -s)[:, None, None]  # exact: a power of two
     R = _pade(A)
-    for k in range(s.max()):
+    for k in range(s.max(initial=0)):
         i = s > k
         if i.all():
             R = R @ R
@@ -241,30 +241,50 @@ def expm(X):
 def polynomial_coefficients(A, B):
     """c, shape (..., N), with B = sum_k c_k A^k for B in the commutant of a
     regular A (Kostant: the commutant is the polynomials in A): least squares
-    on the vectorised powers I, A, ..., A^n, by their QR."""
+    on the vectorised powers I, A, ..., A^n, solved with their memoised QR
+    (powers_qr)."""
+    Q, R = powers_qr(A)[:2]
     N = A.shape[-1]
-    P = np.moveaxis(powers(A, N), 0, -1).reshape(A.shape[:-2] + (N * N, N))
-    Q, R = np.linalg.qr(P)
     b = np.swapaxes(Q, -1, -2).conj() @ B.reshape(B.shape[:-2] + (N * N, 1))
     return np.linalg.solve(R, b)[..., 0]
 
 
-def spans_powers(P):
-    """Whether the N powers P = powers(M, N) span an N-dimensional space, for
-    each matrix of a stack: the numerical rank of the flattened powers, with
-    singular-value cutoff 1e-8 times the largest singular value, is N."""
-    N = len(P)
-    rows = np.moveaxis(P.reshape(P.shape[:-2] + (N * N,)), 0, -2)
-    sv = np.linalg.svd(rows, compute_uv=False)
-    rank = np.sum(sv > 1e-8 * sv[..., :1], axis=-1)
-    return rank == N
+def powers_qr(M):
+    """(Q, R, regular, E) for the vectorised powers P = [I, M, ..., M^n] of M,
+    shape (..., N^2, N), or of each matrix of a stack: the one factorization
+    that is_regular, polynomial_coefficients and groupoid.centralizer_basis
+    read, memoised by the shape and bytes of M for the last 8 of them.
+
+    Q, R is the QR of P.  regular says whether P has numerical rank N, taken
+    from the singular values of the N x N factor R (those of P) with cutoff
+    1e-8 times the largest.  E, shape (..., n, N, N), is Q's columns 1..n as
+    matrices: Q's column 0 is a multiple of I, so they are Frobenius-
+    orthonormal and traceless, and for regular M they span the traceless
+    part of its commutant (Kostant).  Every array is read-only; a NaN entry
+    makes the singular values raise LinAlgError on every call.
+    """
+    A = _as_matrix(M)
+    return _powers_qr(A.shape, A.tobytes())
+
+
+@functools.lru_cache(maxsize=8)
+def _powers_qr(shape, data):
+    A = np.frombuffer(data, dtype=complex).reshape(shape)
+    N = shape[-1]
+    P = np.moveaxis(powers(A, N), 0, -1).reshape(shape[:-2] + (N * N, N))
+    Q, R = np.linalg.qr(P)
+    sv = np.linalg.svd(R, compute_uv=False)
+    regular = np.asarray(np.sum(sv > 1e-8 * sv[..., :1], axis=-1) == N)
+    E = np.ascontiguousarray(np.moveaxis(Q[..., 1:], -1, -2)).reshape(shape[:-2] + (N - 1, N, N))
+    for X in (Q, R, regular, E):
+        X.flags.writeable = False
+    return Q, R, regular, E
 
 
 def is_regular(M):
-    """Whether M is regular: {I, M, ..., M^n} spans an (n+1)-dimensional space
-    (spans_powers); one flag per matrix of a stack."""
-    A = _as_matrix(M)
-    return spans_powers(powers(A, A.shape[-1]))
+    """Whether M is regular: {I, M, ..., M^n} spans an (n+1)-dimensional space,
+    read off powers_qr; one flag per matrix of a stack."""
+    return powers_qr(M)[2][()]
 
 
 def encode_matrix(M):

@@ -9,6 +9,7 @@ core.expm, which needs numpy alone.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,8 +21,7 @@ from .core import (
     max_abs,
     modulus,
     polynomial_coefficients,
-    powers,
-    spans_powers,
+    powers_qr,
 )
 from .errors import NotComposableError, NotRegularError, PreconditionError
 from .involutions import POINT_TOL, GroupoidPoint, make_point, twists
@@ -82,30 +82,19 @@ def centralizer_basis(A):
     """Frobenius-orthonormal basis E, shape (n, N, N), of the traceless commutant of a regular A.
 
     For regular A the commutant is the polynomials in A (Kostant, Amer. J.
-    Math. 85, 1963), so its traceless part is spanned by the traceless
-    powers A^j - (Tr A^j / N) I, j = 1..n; E is the QR of these, vectorised.
-    A stack of A, shape (..., N, N), gives a stack of bases (..., n, N, N).
+    Math. 85, 1963), the span of I, A, ..., A^n; E is the columns 1..n of the
+    QR of these powers, vectorised, whose column 0 is a multiple of I
+    (core.powers_qr).  A stack of A, shape (..., N, N), gives a stack of
+    bases (..., n, N, N).
 
-    E is memoised by the shape and bytes of A (32 entries) and is
-    read-only; a non-regular A, or a stack holding one, raises
-    NotRegularError on every call.
+    E comes from the factorization that is_regular and
+    polynomial_coefficients share, memoised by the shape and bytes of A (8
+    entries), and is read-only; a non-regular A, or a stack holding one,
+    raises NotRegularError on every call.
     """
-    A = np.asarray(A, dtype=complex)
-    return _centralizer_basis(A.shape, A.tobytes())
-
-
-@functools.lru_cache(maxsize=32)
-def _centralizer_basis(shape, data):
-    A = np.frombuffer(data, dtype=complex).reshape(shape)
-    N = A.shape[-1]
-    P = powers(A, N)  # I, A, ..., A^n: is_regular's test, then the QR's input
-    if not spans_powers(P).all():
+    _, _, regular, E = powers_qr(A)
+    if not regular.all():
         raise NotRegularError("centralizer basis needs a regular element")
-    P = np.moveaxis(P[1:], 0, -3)
-    P = P - P.trace(axis1=-2, axis2=-1)[..., None, None] / N * identity(N)
-    Q, _ = np.linalg.qr(np.swapaxes(P.reshape(P.shape[:-2] + (-1,)), -1, -2))
-    E = np.swapaxes(Q, -1, -2).reshape(P.shape)
-    E.flags.writeable = False
     return E
 
 
@@ -116,7 +105,7 @@ def combine(c, E):
     bytes of its single calls."""
     n, N = E.shape[-3], E.shape[-1]
     E2 = E.reshape((-1, n, N * N))
-    c2 = np.reshape(c, (len(E2), -1, n))
+    c2 = np.reshape(c, (len(E2), math.prod(np.shape(c)[E.ndim - 3 : -1]), n))
     return (c2 @ E2).reshape(np.shape(c)[:-1] + (N, N))
 
 

@@ -119,7 +119,9 @@ def twists(rs, s):
 
     The twist that moves with s (F at even rank, G at odd rank) and its
     inverse are memoised by value in _moving_twist: one entry per root set
-    and the shape and bytes of s, 32 entries.  The constant one depends on
+    and the shape and bytes of s, 8 entries, as many as _section_fit and
+    core.powers_qr's shared factorization of a base keep (a verify round
+    looks up none older than the last 7).  The constant one depends on
     the rank alone; it and its inverse are built once per rank.  Each array
     has the bytes of the builder, or of inverse of it, called on s.
     """
@@ -137,7 +139,7 @@ def _with_inverse(F):
     return F, Fi
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=8)
 def _moving_twist(rs, shape, data):
     """F_sigma at even rank, F_theta at odd rank, and its inverse, at s from its shape and bytes."""
     s = np.frombuffer(data, dtype=complex).reshape(shape)
@@ -193,11 +195,17 @@ def sigma_by_polynomial(rs, p):
     return inverse(Q), A2
 
 
-def sigma_route_gap(rs, p):
+def sigma_route_gap(rs, p, sp):
     """max|sigma_by_twist B - sigma_by_polynomial B| / max|sigma_by_polynomial B|,
-    one value per point of a stack: the two routes to sigma(B) agree, which
-    tests F_sigma where sigma itself no longer conjugates by it."""
-    Bt, Bq = sigma_by_twist(rs, p)[0], sigma_by_polynomial(rs, p)[0]
+    one value per point of a stack, with sp = apply_sigma(rs, p): the two
+    routes to sigma(B) agree, which tests F_sigma where sigma itself no longer
+    conjugates by it.  sp.B is the route that apply_sigma takes
+    (sigma_by_twist's at odd rank, sigma_by_polynomial's at even rank), so
+    only the other one is computed."""
+    if rs.n % 2 == 1:
+        Bt, Bq = sp.B, sigma_by_polynomial(rs, p)[0]
+    else:
+        Bt, Bq = sigma_by_twist(rs, p)[0], sp.B
     return max_abs(Bt - Bq) / max_abs(Bq)
 
 

@@ -5,14 +5,14 @@ seed and returns named checks with residuals and tolerances.  A suite is
 trial functions of the sample count plus a tolerance table.  A trial first
 draws its inputs from the suite's generator, one array call per kind (all
 the samples' s through groupoid.random_points or random_slocal_points or
-one rand_s call, then all their sampler seeds in one draw_seed call, and
-so on; only semisimple_s draws one s at a time, as it redraws), and then
-evaluates every sample at once on stacks (of points, see
-involutions.GroupoidPoint, or of connection inputs), returning under each
-name an array whose first axis is the sample.  A check's residual is the
-largest of its entries (_max_checks); a negative control's is max(0,
-threshold - smallest observation) (_control), zero when the control
-misbehaves as it should.  A NaN propagates through both and so fails.
+one rand_s or semisimple_s call, then all their sampler seeds in one
+draw_seed call, and so on), and then evaluates every sample at once on
+stacks (of points, see involutions.GroupoidPoint, or of connection
+inputs), returning under each name an array whose first axis is the
+sample.  A check's residual is the largest of its entries (_max_checks); a
+negative control's is max(0, threshold - smallest observation) (_control),
+zero when the control misbehaves as it should.  A NaN propagates through
+both and so fails.
 
 Each suite draws from its own generator, seeded by the child of
 SeedSequence(seed) that belongs to the suite's name, so a (config, seed)
@@ -271,7 +271,7 @@ def involution_laws(rs, rng, count):
             point_distance(f(rs, pq), _compose(rs, fp, f(rs, q)))
             for f, fp in ((apply_sigma, sp), (apply_theta, tp))
         ]),
-        "involutions.sigma_route_agreement": sigma_route_gap(rs, p),
+        "involutions.sigma_route_agreement": sigma_route_gap(rs, p, sp),
     }
 
 
@@ -392,7 +392,7 @@ def closedness(rs, rng, count):
 def nondegeneracy(rs, rng, count):
     """Nondegeneracy over well-separated spectra at count points: units at even
     sample indices, random points at odd ones."""
-    A = build_M(rs, np.array([semisimple_s(rs, rng) for _ in range(count)]))
+    A = build_M(rs, semisimple_s(rs, rng, count))
     p = unit(rs, A)  # a fresh B: the random points' rows are written in place
     p.B[1::2] = commuting_point(rs, A[1::2], draw_seed(rng, count // 2)).B
     return {"symplectic.nondegeneracy": gram_matrix(p, tangent_space(rs, p)[0])[1]}
@@ -410,7 +410,7 @@ def pullbacks(rs, rng, count):
 
 def integrable(rs, rng, count):
     """The integrable-system structure at count random points over well-separated spectra."""
-    A = build_M(rs, np.array([semisimple_s(rs, rng) for _ in range(count)]))
+    A = build_M(rs, semisimple_s(rs, rng, count))
     p = commuting_point(rs, A, draw_seed(rng, count))
     E = centralizer_basis(A)
     # the coefficients of uF and vF over the commutant basis

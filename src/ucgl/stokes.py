@@ -166,16 +166,25 @@ def rand_palindromic_s(rng, shape):
     return np.concatenate([half, half[..., : n // 2][..., ::-1]], axis=-1).astype(complex)
 
 
-def semisimple_s(rs, rng):
-    """Random s whose section element has pairwise eigenvalue gaps of at least 1e-2.
+def semisimple_s(rs, rng, count=None):
+    """Random s whose section element has pairwise eigenvalue gaps of at least
+    1e-2: one s, or a stack of count of them.
 
-    Draws up to 50 times before giving up.
+    Every s is drawn in one rand_s call and every spectrum comes from one
+    stacked eigvals of build_M; the rows that miss are redrawn together, up
+    to 49 more times, before DegenerateSampleError is raised.
     """
-    for _ in range(50):
-        s = rand_s(rng, rs.n)
-        lam = np.roots(char_poly(build_M(rs, s))[::-1])
-        if all(abs(a - b) >= 1e-2 for a, b in itertools.combinations(lam, 2)):
-            return s
+    n = rs.n
+    s = rand_s(rng, (1 if count is None else count, n))
+    rows = np.arange(len(s))
+    i, j = np.triu_indices(n + 1, 1)
+    for attempt in range(50):
+        if attempt:
+            s[rows] = rand_s(rng, (len(rows), n))
+        lam = np.linalg.eigvals(build_M(rs, s[rows]))
+        rows = rows[np.abs(lam[:, i] - lam[:, j]).min(axis=-1) < 1e-2]
+        if not len(rows):
+            return s[0] if count is None else s
     raise DegenerateSampleError("could not find a well-separated spectrum")
 
 
@@ -187,10 +196,11 @@ def section_membership(rs, A, tol=1e-9):
     residual fails both.  A stack of A gives one flag per matrix.
 
     The fit itself, s and its three residuals, is memoised by value in
-    _section_fit: one entry per root set and the shape and bytes of A, 32
-    entries, compared against tol here, so calls at any tolerance share an
-    entry and every residual is the one a fresh fit gives.  The returned s
-    is read-only.
+    _section_fit: one entry per root set and the shape and bytes of A, 8
+    entries, as many as the twist memo and core.powers_qr's shared
+    factorization of A keep.  It is compared against tol here, so calls at
+    any tolerance share an entry and every residual is the one a fresh fit
+    gives.  The returned s is read-only.
     """
     A = np.asarray(A, dtype=complex)
     s, gap, imag, asym = _section_fit(rs, A.shape, A.tobytes())
@@ -199,7 +209,7 @@ def section_membership(rs, A, tol=1e-9):
     return {"in_section": in_section, "in_local": in_local, "s": s}
 
 
-@functools.lru_cache(maxsize=32)
+@functools.lru_cache(maxsize=8)
 def _section_fit(rs, shape, data):
     """s = stokes_params_of(A) for A from its shape and bytes, with max|A - M(s)|,
     max|Im s| and max|s - s reversed|."""

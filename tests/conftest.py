@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ucgl.groupoid import _centralizer_basis
+from ucgl.core import _powers_qr
 from ucgl.involutions import _constant_twists, _moving_twist
 from ucgl.stokes import _section_fit, derive_root_sets
 
@@ -17,7 +17,7 @@ def cold_memos():
     """Empty the value-keyed memos before each test: an entry made before a
     test monkeypatches a function they call would hide the patch."""
     _section_fit.cache_clear()
-    _centralizer_basis.cache_clear()
+    _powers_qr.cache_clear()
     _moving_twist.cache_clear()
     _constant_twists.clear()
 

@@ -202,7 +202,7 @@ def reference_laws(rs, rng, count):
                 point_distance(f(rs, pq), groupoid_compose(rs, make_pair(fp, f(rs, q))))
                 for f, fp in ((apply_sigma, sp), (apply_theta, tp))
             ],
-            "involutions.sigma_route_agreement": sigma_route_gap(rs, p),
+            "involutions.sigma_route_agreement": sigma_route_gap(rs, p, sp),
         }
     return one
 
@@ -382,7 +382,7 @@ def reference_closed(rs, rng, count):
 def reference_nondegenerate(rs, rng, count):
     # nondegeneracy at units over well-separated spectra (even indices) and
     # at random points over them (odd indices)
-    ss = [semisimple_s(rs, rng) for _ in range(count)]
+    ss = semisimple_s(rs, rng, count)
     seeds = draw_seed(rng, count // 2)
 
     def one(i):
@@ -409,7 +409,7 @@ def reference_pullbacks(rs, rng, count):
 
 def reference_integrable(rs, rng, count):
     # integrable-system structure
-    ss = [semisimple_s(rs, rng) for _ in range(count)]
+    ss = semisimple_s(rs, rng, count)
     seeds = draw_seed(rng, count)
     coeffs = rand_s(rng, (2, count, rs.n))
 
@@ -513,6 +513,16 @@ def test_batched_trial_equals_per_sample(roots, trial, n):
 @pytest.mark.parametrize("trial", LATER)
 def test_batched_trial_equals_per_sample_at_100(roots, trial, n):
     _assert_trial_matches(roots[n], trial, 35, 100)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_nondegeneracy_at_one_sample(roots, n):
+    """One sample is one unit: the stack of random points at odd indices is
+    empty, and the trial reads the unit alone."""
+    runs = report.nondegeneracy(roots[n], _stream(42, "symplectic"), 1)
+    want = _draw(1, reference_nondegenerate(roots[n], _stream(42, "symplectic"), 1))
+    assert runs["symplectic.nondegeneracy"].tobytes() == np.array(
+        want["symplectic.nondegeneracy"]).tobytes()
 
 
 @pytest.mark.parametrize("seed", [7, 35, 37])

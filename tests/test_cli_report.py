@@ -7,7 +7,7 @@ import pytest
 from ucgl.cli import main
 from ucgl.core import encode_matrix
 from ucgl.errors import PreconditionError, SearchFailureError, UcglError
-from ucgl import cli, groupoid, report, stokes
+from ucgl import cli, core, report, stokes
 from ucgl.groupoid import draw_seed, random_slocal_points, sample_slocal_fiber
 from ucgl.involutions import GroupoidPoint, slocal_membership
 from ucgl.report import Check, run_suite
@@ -80,10 +80,10 @@ def test_memos_leave_the_report_unchanged(monkeypatch, n):
 
     cold = checks()
     assert stokes._section_fit.cache_info().hits > 0
-    assert groupoid._centralizer_basis.cache_info().hits > 0
+    assert core._powers_qr.cache_info().hits > 0
     assert checks() == cold
     monkeypatch.setattr(stokes, "_section_fit", stokes._section_fit.__wrapped__)
-    monkeypatch.setattr(groupoid, "_centralizer_basis", groupoid._centralizer_basis.__wrapped__)
+    monkeypatch.setattr(core, "_powers_qr", core._powers_qr.__wrapped__)
     assert checks() == cold
 
 

@@ -13,6 +13,7 @@ from ucgl.core import (
     expm,
     inverse,
     is_regular,
+    powers,
     structural_matrices,
 )
 from ucgl.errors import InvalidDimensionError, SingularMatrixError
@@ -130,6 +131,41 @@ def test_is_regular():
             g = random_matrix(rng, 3)
         assert is_regular(comp)
         assert is_regular(g @ comp @ np.linalg.inv(g))
+
+
+def _spans_powers(M):
+    """The rank reference: whether the SVD of the N x N^2 flattened powers I, M,
+    ..., M^n has N singular values above 1e-8 times the largest."""
+    N = M.shape[-1]
+    rows = np.moveaxis(powers(M, N).reshape((N,) + M.shape[:-2] + (N * N,)), 0, -2)
+    sv = np.linalg.svd(rows, compute_uv=False)
+    return np.sum(sv > 1e-8 * sv[..., :1], axis=-1) == N
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_is_regular_matches_the_rank_of_the_powers(N):
+    """is_regular reads the rank off the R factor of the powers' QR; on
+    near-derogatory matrices, an eigenvalue pair or triple split by 0 to 1e-4
+    around the cutoff, on Jordan blocks and on I it agrees with the SVD of the
+    powers, one matrix at a time and as a stack."""
+    rng = np.random.default_rng(30 + N)
+    J = np.eye(N, k=1)
+    g = random_matrix(rng, N)
+    cases = [np.eye(N), 2.0 * np.eye(N) + J,  # I, and one Jordan block: regular
+             g @ (np.eye(N) + J - np.diag(np.eye(N - 1)[0], 1)) @ np.linalg.inv(g)]  # J_1 + J_(N-1)
+    for split in (0.0, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-4):
+        for mult in {2, min(3, N)}:
+            for _ in range(5):
+                lam = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+                lam[1:mult] = lam[0] + split * np.exp(2j * np.pi * rng.random(mult - 1))
+                g = random_matrix(rng, N)
+                cases.append(g @ np.diag(lam) @ np.linalg.inv(g))
+    M = np.array(cases)
+    want = _spans_powers(M)
+    assert list(want[:3]) == [False, True, False]
+    assert want.any() and not want.all()
+    np.testing.assert_array_equal(is_regular(M), want)
+    assert [bool(is_regular(X)) for X in M] == list(want)
 
 
 def test_inverse_small_and_large():

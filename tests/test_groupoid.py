@@ -5,14 +5,21 @@ import numpy as np
 import pytest
 from scipy.linalg import null_space
 
-from ucgl.core import determinant, structural_matrices
+from ucgl.core import (
+    _powers_qr,
+    determinant,
+    is_regular,
+    max_abs,
+    polynomial_coefficients,
+    powers,
+    structural_matrices,
+)
 from ucgl.errors import (
     NotComposableError,
     NotRegularError,
     PreconditionError,
 )
 from ucgl.groupoid import (
-    _centralizer_basis,
     _seeded_normals,
     _tangent_frame,
     centralizer_basis,
@@ -97,23 +104,42 @@ def test_centralizer_basis(roots):
             assert E.shape == (n, n + 1, n + 1)
             gram = np.einsum("kij,lij->kl", E.conj(), E)
             assert np.max(np.abs(gram - np.eye(n))) < 1e-14
-            # subtracting Tr A^j / N leaves round-off of the size of A^j: 1.7e-14 at n = 4
+            # E is orthogonal to the QR's first column, a multiple of I, to round-off
             assert np.max(np.abs(np.trace(E, axis1=1, axis2=2))) < 1e-12
             assert np.max(np.abs(E @ A - A @ E)) < 1e-14 * np.linalg.norm(A)
 
 
 def test_centralizer_basis_memo(roots):
-    """A non-regular A raises on every call; equal arrays share one read-only E."""
+    """A non-regular A raises on every call, from its one stored factorization;
+    equal arrays share one read-only E."""
     for _ in range(2):
         with pytest.raises(NotRegularError):
             centralizer_basis(np.eye(3))
     A = build_M(roots[3], rand_s(np.random.default_rng(5), 3))
     E = centralizer_basis(A)
     np.testing.assert_array_equal(centralizer_basis(A.copy()), E)
-    # (hits, misses): an exception is not stored, so each raise was a miss
-    assert _centralizer_basis.cache_info()[:2] == (1, 3)
+    assert _powers_qr.cache_info()[:2] == (2, 2)  # (hits, misses)
     with pytest.raises(ValueError):
         E[0, 0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_one_factorization_serves_basis_regularity_and_polynomial(roots, n):
+    """centralizer_basis, is_regular and polynomial_coefficients of one base,
+    or of one stack of bases, read one factorization of its powers: one miss,
+    then hits."""
+    rs = roots[n]
+    p = commuting_point(rs, build_M(rs, rand_s(np.random.default_rng(40 + n), (6, n))),
+                        draw_seed(np.random.default_rng(50 + n), 6))
+    _powers_qr.cache_clear()
+    E = centralizer_basis(p.A)
+    assert is_regular(p.A).all()
+    c = polynomial_coefficients(p.A, p.B)
+    assert _powers_qr.cache_info()[:2] == (2, 1)
+    # and what each reads is what it needs: B = q(A), E spans a commutant
+    q = np.einsum("...k,k...ij->...ij", c, powers(p.A, n + 1))
+    assert max_abs(q - p.B).max() < 1e-9 * max_abs(p.B).max()
+    assert max_abs(E @ p.A[:, None] - p.A[:, None] @ E).max() < 1e-12 * max_abs(p.A).max()
 
 
 def test_sample_commuting_properties(roots):
@@ -159,6 +185,14 @@ def test_slocal_fiber_fixed_to_round_off(n):
         mem = slocal_membership(rs, p, tol=POINT_TOL)
         assert mem["fixed_route"] and mem["direct_route"]
         assert abs(np.linalg.det(p.B) - 1) <= 10 * (n + 1) * u * np.linalg.cond(p.B)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_samplers_of_no_points_give_an_empty_stack(roots, n):
+    rs = roots[n]
+    for sampler in (random_points, random_slocal_points):
+        p = sampler(rs, np.random.default_rng(n), 0)
+        assert (p.B.shape, p.A.shape, p.s.shape) == ((0, n + 1, n + 1),) * 2 + ((0, n),)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -166,15 +166,19 @@ def test_sigma_twice_at_even_rank(roots, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_sigma_routes_agree(roots, n):
     """apply_sigma takes sigma_by_twist at odd rank and sigma_by_polynomial at
-    even rank; both give the same point to round-off at every rank."""
+    even rank; both give the same point to round-off at every rank.
+    sigma_route_gap reads apply_sigma's B for its own route and gives the
+    bytes of the gap between the two routes built afresh."""
     rs = roots[n] if n in roots else derive_root_sets(n)
     p = random_points(rs, np.random.default_rng(700 + n), 50)
-    assert (sigma_route_gap(rs, p) < 1e-9).all()
+    sp = apply_sigma(rs, p)
+    gap = sigma_route_gap(rs, p, sp)
+    assert (gap < 1e-9).all()
     Bt, At = sigma_by_twist(rs, p)
     Bq, Aq = sigma_by_polynomial(rs, p)
     assert (max_abs(At - Aq) / max_abs(Aq) < 1e-9).all()
-    sp = apply_sigma(rs, p)
     assert np.array_equal(sp.B, Bt if n % 2 else Bq)
+    assert gap.tobytes() == (max_abs(Bt - Bq) / max_abs(Bq)).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

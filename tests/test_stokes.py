@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ucgl.core import determinant, inverse, is_regular, structural_matrices
-from ucgl.errors import InvalidSectorError, PreconditionError
+from ucgl.errors import DegenerateSampleError, InvalidSectorError, PreconditionError
 from ucgl.stokes import (
     _candidate_passes,
     _orientations,
@@ -19,6 +19,7 @@ from ucgl.stokes import (
     rand_palindromic_s,
     rand_s,
     section_membership,
+    semisimple_s,
     sign_coeff,
     stokes_params_of,
 )
@@ -285,6 +286,29 @@ def test_section_fit_memo_matches_a_cold_fit(roots):
     assert [section_membership(rs, A)["in_local"] for A in bases[:4]] == [True, False, False, False]
     with pytest.raises(ValueError):
         section_membership(rs, bases[0])["s"][0] = 0.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_semisimple_s_redraws_the_rows_that_miss(roots, n, monkeypatch):
+    """A stack of count s drawn in one rand_s call, each with eigenvalue gaps of
+    at least 1e-2; the rows that miss are redrawn together, in one call a
+    round, and one draw is the only row of a stack of one."""
+    rs = roots[n]
+    i, j = np.triu_indices(n + 1, 1)
+    s = semisimple_s(rs, np.random.default_rng(80 + n), 40)
+    lam = np.linalg.eigvals(build_M(rs, s))
+    assert s.shape == (40, n) and np.abs(lam[:, i] - lam[:, j]).min() >= 1e-2
+    assert np.array_equal(semisimple_s(rs, np.random.default_rng(80 + n)),
+                          semisimple_s(rs, np.random.default_rng(80 + n), 1)[0])
+    assert semisimple_s(rs, np.random.default_rng(80 + n), 0).shape == (0, n)
+    # every draw misses: 50 rand_s calls of the whole stack, then the error
+    shapes = []
+    monkeypatch.setattr("ucgl.stokes.rand_s", lambda rng, shape: shapes.append(shape) or
+                        np.zeros(shape, dtype=complex))
+    monkeypatch.setattr("ucgl.stokes.build_M", lambda rs, s: np.zeros(s.shape[:-1] + (n + 1,) * 2))
+    with pytest.raises(DegenerateSampleError):
+        semisimple_s(rs, np.random.default_rng(0), 3)
+    assert shapes == [(3, n)] * 50
 
 
 def test_sign_coeff_covers_all_pairs(roots):
