@@ -243,25 +243,30 @@ def polynomial_coefficients(A, B):
     regular A (Kostant: the commutant is the polynomials in A): least squares
     on the vectorised powers I, A, ..., A^n, solved with their memoised QR
     (powers_qr)."""
-    Q, R = powers_qr(A)[:2]
+    Qt, R = powers_qr(A)[:2]
     N = A.shape[-1]
-    b = np.swapaxes(Q, -1, -2).conj() @ B.reshape(B.shape[:-2] + (N * N, 1))
+    # Q^H with conj(Q) laid out as the QR returns Q, so that the product has
+    # the bytes of one on a fresh QR
+    Qh = np.swapaxes(np.conj(np.swapaxes(Qt, -1, -2), order="C"), -1, -2)
+    b = Qh @ B.reshape(B.shape[:-2] + (N * N, 1))
     return np.linalg.solve(R, b)[..., 0]
 
 
 def powers_qr(M):
-    """(Q, R, regular, E) for the vectorised powers P = [I, M, ..., M^n] of M,
-    shape (..., N^2, N), or of each matrix of a stack: the one factorization
-    that is_regular, polynomial_coefficients and groupoid.centralizer_basis
-    read, memoised by the shape and bytes of M for the last 8 of them.
+    """(Q^T, R, regular, E) for the vectorised powers P = [I, M, ..., M^n] of
+    M, shape (..., N^2, N), or of each matrix of a stack: the one
+    factorization that is_regular, polynomial_coefficients and
+    groupoid.centralizer_basis read, memoised by the shape and bytes of M for
+    the last 8 of them.
 
-    Q, R is the QR of P.  regular says whether P has numerical rank N, taken
-    from the singular values of the N x N factor R (those of P) with cutoff
-    1e-8 times the largest.  E, shape (..., n, N, N), is Q's columns 1..n as
-    matrices: Q's column 0 is a multiple of I, so they are Frobenius-
-    orthonormal and traceless, and for regular M they span the traceless
-    part of its commutant (Kostant).  Every array is read-only; a NaN entry
-    makes the singular values raise LinAlgError on every call.
+    Q, R is the QR of P, and Q^T is kept with its rows contiguous.  regular
+    says whether P has numerical rank N, taken from the singular values of
+    the N x N factor R (those of P) with cutoff 1e-8 times the largest.  E,
+    shape (..., n, N, N), is Q's columns 1..n as matrices, a view of Q^T:
+    Q's column 0 is a multiple of I, so they are Frobenius-orthonormal and
+    traceless, and for regular M they span the traceless part of its
+    commutant (Kostant).  Every array is read-only; a NaN entry makes the
+    singular values raise LinAlgError on every call.
     """
     A = _as_matrix(M)
     return _powers_qr(A.shape, A.tobytes())
@@ -273,12 +278,13 @@ def _powers_qr(shape, data):
     N = shape[-1]
     P = np.moveaxis(powers(A, N), 0, -1).reshape(shape[:-2] + (N * N, N))
     Q, R = np.linalg.qr(P)
+    Qt = np.ascontiguousarray(np.swapaxes(Q, -1, -2))
     sv = np.linalg.svd(R, compute_uv=False)
     regular = np.asarray(np.sum(sv > 1e-8 * sv[..., :1], axis=-1) == N)
-    E = np.ascontiguousarray(np.moveaxis(Q[..., 1:], -1, -2)).reshape(shape[:-2] + (N - 1, N, N))
-    for X in (Q, R, regular, E):
+    E = Qt[..., 1:, :].reshape(shape[:-2] + (N - 1, N, N))  # a view
+    for X in (Qt, R, regular, E):
         X.flags.writeable = False
-    return Q, R, regular, E
+    return Qt, R, regular, E
 
 
 def is_regular(M):

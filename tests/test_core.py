@@ -13,6 +13,7 @@ from ucgl.core import (
     expm,
     inverse,
     is_regular,
+    polynomial_coefficients,
     powers,
     structural_matrices,
 )
@@ -149,10 +150,11 @@ def test_is_regular_matches_the_rank_of_the_powers(N):
     around the cutoff, on Jordan blocks and on I it agrees with the SVD of the
     powers, one matrix at a time and as a stack."""
     rng = np.random.default_rng(30 + N)
-    J = np.eye(N, k=1)
+    J = np.eye(N) + np.eye(N, k=1)  # one Jordan block: regular
+    D = J.copy()
+    D[0, 1] = 0.0  # blocks of sizes 1 and N - 1 at one eigenvalue: derogatory
     g = random_matrix(rng, N)
-    cases = [np.eye(N), 2.0 * np.eye(N) + J,  # I, and one Jordan block: regular
-             g @ (np.eye(N) + J - np.diag(np.eye(N - 1)[0], 1)) @ np.linalg.inv(g)]  # J_1 + J_(N-1)
+    cases = [np.eye(N), J, g @ D @ np.linalg.inv(g)]
     for split in (0.0, 1e-12, 1e-10, 1e-8, 1e-7, 1e-6, 1e-4):
         for mult in {2, min(3, N)}:
             for _ in range(5):
@@ -166,6 +168,22 @@ def test_is_regular_matches_the_rank_of_the_powers(N):
     assert want.any() and not want.all()
     np.testing.assert_array_equal(is_regular(M), want)
     assert [bool(is_regular(X)) for X in M] == list(want)
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_polynomial_coefficients_have_the_bytes_of_a_fresh_qr(N):
+    """Solving with the memoised factors, on a miss and on a hit, gives the bytes
+    of least squares on a QR of the powers made for the call."""
+    rng = np.random.default_rng(60 + N)
+    A = np.array([random_matrix(rng, N) for _ in range(6)])
+    B = A @ A - 2.0 * A + 0.5j * np.eye(N)
+    P = np.moveaxis(powers(A, N), 0, -1).reshape((6, N * N, N))
+    Q, R = np.linalg.qr(P)
+    b = np.swapaxes(Q, -1, -2).conj() @ B.reshape((6, N * N, 1))
+    want = np.linalg.solve(R, b)[..., 0]
+    for _ in range(2):
+        assert polynomial_coefficients(A, B).tobytes() == want.tobytes()
+    assert polynomial_coefficients(A[2], B[2]).tobytes() == want[2].tobytes()
 
 
 def test_inverse_small_and_large():
