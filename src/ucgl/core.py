@@ -289,7 +289,8 @@ def _powers_qr(shape, data):
 
 def is_regular(M):
     """Whether M is regular: {I, M, ..., M^n} spans an (n+1)-dimensional space,
-    read off powers_qr; one flag per matrix of a stack."""
+    read off powers_qr; one flag per matrix of a stack, read-only as the
+    memo holds it."""
     return powers_qr(M)[2][()]
 
 
