@@ -32,10 +32,9 @@ from .report import SUITES, run_suite
 from .stokes import build_M, derive_root_sets, rand_palindromic_s, root_sets_to_dict
 
 #: points that sample-slocal samples and tests at a time, so that its peak
-#: memory grows with --count only by the drawn s and seeds once the
-#: value-keyed memos (8 stacks each) are full; the draws come before the
-#: chunks, and the stacked primitives give each point the bytes of a single
-#: call, so the output does not depend on it
+#: memory grows with --count only by the drawn s and seeds; the draws come
+#: before the chunks, and the stacked primitives give each point the bytes
+#: of a single call, so the output does not depend on it
 SLOCAL_CHUNK = 64
 
 

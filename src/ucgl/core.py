@@ -241,23 +241,22 @@ def expm(X):
 def polynomial_coefficients(A, B):
     """c, shape (..., N), with B = sum_k c_k A^k for B in the commutant of a
     regular A (Kostant: the commutant is the polynomials in A): least squares
-    on the vectorised powers I, A, ..., A^n, solved with their memoised QR
-    (powers_qr)."""
-    Qt, R = powers_qr(A)[:2]
-    N = A.shape[-1]
-    # Q^H with conj(Q) laid out as the QR returns Q, so that the product has
-    # the bytes of one on a fresh QR
-    Qh = np.swapaxes(np.conj(np.swapaxes(Qt, -1, -2), order="C"), -1, -2)
-    b = Qh @ B.reshape(B.shape[:-2] + (N * N, 1))
-    return np.linalg.solve(R, b)[..., 0]
+    on the vectorised powers I, A, ..., A^n, solved with their QR (powers_qr,
+    solve_powers)."""
+    return solve_powers(powers_qr(A), B)
+
+
+def solve_powers(qr, B):
+    """polynomial_coefficients(A, B) from qr = powers_qr(A): c = R^{-1} Q^H vec(B)."""
+    _, R, _, _, Qh = qr
+    return np.linalg.solve(R, Qh @ B.reshape(B.shape[:-2] + (B.shape[-1] ** 2, 1)))[..., 0]
 
 
 def powers_qr(M):
-    """(Q^T, R, regular, E) for the vectorised powers P = [I, M, ..., M^n] of
-    M, shape (..., N^2, N), or of each matrix of a stack: the one
+    """(Q^T, R, regular, E, Q^H) for the vectorised powers P = [I, M, ..., M^n]
+    of M, shape (..., N^2, N), or of each matrix of a stack: the one
     factorization that is_regular, polynomial_coefficients and
-    groupoid.centralizer_basis read, memoised by the shape and bytes of M for
-    the last 8 of them.
+    groupoid.centralizer_basis read.
 
     Q, R is the QR of P, and Q^T is kept with its rows contiguous.  regular
     says whether P has numerical rank N, taken from the singular values of
@@ -265,32 +264,24 @@ def powers_qr(M):
     shape (..., n, N, N), is Q's columns 1..n as matrices, a view of Q^T:
     Q's column 0 is a multiple of I, so they are Frobenius-orthonormal and
     traceless, and for regular M they span the traceless part of its
-    commutant (Kostant).  Every array is read-only; a NaN entry makes the
-    singular values raise LinAlgError on every call.
+    commutant (Kostant).  Q^H is a view of conj(Q), laid out as Q.  A NaN
+    entry makes the singular values raise LinAlgError.
     """
     A = _as_matrix(M)
-    return _powers_qr(A.shape, A.tobytes())
-
-
-@functools.lru_cache(maxsize=8)
-def _powers_qr(shape, data):
-    A = np.frombuffer(data, dtype=complex).reshape(shape)
-    N = shape[-1]
-    P = np.moveaxis(powers(A, N), 0, -1).reshape(shape[:-2] + (N * N, N))
+    N = A.shape[-1]
+    P = np.moveaxis(powers(A, N), 0, -1).reshape(A.shape[:-2] + (N * N, N))
     Q, R = np.linalg.qr(P)
     Qt = np.ascontiguousarray(np.swapaxes(Q, -1, -2))
     sv = np.linalg.svd(R, compute_uv=False)
     regular = np.asarray(np.sum(sv > 1e-8 * sv[..., :1], axis=-1) == N)
-    E = Qt[..., 1:, :].reshape(shape[:-2] + (N - 1, N, N))  # a view
-    for X in (Qt, R, regular, E):
-        X.flags.writeable = False
-    return Qt, R, regular, E
+    E = Qt[..., 1:, :].reshape(A.shape[:-2] + (N - 1, N, N))  # a view
+    Qh = np.swapaxes(np.conj(Q, order="C"), -1, -2)
+    return Qt, R, regular, E, Qh
 
 
 def is_regular(M):
     """Whether M is regular: {I, M, ..., M^n} spans an (n+1)-dimensional space,
-    read off powers_qr; one flag per matrix of a stack, read-only as the
-    memo holds it."""
+    read off powers_qr; one flag per matrix of a stack."""
     return powers_qr(M)[2][()]
 
 

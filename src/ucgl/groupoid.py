@@ -5,7 +5,8 @@ class exactly once, two elements are composable iff their bases are equal:
 source and target coincide, s = t = A, so the groupoid is a bundle of groups
 over the section and needs no maps for them.  Composition multiplies the
 B-slots.  The samplers exponentiate elements of A's commutant with
-core.expm, which needs numpy alone.
+core.expm, which needs numpy alone.  Every map that takes a base A takes
+an array or an involutions.Base, which keeps what it derives from A.
 """
 
 import functools
@@ -14,18 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    expm,
-    identity,
-    inverse,
-    max_abs,
-    modulus,
-    polynomial_coefficients,
-    powers_qr,
-)
+from .core import expm, identity, inverse, max_abs, modulus, powers_qr, solve_powers
 from .errors import NotComposableError, NotRegularError, PreconditionError
-from .involutions import POINT_TOL, GroupoidPoint, make_point, twists
-from .stokes import build_M, dM_ds, rand_palindromic_s, rand_s, section_membership
+from .involutions import POINT_TOL, Base, GroupoidPoint, as_base, make_point
+from .stokes import build_M, dM_ds, rand_palindromic_s, rand_s, section_verdicts
 
 #: base-equality tolerance for composability
 BASE_TOL = 1e-10
@@ -63,19 +56,19 @@ def z_membership(rs, B, A, tol=POINT_TOL):
 
 def unit(rs, A):
     """The identity arrow over a section element A, or over each of a stack."""
-    A = np.asarray(A, dtype=complex)
-    B = np.empty_like(A)
-    B[...] = identity(A.shape[-1])
-    return make_point(rs, B, A)
+    base = as_base(rs, A)
+    B = np.empty_like(base.A)
+    B[...] = identity(B.shape[-1])
+    return make_point(rs, B, base)
 
 
 def groupoid_inverse(rs, p):
-    return make_point(rs, inverse(p.B), p.A)
+    return make_point(rs, inverse(p.B), p.base)
 
 
 def groupoid_compose(rs, pair):
     """Multiply the B-slots over the common base."""
-    return make_point(rs, pair.p.B @ pair.q.B, pair.p.A, tol=1e-7)
+    return make_point(rs, pair.p.B @ pair.q.B, pair.p.base, tol=1e-7)
 
 
 def centralizer_basis(A):
@@ -85,14 +78,10 @@ def centralizer_basis(A):
     Math. 85, 1963), the span of I, A, ..., A^n; E is the columns 1..n of the
     QR of these powers, vectorised, whose column 0 is a multiple of I
     (core.powers_qr).  A stack of A, shape (..., N, N), gives a stack of
-    bases (..., n, N, N).
-
-    E comes from the factorization that is_regular and
-    polynomial_coefficients share, memoised by the shape and bytes of A (8
-    entries), and is read-only; a non-regular A, or a stack holding one,
-    raises NotRegularError on every call.
+    bases (..., n, N, N).  A non-regular A, or a stack holding one, raises
+    NotRegularError.
     """
-    _, _, regular, E = powers_qr(A)
+    _, _, regular, E, _ = A.qr if isinstance(A, Base) else powers_qr(A)
     if not regular.all():
         raise NotRegularError("centralizer basis needs a regular element")
     return E
@@ -192,15 +181,14 @@ def sample_slocal_fiber(rs, A, seed):
     calls; a base off the slice, anywhere in the stack, raises the single
     call's error.
     """
-    A = np.asarray(A, dtype=complex)
-    mem = section_membership(rs, A)
-    if np.count_nonzero(~mem["in_local"]):
+    base = as_base(rs, A)
+    if np.count_nonzero(~section_verdicts(base.fit, POINT_TOL)["in_local"]):
         raise PreconditionError("base must be on the real palindromic slice")
-    F, Fi, G, Gi = twists(rs, mem["s"])
-    xi = _commutant_element(A, seed)
+    F, Fi, G, Gi = base.twists
+    xi = _commutant_element(base, seed)
     xi = xi - F @ np.swapaxes(xi, -1, -2) @ Fi
     eta = 0.5 * (xi + G @ np.conj(xi) @ Gi)
-    return make_point(rs, expm(eta), A)
+    return make_point(rs, expm(eta), base)
 
 
 def draw_seed(rng, size=None):
@@ -212,7 +200,8 @@ def draw_seed(rng, size=None):
 def commuting_point(rs, A, seed):
     """The point (sample_commuting(A, seed), A), validated at tolerance 1e-7;
     a stack of A takes a list or array of seeds."""
-    return make_point(rs, sample_commuting(A, seed), A, tol=1e-7)
+    base = as_base(rs, A)
+    return make_point(rs, sample_commuting(base, seed), base, tol=1e-7)
 
 
 def random_points(rs, rng, count):
@@ -235,7 +224,7 @@ def _horizontal_lifts(x, dM):
     the point x, X'_d the derivative of B = q(A) along dM_d by Horner's rule (q
     from polynomial_coefficients): q(A) commutes with A for every A, so
     [X_d, A] + [B, dM_d] = 0, and Tr(B^{-1} X_d) = 0."""
-    c = polynomial_coefficients(x.A, x.B)
+    c = solve_powers(x.base.qr, x.B)
     N = c.shape[-1]
     A, B = x.A[..., None, :, :], x.B[..., None, :, :]  # against the direction axis of dM
     H = c[..., N - 1, None, None] * identity(N)
@@ -260,7 +249,7 @@ def _tangent_frame(rs, points, dM):
     W = np.zeros(lead + ((k + 1) * n, k * N * N + n), dtype=complex)
     X = W[..., : k * N * N].reshape(lead + ((k + 1) * n, k, N, N))  # a view: only an axis is split
     for i, x in enumerate(points):
-        X[..., i * n : (i + 1) * n, i, :, :] = x.B[..., None, :, :] @ centralizer_basis(x.A)
+        X[..., i * n : (i + 1) * n, i, :, :] = x.B[..., None, :, :] @ centralizer_basis(x.base)
         X[..., k * n :, i, :, :] = _horizontal_lifts(x, dM)
     W[..., k * n :, k * N * N :] = identity(n)
     W = np.swapaxes(np.linalg.qr(np.swapaxes(W, -1, -2))[0], -1, -2)

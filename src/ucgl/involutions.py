@@ -19,10 +19,9 @@ exactly, by d(F Z F^{-1}) = F dZ F^{-1} + [dF F^{-1}, F Z F^{-1}].  The
 twist moves with s in two cases only: F_sigma = S_1(s)^T at even rank and
 F_theta = Ctilde conj(Q_n(s)) at odd rank; everywhere else dF = 0.
 
-Every caller takes F, G and their inverses from twists(rs, s), which
-memoises the twist that moves with s by value and builds the constant one
-once per rank, so a fixed-locus sample and its membership test build each
-twist once.
+Every structure map reads F, G and their inverses off the point's Base,
+which builds them once (twists), with the section fit, the factorization
+of A's powers and the bases of the two images.
 """
 
 import functools
@@ -30,62 +29,102 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    determinant,
-    identity,
-    inverse,
-    max_abs,
-    modulus,
-    polynomial_coefficients,
-    structural_matrices,
-)
+from .core import (determinant, identity, inverse, max_abs, modulus, powers_qr, solve_powers,
+                   structural_matrices)
 from .errors import PreconditionError
-from .stokes import build_M, build_Q, build_S, factor_product_derivative, section_membership
+from .stokes import (RootSetData, build_M, build_Q, build_S, factor_product_derivative,
+                     section_fit, section_verdicts)
 
 #: default tolerance for the point invariants (commutation, det, section)
 POINT_TOL = 1e-9
+
+
+@dataclass(frozen=True, eq=False)
+class Base:
+    """A section element A of the root set rs, or a stack of them, with what
+    is derived from A alone, each built on first use and kept: the section
+    fit (stokes.section_fit) and s, the factorization of A's powers
+    (core.powers_qr), the twists at s and the bases of sigma's and theta's
+    images.  The groupoid is a bundle of groups, so every structure map
+    keeps its base, and the points over one base share its Base."""
+
+    rs: RootSetData
+    A: np.ndarray
+    fit = functools.cached_property(lambda self: section_fit(self.rs, self.A))
+    s = property(lambda self: self.fit[0])
+    qr = functools.cached_property(lambda self: powers_qr(self.A))
+    twists = functools.cached_property(lambda self: twists(self.rs, self.s))
+
+    @functools.cached_property
+    def sigma(self):
+        """The base of sigma's image: F A^{-T} F^{-1} at odd rank, and at even
+        rank M(s reversed), by the section identity (see apply_sigma)."""
+        if self.rs.n % 2 == 0:
+            return Base(self.rs, build_M(self.rs, self.s[..., ::-1]))
+        F, Fi, _, _ = self.twists
+        return Base(self.rs, F @ np.swapaxes(inverse(self.A), -1, -2) @ Fi)
+
+    @functools.cached_property
+    def theta(self):
+        """The base of theta's image, G conj(A)^{-1} G^{-1}."""
+        _, _, G, Gi = self.twists
+        return Base(self.rs, G @ inverse(np.conj(self.A)) @ Gi)
+
+    def __getitem__(self, index):
+        """The base, or the sub-stack, at index of a stack, with the slice of
+        its fit if it has one; the rest is built again when read."""
+        sub = Base(self.rs, self.A[index])
+        if "fit" in vars(self):
+            vars(sub)["fit"] = tuple(x[index] for x in self.fit)
+        return sub
+
+
+def as_base(rs, A):
+    """A Base as it is, or an array as a new Base of rs."""
+    return A if isinstance(A, Base) else Base(rs, np.asarray(A, dtype=complex))
 
 
 @dataclass(frozen=True)
 class GroupoidPoint:
     """A pair (B, A) with A on the section and B in its centralizer, det B = 1.
 
-    s caches the section parameters of A.  A point may hold a stack: B and A
-    of shape (..., N, N) and s of shape (..., n), one point per leading
-    index.  make_point, the involutions, point_distance and the groupoid
-    maps take a stack as they take one point and act on each independently.
+    A and s are read off its Base.  A point may hold a stack: B and A of
+    shape (..., N, N) and s of shape (..., n), one point per leading index.
+    make_point, the involutions, point_distance and the groupoid maps take a
+    stack as they take one point and act on each independently.
     """
 
     B: np.ndarray
-    A: np.ndarray
-    s: np.ndarray
+    base: Base
+    A = property(lambda self: self.base.A)
+    s = property(lambda self: self.base.s)
 
     def __getitem__(self, index):
         """The point, or the sub-stack, at index of a stack; a single point
         is no stack and raises TypeError."""
         if self.B.ndim < 3:
             raise TypeError("a single GroupoidPoint is not a stack")
-        return GroupoidPoint(B=self.B[index], A=self.A[index], s=self.s[index])
+        return GroupoidPoint(B=self.B[index], base=self.base[index])
 
 
 def make_point(rs, B, A, tol=POINT_TOL):
-    """Validate the pair invariants and build a GroupoidPoint.
+    """Validate the pair invariants and build a GroupoidPoint; A is an array
+    or a Base, whose section fit is compared with tol and not redone.
 
     On stacks each invariant is checked at every point before the next, so
     a stack raises the error that a single call on a point breaking it
     raises.  A NaN residual of commutation or det B passes, as it does for
     one point.
     """
-    B = np.asarray(B, dtype=complex)
-    A = np.asarray(A, dtype=complex)
+    base = as_base(rs, A)
+    B, A = np.asarray(B, dtype=complex), base.A
     if np.count_nonzero(max_abs(B @ A - A @ B) > tol):
         raise PreconditionError("B and A do not commute within tolerance")
     if np.count_nonzero(modulus(determinant(B) - 1.0) > tol):
         raise PreconditionError("det B differs from 1 beyond tolerance")
-    mem = section_membership(rs, A, tol)
-    if np.count_nonzero(~mem["in_section"]):
+    if np.count_nonzero(~section_verdicts(base.fit, tol)["in_section"]):
         raise PreconditionError("A is not on the section within tolerance")
-    return GroupoidPoint(B=B, A=A, s=mem["s"])
+    return GroupoidPoint(B=B, base=base)
 
 
 def F_sigma(rs, s):
@@ -114,46 +153,31 @@ def F_theta(rs, s):
     return st.C
 
 
+_constant_twists = {}
+
+
 def twists(rs, s):
     """(F, F^{-1}, G, G^{-1}) with F = F_sigma(rs, s) and G = F_theta(rs, s), read-only.
 
     The twist that moves with s (F at even rank, G at odd rank) and its
-    inverse are memoised by value in _moving_twist: one entry per root set
-    and the shape and bytes of s, 8 entries, as many as _section_fit and
-    core.powers_qr's shared factorization of a base keep (a verify round
-    looks up none older than the last 7).  The constant one depends on
-    the rank alone; it and its inverse are built once per rank.  Each array
-    has the bytes of the builder, or of inverse of it, called on s.
+    inverse are built for the call; the constant one depends on the rank
+    alone, and it and its inverse are built once per rank and kept in
+    _constant_twists.  Each array has the bytes of the builder, or of
+    inverse of it, called on s.
     """
-    s = np.asarray(s, dtype=complex)
-    moving = _moving_twist(rs, s.shape, s.tobytes())
-    constant = _constant_twist(rs)
-    return moving + constant if rs.n % 2 == 0 else constant + moving
+    even = rs.n % 2 == 0
+    moving = _with_inverse((F_sigma if even else F_theta)(rs, s))
+    if rs.n not in _constant_twists:
+        _constant_twists[rs.n] = _with_inverse((F_theta if even else F_sigma)(rs, None))
+    constant = _constant_twists[rs.n]
+    return moving + constant if even else constant + moving
 
 
 def _with_inverse(F):
-    """F and inverse(F), both read-only."""
-    F.flags.writeable = False
+    """F and inverse(F), both read-only: a Base shares them, and a rank its constant pair."""
     Fi = inverse(F)
-    Fi.flags.writeable = False
+    F.flags.writeable = Fi.flags.writeable = False
     return F, Fi
-
-
-@functools.lru_cache(maxsize=8)
-def _moving_twist(rs, shape, data):
-    """F_sigma at even rank, F_theta at odd rank, and its inverse, at s from its shape and bytes."""
-    s = np.frombuffer(data, dtype=complex).reshape(shape)
-    return _with_inverse((F_sigma if rs.n % 2 == 0 else F_theta)(rs, s))
-
-
-_constant_twists = {}
-
-
-def _constant_twist(rs):
-    """F_sigma at odd rank, F_theta at even rank, and its inverse, kept per rank."""
-    if rs.n not in _constant_twists:
-        _constant_twists[rs.n] = _with_inverse((F_sigma if rs.n % 2 == 1 else F_theta)(rs, None))
-    return _constant_twists[rs.n]
 
 
 def apply_sigma(rs, p, tol=POINT_TOL):
@@ -163,36 +187,35 @@ def apply_sigma(rs, p, tol=POINT_TOL):
     (sigma_by_twist).  At even rank F = S_1(s)^T has cond 1e2 to 1e3, and
     sigma applied twice amplified round-off past make_point's 1e-9 (up to
     5.5e-9 at n = 4, 1.7e-7 at n = 6); there sigma takes
-    sigma_by_polynomial, which builds no F.
+    sigma_by_polynomial, which builds no F.  The image's base is p's
+    Base.sigma, which takes the same route for A.
     """
-    B2, A2 = (sigma_by_twist if rs.n % 2 == 1 else sigma_by_polynomial)(rs, p)
+    B2 = (sigma_by_twist if rs.n % 2 == 1 else sigma_by_polynomial)(rs, p)
+    A2 = p.base.sigma
     return make_point(rs, B2, A2, tol)
 
 
 def sigma_by_twist(rs, p):
-    """sigma's B- and A-slots by conjugation: F B^{-T} F^{-1} and F A^{-T} F^{-1}."""
-    F, Fi, _, _ = twists(rs, p.s)
-    B2 = F @ np.swapaxes(inverse(p.B), -1, -2) @ Fi
-    A2 = F @ np.swapaxes(inverse(p.A), -1, -2) @ Fi
-    return B2, A2
+    """sigma's B-slot by conjugation: F B^{-T} F^{-1}."""
+    F, Fi, _, _ = p.base.twists
+    return F @ np.swapaxes(inverse(p.B), -1, -2) @ Fi
 
 
 def sigma_by_polynomial(rs, p):
-    """sigma's B- and A-slots through B's polynomial in A, with no twist.
+    """sigma's B-slot through B's polynomial in A, with no twist.
 
     sigma(A) = M(s reversed) by the section identity.  On the section A is
     regular, so B = q(A) (polynomial_coefficients), and F A^T F^{-1} =
     sigma(A)^{-1} gives sigma(B) = (F q(A)^T F^{-1})^{-1} = q(sigma(A)^{-1})^{-1},
     q evaluated by Horner's rule.
     """
-    A2 = build_M(rs, p.s[..., ::-1])
-    c = polynomial_coefficients(p.A, p.B)
-    X = inverse(A2)
+    c = solve_powers(p.base.qr, p.B)
+    X = inverse(build_M(rs, p.s[..., ::-1]))
     N = rs.n + 1
     Q = c[..., N - 1, None, None] * identity(N)
     for k in range(N - 2, -1, -1):
         Q = c[..., k, None, None] * identity(N) + X @ Q
-    return inverse(Q), A2
+    return inverse(Q)
 
 
 def sigma_route_gap(rs, p, sp):
@@ -203,18 +226,18 @@ def sigma_route_gap(rs, p, sp):
     (sigma_by_twist's at odd rank, sigma_by_polynomial's at even rank), so
     only the other one is computed."""
     if rs.n % 2 == 1:
-        Bt, Bq = sp.B, sigma_by_polynomial(rs, p)[0]
+        Bt, Bq = sp.B, sigma_by_polynomial(rs, p)
     else:
-        Bt, Bq = sigma_by_twist(rs, p)[0], sp.B
+        Bt, Bq = sigma_by_twist(rs, p), sp.B
     return max_abs(Bt - Bq) / max_abs(Bq)
 
 
 def apply_theta(rs, p, tol=POINT_TOL):
-    """The involution (B, A) -> (G conj(B) G^{-1}, G conj(A)^{-1} G^{-1})."""
-    _, _, G, Gi = twists(rs, p.s)
+    """The involution (B, A) -> (G conj(B) G^{-1}, G conj(A)^{-1} G^{-1}); the
+    image's base is p's Base.theta."""
+    _, _, G, Gi = p.base.twists
     B2 = G @ np.conj(p.B) @ Gi
-    A2 = G @ inverse(np.conj(p.A)) @ Gi
-    return make_point(rs, B2, A2, tol)
+    return make_point(rs, B2, p.base.theta, tol)
 
 
 def _twisted_differential(F, Fi, dF, W, dW):
@@ -238,7 +261,7 @@ def sigma_differential(rs, p, U, sdot):
     dF = np.zeros_like(U[..., 0, :, :])
     if rs.n % 2 == 0:
         dF = np.swapaxes(factor_product_derivative(rs, range(N, 2 * N), p.s, sdot), -1, -2)
-    F, Fi, _, _ = twists(rs, p.s)
+    F, Fi, _, _ = p.base.twists
     return _twisted_differential(F, Fi, dF, W, -W @ np.swapaxes(U, -1, -2) @ W)
 
 
@@ -252,7 +275,7 @@ def theta_differential(rs, p, U, sdot):
         dQ = factor_product_derivative(rs, (rs.n,), p.s, sdot)
         dF = structural_matrices(rs.n).Ctilde @ np.conj(dQ)
     W = np.stack([np.conj(p.B)[..., None, :, :], Ai], axis=-3)
-    _, _, G, Gi = twists(rs, p.s)
+    _, _, G, Gi = p.base.twists
     return _twisted_differential(G, Gi, dF, W, dW)
 
 
@@ -285,7 +308,7 @@ def slocal_membership(rs, p, tol=POINT_TOL):
     callers that read either key.  It is a Python bool for one point and an
     array of flags, one per point, for a stack.
     """
-    F, _, G, _ = twists(rs, p.s)
+    F, _, G, _ = p.base.twists
     BA = np.stack([p.B, p.A])
     residuals = (
         max_abs(BA @ F @ np.swapaxes(BA, -1, -2) - F).max(axis=0) / max_abs(F),

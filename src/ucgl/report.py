@@ -258,7 +258,7 @@ def involution_laws(rs, rng, count):
     commutation, base action and the morphism law of sigma and theta."""
     p = random_points(rs, rng, count)
     sp, tp = apply_sigma(rs, p), apply_theta(rs, p)
-    q = commuting_point(rs, p.A, draw_seed(rng, count))  # a composable partner
+    q = commuting_point(rs, p.base, draw_seed(rng, count))  # a composable partner
     pq = _compose(rs, p, q)
     return {
         "involutions.involutivity": _columns(point_distance(apply_sigma(rs, sp), p),
@@ -310,9 +310,8 @@ def groupoid_axioms(rs, rng, count):
     """The batched axioms trial of suite_groupoid: count samples of associativity,
     unit and inverse laws, and of the sampler's own invariants."""
     p1 = random_points(rs, rng, count)
-    A = p1.A
-    p2, p3 = (commuting_point(rs, A, seeds) for seeds in draw_seed(rng, (2, count)))
-    u = unit(rs, A)
+    p2, p3 = (commuting_point(rs, p1.base, seeds) for seeds in draw_seed(rng, (2, count)))
+    u = unit(rs, p1.base)
     return {
         # associativity, unit, inverse
         "groupoid.axioms": _columns(
@@ -321,7 +320,7 @@ def groupoid_axioms(rs, rng, count):
             point_distance(_compose(rs, p1, u), p1),
             point_distance(_compose(rs, p1, groupoid_inverse(rs, p1)), u),
         ),
-        "groupoid.sampler_membership": _columns(max_abs(p1.B @ A - A @ p1.B),
+        "groupoid.sampler_membership": _columns(max_abs(p1.B @ p1.A - p1.A @ p1.B),
                                                 modulus(determinant(p1.B) - 1.0)),
     }
 
@@ -361,15 +360,14 @@ def unit_blocks(rs, rng, count):
     # basis, then the base velocities of uH and vH, each as rand_s draws it
     x = rng.standard_normal((count, 5, 2, n))
     draws = x[..., 0, :] + 1j * x[..., 1, :]
-    A = build_M(rs, draws[:, 0])
-    u0 = unit(rs, A)
-    E = centralizer_basis(A)
+    u0 = unit(rs, build_M(rs, draws[:, 0]))
+    E = centralizer_basis(u0.base)
     uF, vF = (fiber_vector(u0, combine(draws[:, k], E)) for k in (1, 2))
     uH, vH = np.moveaxis(horizontal_vector_at_unit(rs, u0, draws[:, 3:]), 1, 0)
     U, V = np.stack([uF, uH], axis=1), np.stack([vF, vH], axis=1)
     # the blocks (F, F), (F, H), (H, F), (H, H), one Gram per sample
     w = omega_gram(u0.B, u0.A, U, V)
-    oracle = unit_block_values(A[:, None, None], U[:, :, None], V[:, None])
+    oracle = unit_block_values(u0.A[:, None, None], U[:, :, None], V[:, None])
     return {
         "symplectic.unit_block_oracle": modulus(w - oracle).reshape(count, 4),
         "symplectic.unit_pullback_zero": modulus(w[:, 1, 1]),  # the (H, H) block
@@ -379,7 +377,7 @@ def unit_blocks(rs, rng, count):
 def multiplicative(rs, rng, count):
     """Multiplicativity at count composable pairs, over full composable tangent bases."""
     p = random_points(rs, rng, count)
-    pair = make_pair(p, commuting_point(rs, p.A, draw_seed(rng, count)))
+    pair = make_pair(p, commuting_point(rs, p.base, draw_seed(rng, count)))
     return {"symplectic.multiplicativity":
             multiplicativity_residual(rs, pair, composable_tangent_basis(rs, pair))}
 
@@ -392,9 +390,9 @@ def closedness(rs, rng, count):
 def nondegeneracy(rs, rng, count):
     """Nondegeneracy over well-separated spectra at count points: units at even
     sample indices, random points at odd ones."""
-    A = build_M(rs, semisimple_s(rs, rng, count))
-    p = unit(rs, A)  # a fresh B: the random points' rows are written in place
-    p.B[1::2] = commuting_point(rs, A[1::2], draw_seed(rng, count // 2)).B
+    # unit builds a fresh B: the random points' rows are written in place
+    p = unit(rs, build_M(rs, semisimple_s(rs, rng, count)))
+    p.B[1::2] = commuting_point(rs, p.base[1::2], draw_seed(rng, count // 2)).B
     return {"symplectic.nondegeneracy": gram_matrix(p, tangent_space(rs, p)[0])[1]}
 
 
@@ -403,16 +401,15 @@ def pullbacks(rs, rng, count):
     # one stack: the units, then the random points over their own bases (unit
     # builds a fresh B, so their rows are written in place)
     p = unit(rs, build_M(rs, rand_s(rng, (2 * count, rs.n))))
-    p.B[count:] = commuting_point(rs, p.A[count:], draw_seed(rng, count)).B
+    p.B[count:] = commuting_point(rs, p.base[count:], draw_seed(rng, count)).B
     res = involution_pullback_residual(rs, p)
     return {"symplectic.pullback_units": res[:count], "symplectic.pullback_random": res[count:]}
 
 
 def integrable(rs, rng, count):
     """The integrable-system structure at count random points over well-separated spectra."""
-    A = build_M(rs, semisimple_s(rs, rng, count))
-    p = commuting_point(rs, A, draw_seed(rng, count))
-    E = centralizer_basis(A)
+    p = commuting_point(rs, build_M(rs, semisimple_s(rs, rng, count)), draw_seed(rng, count))
+    E = centralizer_basis(p.base)
     # the coefficients of uF and vF over the commutant basis
     uF, vF = (fiber_vector(p, combine(c, E)) for c in rand_s(rng, (2, count, rs.n)))
     U, sdot = tangent_space(rs, p)
@@ -486,7 +483,7 @@ def bondal_axioms(rs, rng, count):
 def bondal_embedding(rs, rng, count):
     """The embedding intertwines composition and bases, at count fixed-locus pairs."""
     p = random_slocal_points(rs, rng, count)
-    q = sample_slocal_fiber(rs, p.A, draw_seed(rng, count))
+    q = sample_slocal_fiber(rs, p.base, draw_seed(rng, count))
     e1, e2, epq = (bd.embed_slocal(rs, x) for x in (p, q, _compose(rs, p, q)))
     comp = bd.compose(e1, e2, tol=1e-7)
     return {"bondal.embedding_intertwines": _columns(max_abs(comp.B - epq.B),

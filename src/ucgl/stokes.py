@@ -194,30 +194,21 @@ def section_membership(rs, A, tol=1e-9):
     Returns a dict with in_section, in_local and the read-off parameters s.
     in_local additionally requires s real and s_i = s_{n-i+1}.  A NaN
     residual fails both.  A stack of A gives one flag per matrix.
-
-    The fit itself, s and its three residuals, is memoised by value in
-    _section_fit: one entry per root set and the shape and bytes of A, 8
-    entries, as many as the twist memo and core.powers_qr's shared
-    factorization of A keep.  It is compared against tol here, so calls at
-    any tolerance share an entry and every residual is the one a fresh fit
-    gives.  The returned s is read-only.
     """
-    A = np.asarray(A, dtype=complex)
-    s, gap, imag, asym = _section_fit(rs, A.shape, A.tobytes())
-    in_section = gap < tol
-    in_local = in_section & (imag < tol) & (asym < tol)
-    return {"in_section": in_section, "in_local": in_local, "s": s}
+    return section_verdicts(section_fit(rs, np.asarray(A, dtype=complex)), tol)
 
 
-@functools.lru_cache(maxsize=8)
-def _section_fit(rs, shape, data):
-    """s = stokes_params_of(A) for A from its shape and bytes, with max|A - M(s)|,
-    max|Im s| and max|s - s reversed|."""
-    A = np.frombuffer(data, dtype=complex).reshape(shape)
+def section_fit(rs, A):
+    """s = stokes_params_of(A), with max|A - M(s)|, max|Im s| and max|s - s reversed|."""
     s = stokes_params_of(A)
-    s.flags.writeable = False
     return (s, max_abs(A - build_M(rs, s)), np.max(np.abs(s.imag), axis=-1),
             np.max(np.abs(s - s[..., ::-1]), axis=-1))
+
+
+def section_verdicts(fit, tol):
+    """section_membership's dict from a section_fit, its residuals compared with tol."""
+    s, gap, imag, asym = fit
+    return {"in_section": gap < tol, "in_local": (gap < tol) & (imag < tol) & (asym < tol), "s": s}
 
 
 def factor_product_derivative(rs, factors, s, sdots):
@@ -265,11 +256,12 @@ def _candidate_passes(R1, R1p, n, rng, npts):
         return False
     # (b) closure under the parameter-reversing involution
     Fs, Fs_inv, Ft, Ft_inv = twists(cand, s)
-    T = Fs @ np.swapaxes(inverse(M), -1, -2) @ Fs_inv
+    Mi = inverse(M)
+    T = Fs @ np.swapaxes(Mi, -1, -2) @ Fs_inv
     if np.any(max_abs(T - build_M(cand, s[:, ::-1])) > 1e-8):
         return False
     # (c) closure under the conjugate-reversing involution
-    T = Ft @ inverse(np.conj(M)) @ Ft_inv
+    T = Ft @ np.conj(Mi) @ Ft_inv
     if np.any(max_abs(T - build_M(cand, np.conj(s[:, ::-1]))) > 1e-8):
         return False
     # (d) cyclic index shift matches conjugation: build_Q's two routes agree at

@@ -56,6 +56,7 @@ from ucgl.groupoid import (
 from ucgl.involutions import (
     F_sigma,
     F_theta,
+    Base,
     GroupoidPoint,
     apply_sigma,
     apply_theta,
@@ -810,15 +811,15 @@ def test_a_degenerate_pair_raises_the_kernel_dimension(roots, n):
     NotRegularError, alone and as one point of a stack."""
     rs = roots[n]
     rng = np.random.default_rng(1200 + n)
-    s, _, p, q = _stacks(rs, rng)
+    _, _, p, q = _stacks(rs, rng)
     B, A = p.B.copy(), p.A.copy()
     B[7] = A[7] = np.eye(n + 1)
 
-    def basis(B, A, s):
-        x = GroupoidPoint(B=B, A=A, s=s)
+    def basis(B, A):
+        x = GroupoidPoint(B=B, base=Base(rs, A))
         return composable_tangent_basis(rs, make_pair(x, x))
 
-    err = _raises_like_single(basis, 7, B, A, s)
+    err = _raises_like_single(basis, 7, B, A)
     assert isinstance(err, NotRegularError) and "regular" in str(err)
 
 
@@ -860,7 +861,7 @@ def test_tangent_space_checks_broadcast(roots, n):
         _same(rep[key], [r[key] for r in reps])
     # members and, with B scaled, non-members in one stack
     mixed = GroupoidPoint(B=fixed.B * np.where(np.arange(STACK) % 3 == 0, 1.5, 1.0)[:, None, None],
-                          A=fixed.A, s=fixed.s)
+                          base=fixed.base)
     flags = [slocal_membership(rs, x, tol=1e-8) for x in mixed]
     mem = slocal_membership(rs, mixed, tol=1e-8)
     for key in ("fixed_route", "direct_route"):
@@ -876,20 +877,20 @@ def test_a_bad_tangent_frame_raises_as_a_single_call(roots, n):
     a stack the single call's error."""
     rs = roots[n]
     rng = np.random.default_rng(1400 + n)
-    s, _, p, _ = _stacks(rs, rng)
+    _, _, p, _ = _stacks(rs, rng)
     B, A = p.B.copy(), p.A.copy()
     B[7] = A[7] = np.eye(n + 1)
 
-    def tangent(B, A, s):
-        return tangent_space(rs, GroupoidPoint(B=B, A=A, s=s))
+    def tangent(B, A):
+        return tangent_space(rs, GroupoidPoint(B=B, base=Base(rs, A)))
 
-    err = _raises_like_single(tangent, 7, B, A, s)
+    err = _raises_like_single(tangent, 7, B, A)
     assert isinstance(err, NotRegularError) and "regular" in str(err)
     U, sdot = tangent_space(rs, p)
     U[7, 1] = U[7, 0]
 
-    def brackets(B, A, s, U, sdot):
-        return poisson_bracket_residual(rs, GroupoidPoint(B=B, A=A, s=s), U, sdot)
+    def brackets(B, A, U, sdot):
+        return poisson_bracket_residual(rs, GroupoidPoint(B=B, base=Base(rs, A)), U, sdot)
 
-    err = _raises_like_single(brackets, 7, p.B, p.A, p.s, U, sdot)
+    err = _raises_like_single(brackets, 7, p.B, p.A, U, sdot)
     assert isinstance(err, DegenerateFormError)

@@ -6,12 +6,12 @@ import pytest
 from scipy.linalg import null_space
 
 from ucgl.core import (
-    _powers_qr,
     determinant,
     is_regular,
     max_abs,
     polynomial_coefficients,
     powers,
+    solve_powers,
     structural_matrices,
 )
 from ucgl.errors import (
@@ -38,7 +38,9 @@ from ucgl.groupoid import (
     unit,
     z_membership,
 )
-from ucgl.involutions import POINT_TOL, make_point, point_distance, slocal_membership
+from ucgl import involutions
+from ucgl.involutions import POINT_TOL, Base, make_point, point_distance, slocal_membership
+from ucgl.report import run_suite
 from ucgl.stokes import build_M, dM_ds, derive_root_sets, rand_palindromic_s, rand_s
 
 
@@ -110,36 +112,64 @@ def test_centralizer_basis(roots):
 
 
 def test_centralizer_basis_memo(roots):
-    """A non-regular A raises on every call, from its one stored factorization;
-    equal arrays share one read-only E."""
+    """A non-regular base raises on every read of its one factorization; a
+    Base keeps its factorization, and an equal array factored afresh gives
+    the same E."""
+    base = Base(roots[2], np.eye(3, dtype=complex))
     for _ in range(2):
+        with pytest.raises(NotRegularError):
+            centralizer_basis(base)
         with pytest.raises(NotRegularError):
             centralizer_basis(np.eye(3))
     A = build_M(roots[3], rand_s(np.random.default_rng(5), 3))
-    E = centralizer_basis(A)
+    base = Base(roots[3], A)
+    E = centralizer_basis(base)
+    assert centralizer_basis(base) is E
     np.testing.assert_array_equal(centralizer_basis(A.copy()), E)
-    assert _powers_qr.cache_info()[:2] == (2, 2)  # (hits, misses)
-    with pytest.raises(ValueError):
-        E[0, 0, 0] = 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_one_factorization_serves_basis_regularity_and_polynomial(roots, n):
-    """centralizer_basis, is_regular and polynomial_coefficients of one base,
-    or of one stack of bases, read one factorization of its powers: one miss,
-    then hits."""
+    """centralizer_basis, the regularity flag and B's polynomial coefficients
+    at a point, or a stack of them, read the one factorization its base holds,
+    and each has the bytes of the array function called afresh."""
     rs = roots[n]
     p = commuting_point(rs, build_M(rs, rand_s(np.random.default_rng(40 + n), (6, n))),
                         draw_seed(np.random.default_rng(50 + n), 6))
-    _powers_qr.cache_clear()
-    E = centralizer_basis(p.A)
-    assert is_regular(p.A).all()
-    c = polynomial_coefficients(p.A, p.B)
-    assert _powers_qr.cache_info()[:2] == (2, 1)
+    qr = p.base.qr
+    E = centralizer_basis(p.base)
+    assert E is qr[3] and qr[2].all()
+    c = solve_powers(qr, p.B)
+    assert p.base.qr is qr
+    np.testing.assert_array_equal(E, centralizer_basis(p.A))
+    np.testing.assert_array_equal(qr[2], is_regular(p.A))
+    np.testing.assert_array_equal(c, polynomial_coefficients(p.A, p.B))
     # and what each reads is what it needs: B = q(A), E spans a commutant
     q = np.einsum("...k,k...ij->...ij", c, powers(p.A, n + 1))
     assert max_abs(q - p.B).max() < 1e-9 * max_abs(p.B).max()
     assert max_abs(E @ p.A[:, None] - p.A[:, None] @ E).max() < 1e-12 * max_abs(p.A).max()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_each_base_builds_its_factorization_fit_and_twists_once(roots, monkeypatch, n):
+    """Over one run_suite, every section fit, factorization of A's powers and
+    twist pair is a Base's own, and none is built twice on one array: each
+    base builds each at most once, and a point's maps reuse its base rather
+    than wrap its A anew.  The arrays are held, so no id is reused."""
+    built = {"section_fit": [], "powers_qr": [], "twists": []}
+
+    def counted(name, builder):
+        def build(*args):
+            built[name].append(args[-1])  # the base's A, or its s for the twists
+            return builder(*args)
+        return build
+
+    for name in built:
+        monkeypatch.setattr(involutions, name, counted(name, getattr(involutions, name)))
+    run_suite({"n": n, "seed": 42, "samples": 10})
+    for name, args in built.items():
+        assert args, name
+        assert len({id(x) for x in args}) == len(args), name
 
 
 def test_sample_commuting_properties(roots):

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 from ucgl import involutions
-from ucgl.core import char_poly, inverse, max_abs, structural_matrices
+from ucgl.core import char_poly, inverse, max_abs, powers_qr, structural_matrices
 from ucgl.errors import PreconditionError
 from ucgl.groupoid import (
     centralizer_basis,
@@ -17,8 +17,8 @@ from ucgl.groupoid import (
 from ucgl.involutions import (
     F_sigma,
     F_theta,
-    _constant_twists,
-    _moving_twist,
+    Base,
+    GroupoidPoint,
     apply_sigma,
     apply_theta,
     make_point,
@@ -32,7 +32,15 @@ from ucgl.involutions import (
     twists,
 )
 from ucgl.report import run_suite
-from ucgl.stokes import build_M, build_S, dM_ds, derive_root_sets, rand_palindromic_s, rand_s
+from ucgl.stokes import (
+    build_M,
+    build_S,
+    dM_ds,
+    derive_root_sets,
+    rand_palindromic_s,
+    rand_s,
+    section_fit,
+)
 
 TOL = 1e-9
 
@@ -59,7 +67,7 @@ def test_F_theta_values(roots):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_twists_are_the_builders_and_their_inverses(roots, n):
-    """Byte for byte, for one s and for a stack, on a first call and on a memo hit."""
+    """Byte for byte, for one s and for a stack, on a first call and a second."""
     rs = roots[n] if n in roots else derive_root_sets(n)
     rng = np.random.default_rng(700 + n)
     for s in (rand_s(rng, n), np.array([rand_s(rng, n) for _ in range(3)])):
@@ -69,6 +77,28 @@ def test_twists_are_the_builders_and_their_inverses(roots, n):
             got = twists(rs, s)
             assert [(x.shape, x.tobytes()) for x in got] == [
                 (x.shape, x.tobytes()) for x in expected]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_sliced_point_has_the_bytes_of_its_base_built_afresh(roots, n):
+    """p[i] of a stack carries the slice of its base's fit; its s, fit
+    residuals, factorization, commutant basis and twists have the bytes of
+    the array functions called afresh on p.A[i]."""
+    rs = roots[n]
+    p = random_points(rs, np.random.default_rng(800 + n), 6)  # make_point fits the stack
+    for i in range(6):
+        q = p[i]
+        assert "fit" in vars(q.base) and q.base is not p.base
+        A = p.A[i]
+        np.testing.assert_array_equal(q.A, A)
+        for got, want in zip(q.base.fit, section_fit(rs, A)):
+            assert np.array_equal(got, want)
+        Qt, R, regular, E, Qh = powers_qr(A)
+        for got, want in zip(q.base.qr, (Qt, R, regular, E, Qh)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(centralizer_basis(q.base), centralizer_basis(A))
+        for got, want in zip(q.base.twists, twists(rs, section_fit(rs, A)[0])):
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -96,6 +126,7 @@ def test_each_twist_is_built_once_per_fixed_locus_point(roots, monkeypatch, n):
 
     for name, builder in (("F_sigma", F_sigma), ("F_theta", F_theta)):
         monkeypatch.setattr(involutions, name, counted(name, builder))
+    monkeypatch.setattr(involutions, "_constant_twists", {})  # built before: build it again
     rng = np.random.default_rng(800 + n)
     for _ in range(k):
         # one unstacked point, drawn and tested as the benchmark's sample-slocal workload does
@@ -166,7 +197,8 @@ def test_sigma_twice_at_even_rank(roots, seed):
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_sigma_routes_agree(roots, n):
     """apply_sigma takes sigma_by_twist at odd rank and sigma_by_polynomial at
-    even rank; both give the same point to round-off at every rank.
+    even rank, and its base, Base.sigma, the same route for A; both routes
+    give the same point to round-off at every rank.
     sigma_route_gap reads apply_sigma's B for its own route and gives the
     bytes of the gap between the two routes built afresh."""
     rs = roots[n] if n in roots else derive_root_sets(n)
@@ -174,10 +206,12 @@ def test_sigma_routes_agree(roots, n):
     sp = apply_sigma(rs, p)
     gap = sigma_route_gap(rs, p, sp)
     assert (gap < 1e-9).all()
-    Bt, At = sigma_by_twist(rs, p)
-    Bq, Aq = sigma_by_polynomial(rs, p)
+    Bt, Bq = sigma_by_twist(rs, p), sigma_by_polynomial(rs, p)
+    F, Fi, _, _ = twists(rs, p.s)
+    At, Aq = F @ np.swapaxes(inverse(p.A), -1, -2) @ Fi, build_M(rs, p.s[:, ::-1])
     assert (max_abs(At - Aq) / max_abs(Aq) < 1e-9).all()
     assert np.array_equal(sp.B, Bt if n % 2 else Bq)
+    assert np.array_equal(sp.A, At if n % 2 else Aq)
     assert gap.tobytes() == (max_abs(Bt - Bq) / max_abs(Bq)).tobytes()
 
 
@@ -273,12 +307,13 @@ def test_membership_regression_point(roots):
 @pytest.mark.parametrize("n", [2, 3])
 def test_membership_inverts_neither_B_nor_A(roots, monkeypatch, n):
     """slocal_membership builds neither sigma(p) nor theta(p), validates no
-    point and inverts neither B nor A.  The twist memos are emptied after
-    sampling, so the twists are built, and inverted, by the call itself."""
+    point and inverts neither B nor A.  The sampled point is put over a
+    fresh Base and the rank's constant twist is dropped, so the twists are
+    built, and inverted, by the call itself."""
     rs = roots[n]
-    p = random_slocal_points(rs, np.random.default_rng(n), 1)[0]
-    _moving_twist.cache_clear()
-    _constant_twists.clear()
+    q = random_slocal_points(rs, np.random.default_rng(n), 1)[0]
+    p = GroupoidPoint(B=q.B, base=Base(rs, q.A))
+    monkeypatch.setattr(involutions, "_constant_twists", {})
 
     def forbidden(*args, **kwargs):
         raise AssertionError("slocal_membership must not call this")
@@ -292,7 +327,7 @@ def test_membership_inverts_neither_B_nor_A(roots, monkeypatch, n):
         monkeypatch.setattr(involutions, name, forbidden)
     monkeypatch.setattr(involutions, "inverse", inverse_of_neither)
     assert slocal_membership(rs, p)["fixed_route"]
-    assert _moving_twist.cache_info().misses == 1
+    assert "twists" in vars(p.base)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -49,7 +49,7 @@ MUTANTS = {
         " + x2 * W", "return 0 * W"),
     "stokes.round_trip": (
         "stokes.stokes_params_of", "char_poly(A)[..., 1 : n + 1]", "char_poly(A)[..., 0:n]"),
-    "stokes.regularity": ("core._powers_qr", "axis=-1) == N)", "axis=-1) > N)"),
+    "stokes.regularity": ("core.powers_qr", "axis=-1) == N)", "axis=-1) > N)"),
     "stokes.power_identity": (
         "stokes.build_S", "range(m * N, m * N + N)", "range(m * N, m * N + N - 1)"),
     "stokes.factor_route_agreement": (
@@ -67,7 +67,7 @@ MUTANTS = {
     # a root of unity keeps det B = 1 and sigma involutive, but conj moves it
     "involutions.commutation": (
         "involutions.apply_sigma", "make_point(rs, B2, A2, tol)",
-        "make_point(rs, np.exp(2j * np.pi / A2.shape[-1]) * B2, A2, tol)"),
+        "make_point(rs, np.exp(2j * np.pi / B2.shape[-1]) * B2, A2, tol)"),
     "involutions.base_parameter_action": (
         "involutions.apply_sigma", "return make_point(rs, B2, A2, tol)", "return p"),
     "involutions.sigma_route_agreement": (
@@ -84,8 +84,8 @@ MUTANTS = {
         "groupoid.sample_slocal_fiber", "xi = xi - F @ np.swapaxes(xi, -1, -2) @ Fi",
         "xi = xi"),
     "groupoid.axioms": (
-        "groupoid.groupoid_inverse", "make_point(rs, inverse(p.B), p.A)",
-        "make_point(rs, p.B, p.A)"),
+        "groupoid.groupoid_inverse", "make_point(rs, inverse(p.B), p.base)",
+        "make_point(rs, p.B, p.base)"),
     # inside make_point's 1e-7 acceptance, outside the check's 1e-10
     "groupoid.sampler_membership": (
         "groupoid.sample_commuting", "return expm(_commutant_element(A, seed))",
@@ -151,7 +151,7 @@ def _mutate(monkeypatch, function, old, new):
     source = inspect.getsource(original)
     assert source.count(old) == 1, f"{old!r} is not in {function} exactly once"
     namespace = {}
-    path = inspect.getsourcefile(inspect.unwrap(original))  # unwrap: a memo has no file
+    path = inspect.getsourcefile(original)
     code = compile(source.replace(old, new), path, "exec")
     exec(code, vars(module), namespace)
     for key, mod in list(sys.modules.items()):

@@ -6,10 +6,11 @@ import pytest
 
 from ucgl.core import determinant, inverse, is_regular, structural_matrices
 from ucgl.errors import DegenerateSampleError, InvalidSectorError, PreconditionError
+from ucgl.groupoid import commuting_point, groupoid_compose, make_pair, unit
+from ucgl.involutions import Base, make_point
 from ucgl.stokes import (
     _candidate_passes,
     _orientations,
-    _section_fit,
     _transposed_lex_key,
     build_M,
     build_Q,
@@ -257,10 +258,25 @@ def test_section_membership(roots):
     assert not mem["in_section"] and not mem["in_local"]
 
 
-def test_section_fit_memo_matches_a_cold_fit(roots):
-    """A warm entry gives the cold verdict at every tolerance, and an equal copy of A hits."""
+def test_one_base_serves_callers_at_different_tolerances(roots):
+    """A base whose section gap lies between 1e-9 and 1e-7 fails make_point's
+    default tolerance and passes groupoid_compose's 1e-7, from its one fit;
+    section_membership fits afresh and compares at any tolerance."""
     rs = roots[3]
     rng = np.random.default_rng(91)
+    A = build_M(rs, rand_s(rng, 3))
+    A[0, 0] += 1e-8
+    base = Base(rs, A)
+    fit = base.fit
+    assert 1e-9 < fit[1] < 1e-7
+    p, q = (commuting_point(rs, base, seed) for seed in (3, 4))  # at tolerance 1e-7
+    assert groupoid_compose(rs, make_pair(p, q)).base is base
+    with pytest.raises(PreconditionError, match="not on the section"):
+        make_point(rs, q.B, base)
+    with pytest.raises(PreconditionError, match="not on the section"):
+        unit(rs, base)
+    assert base.fit is fit
+    assert [section_membership(rs, A, tol)["in_section"] for tol in (1e-9, 1e-7)] == [False, True]
     bases = [
         build_M(rs, rand_palindromic_s(rng, 3)),  # on the real palindromic slice
         rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)),  # off the section
@@ -268,24 +284,10 @@ def test_section_fit_memo_matches_a_cold_fit(roots):
         build_M(rs, np.array([0.3, -1.2, 0.8], dtype=complex)),  # real, not palindromic
         np.full((4, 4), np.nan, dtype=complex),  # a NaN residual fails at every tol
     ]
-    tols = (1e-9, 1e-7, np.inf)
-    for A in bases:
-        cold = []
-        for tol in tols:
-            _section_fit.cache_clear()
-            cold.append(section_membership(rs, A, tol))
-        _section_fit.cache_clear()
-        for tol, want in zip(tols, cold):
-            got = section_membership(rs, A.copy(), tol)
-            assert (got["in_section"], got["in_local"]) == (want["in_section"], want["in_local"])
-            np.testing.assert_array_equal(got["s"], want["s"])
-        assert _section_fit.cache_info()[:2] == (len(tols) - 1, 1)  # (hits, misses)
     verdicts = [section_membership(rs, A)["in_section"] for A in bases]
     assert verdicts == [True, False, True, True, False]
     assert not section_membership(rs, bases[-1], np.inf)["in_section"]
     assert [section_membership(rs, A)["in_local"] for A in bases[:4]] == [True, False, False, False]
-    with pytest.raises(ValueError):
-        section_membership(rs, bases[0])["s"][0] = 0.0
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
